@@ -41,6 +41,19 @@ class EngineError(KaliError):
     """SPMD engine failure (bad op sequence, unknown rank, etc.)."""
 
 
+class PoolCrashError(EngineError):
+    """A rank process died (or stopped answering) out from under a job.
+
+    Raised instead of plain :class:`EngineError` when the failure is
+    *infrastructural* — a rank process exited without reporting, closed
+    its control pipe mid-job, or missed the reset barrier — as opposed
+    to the rank *program* raising (which reports a traceback and is
+    deterministic).  The serving layer retries crashed jobs against its
+    retry budget; program errors it fails immediately, because re-running
+    a deterministic failure buys nothing.
+    """
+
+
 class DeadlockError(EngineError):
     """Every live rank is blocked on a receive that can never be satisfied.
 

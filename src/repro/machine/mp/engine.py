@@ -8,42 +8,25 @@ start** (one monotonic epoch captured before forking; ``CLOCK_MONOTONIC``
 is process-wide on the platforms fork exists on, so child timestamps are
 comparable).
 
-The parent is a supervisor, not a router: data moves directly between
-rank processes.  Over the per-rank control pipe each child streams trace
-chunks and finally its ``("finish", clock, value, stats)`` record; the
-parent assembles the same :class:`RunResult` the simulator produces, so
-``repro.obs`` (reports, Perfetto export, run-metrics registry) works on
-real runs unchanged.
-
-A watchdog bounds the whole run in wall time: real execution cannot
-prove a deadlock the way the virtual-time engine can (it *knows* when
-every rank is blocked), so after ``timeout`` seconds the parent kills
-the ranks and raises :class:`~repro.errors.DeadlockError` with each
-rank's last self-reported blocked receive from a shared-memory status
-board.
+Forking, supervision, the watchdog and teardown all live in
+:class:`~repro.machine.mp.mesh.Mesh`, which the warm
+:class:`~repro.serve.pool.RankPool` shares; ``MpEngine`` is its one-shot
+lifetime — build a mesh whose ranks inherit the program through
+``fork()``, run exactly one job, close.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.errors import BlockedOp, DeadlockError, EngineError
+from repro.errors import EngineError
 from repro.machine.api import Op, Rank
 from repro.machine.cost import MachineModel
-from repro.machine.mp.transport import build_pipe_mesh, close_mesh_except
-from repro.machine.mp.worker import ST_BLOCKED, ST_DONE, worker_main
-from repro.machine.shm import (
-    DEFAULT_SEGMENT_BYTES,
-    ShmDataPlane,
-    shm_enabled_default,
-    shm_threshold_default,
-)
-from repro.machine.stats import RankStats, RunResult
+from repro.machine.mp.mesh import Job, Mesh, fork_context, shm_options
+from repro.machine.shm import DEFAULT_SEGMENT_BYTES
+from repro.machine.stats import RunResult
 from repro.machine.topology import FullyConnected, Topology
-from repro.machine.trace import TraceEvent
 
 RankProgram = Callable[[Rank], Generator[Op, Any, Any]]
 
@@ -107,19 +90,8 @@ class MpEngine:
         if timeout <= 0:
             raise EngineError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
-        self.shm = shm if shm is not None else shm_enabled_default()
-        self.shm_threshold = (shm_threshold if shm_threshold is not None
-                              else shm_threshold_default())
-        self.shm_segment_bytes = shm_segment_bytes
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            raise EngineError(
-                "the mp backend needs the 'fork' start method (POSIX); "
-                "use backend='sim' on this platform"
-            ) from None
-
-    # --- public API ------------------------------------------------------
+        self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
+        fork_context()  # fail at construction on hosts without fork
 
     def run(
         self,
@@ -131,174 +103,14 @@ class MpEngine:
         seconds in place of virtual time."""
         if args is not None and len(args) != self.nranks:
             raise EngineError(f"args must have length {self.nranks}")
-        n = self.nranks
-        ctx = self._ctx
-
-        mesh = build_pipe_mesh(ctx, n)
-        ctrl_pairs = [ctx.Pipe(duplex=False) for _ in range(n)]
-        parent_ctrls = [recv for recv, _send in ctrl_pairs]
-        child_ctrls = [send for _recv, send in ctrl_pairs]
-        # Status board: (status, blocked_src, blocked_tag) per rank,
-        # written by children, read by the parent on watchdog expiry.
-        shared_state = ctx.RawArray("l", 3 * n)
-        # The shm data plane is created *before* forking so children
-        # inherit the primary mapping; the parent is the extra party
-        # that decodes gathered results out of finish records.
-        plane = (ShmDataPlane(n, segment_bytes=self.shm_segment_bytes,
-                              threshold=self.shm_threshold)
-                 if self.shm else None)
-
-        t0 = time.monotonic()
-        procs = []
-        for r in range(n):
-            p = ctx.Process(
-                target=worker_main,
-                args=(
-                    r, n, program,
-                    args[r] if args is not None else None,
-                    self.machine, self.topology, mesh,
-                    child_ctrls[r], child_ctrls, shared_state, t0,
-                    self.trace, self.max_ops, plane,
-                ),
-                name=f"repro-mp-rank-{r}",
-                daemon=True,
-            )
-            p.start()
-            procs.append(p)
-        # The parent keeps no data-plane ends and no child control ends.
-        close_mesh_except(mesh, None)
-        for c in child_ctrls:
-            c.close()
-
+        # Epoch before fork: rank clocks are seconds since run() entry.
+        job = Job(time.monotonic(), program, self.machine, self.topology,
+                  args, self.trace, self.max_ops)
+        mesh = Mesh(self.nranks, "mp", self._shm, inherit=job)
         try:
-            return self._supervise(procs, parent_ctrls, shared_state, t0,
-                                   plane)
+            return mesh.run(job, self.timeout)
         finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(5.0)
-            for p in procs:
-                try:  # releases the sentinel fd now, not at GC time
-                    p.close()
-                except ValueError:
-                    pass  # still alive after terminate+join; GC reaps it
-            for c in parent_ctrls:
-                try:
-                    c.close()
-                except OSError:
-                    pass
-            if plane is not None:
-                # Every child is joined: unlink all segments (including
-                # any a crashed rank grew) via the prefix sweep.
-                plane.close(unlink=True)
-
-    # --- supervisor loop -------------------------------------------------
-
-    def _supervise(self, procs, parent_ctrls, shared_state, t0,
-                   plane=None) -> RunResult:
-        n = self.nranks
-        deadline = time.monotonic() + self.timeout
-        clocks: List[Optional[float]] = [None] * n
-        stats: List[Optional[RankStats]] = [None] * n
-        values: List[Any] = [None] * n
-        trace_events: Optional[List[TraceEvent]] = [] if self.trace else None
-        open_ctrls = {parent_ctrls[r]: r for r in range(n)}
-        pending = set(range(n))
-
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._deadlock(procs, shared_state, pending, t0)
-            sentinels = {procs[r].sentinel: r for r in pending}
-            ready = conn_wait(
-                list(open_ctrls) + list(sentinels), timeout=remaining
-            )
-            if not ready:
-                raise self._deadlock(procs, shared_state, pending, t0)
-            for obj in ready:
-                if obj in open_ctrls:
-                    r = open_ctrls[obj]
-                    try:
-                        msg = obj.recv()
-                    except EOFError:
-                        del open_ctrls[obj]
-                        continue
-                    kind = msg[0]
-                    if kind == "trace":
-                        if trace_events is not None:
-                            trace_events.extend(msg[1])
-                    elif kind == "finish":
-                        _, clock, value, rstats = msg
-                        if plane is not None:
-                            value, _b, _blk = plane.decode(value)
-                        clocks[r] = clock
-                        values[r] = value
-                        stats[r] = rstats
-                        pending.discard(r)
-                    elif kind == "error":
-                        _, clock, tb, rstats = msg
-                        raise EngineError(
-                            f"rank {r} failed after {clock:.3f}s "
-                            f"wall:\n{tb}"
-                        )
-                    else:  # pragma: no cover - protocol future-proofing
-                        raise EngineError(
-                            f"unknown control message {kind!r} from rank {r}"
-                        )
-                elif obj in sentinels:
-                    r = sentinels[obj]
-                    if r not in pending:
-                        continue
-                    # A finish/error may still sit in the control pipe,
-                    # racing the process exit; let the next pass read it.
-                    ctrl = parent_ctrls[r]
-                    if ctrl in open_ctrls and ctrl.poll(0):
-                        continue
-                    procs[r].join(1.0)
-                    raise EngineError(
-                        f"rank {r} died without reporting "
-                        f"(exit code {procs[r].exitcode})"
-                    )
-
-        for p in procs:
-            p.join(10.0)
-        if trace_events is not None:
-            for r in range(n):
-                trace_events.append(TraceEvent(
-                    rank=r, kind="finish", start=clocks[r], end=clocks[r]
-                ))
-            trace_events.sort(key=lambda e: (e.start, e.rank))
-        result = RunResult(
-            nranks=n,
-            clocks=[c if c is not None else 0.0 for c in clocks],
-            stats=stats,
-            values=values,
-        )
-        result.trace = trace_events
-        return result
-
-    def _deadlock(self, procs, shared_state, pending, t0) -> DeadlockError:
-        """Build the diagnostic from each stuck rank's status board entry."""
-        wall = time.monotonic() - t0
-        blocked = {}
-        for r in sorted(pending):
-            base = 3 * r
-            status = shared_state[base]
-            if status == ST_BLOCKED:
-                blocked[r] = BlockedOp(
-                    source=int(shared_state[base + 1]),
-                    tag=int(shared_state[base + 2]),
-                    phase="(mp)",
-                    clock=wall,
-                )
-            elif status != ST_DONE:
-                blocked[r] = BlockedOp(source=-9, tag=-9, phase="(running)",
-                                       clock=wall)
-        return DeadlockError(
-            blocked or {r: (-9, -9) for r in sorted(pending)},
-        )
+            mesh.close()
 
 
 def run_spmd_mp(

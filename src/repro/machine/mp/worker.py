@@ -51,7 +51,6 @@ from repro.machine.mp.transport import (
     FRAME_PAYLOAD,
     FRAME_SEQ,
     FRAME_TAG,
-    FRAME_WALL,
     SenderThread,
     close_mesh_except,
 )
@@ -98,28 +97,31 @@ class _Inbox:
         self.arrival_wall[idx] = wall
         return idx
 
-    def drain_one(self, src: int, timeout: Optional[float], now_fn) -> bool:
+    def drain_one(self, src: int, deadline: Optional[float], now_fn) -> bool:
         """Block until one frame from ``src`` is drained (True) or the
-        timeout expires (False).  A dead peer can never satisfy the
-        receive, so it raises instead of hanging forever."""
+        deadline expires (False).  A dead peer can never satisfy the
+        receive: an untimed one raises instead of hanging forever, a timed
+        one waits its deadline out — it completes by timing out, exactly
+        as on the simulator."""
         conn = self.conns[src]
-        if conn is None:
+        if conn is not None:
+            if deadline is not None and not conn.poll(
+                    max(deadline - time.monotonic(), 0.0)):
+                return False
+            try:
+                frame = conn.recv()
+            except EOFError:
+                self._mark_dead(src)
+            else:
+                self._buffer(src, frame, now_fn())
+                return True
+        if deadline is None:
             raise CommunicationError(
                 f"receive from rank {src} can never complete: the peer "
                 "process has exited"
             )
-        if timeout is not None and not conn.poll(timeout):
-            return False
-        try:
-            frame = conn.recv()
-        except EOFError:
-            self._mark_dead(src)
-            raise CommunicationError(
-                f"receive from rank {src} can never complete: the peer "
-                "process has exited"
-            ) from None
-        self._buffer(src, frame, now_fn())
-        return True
+        time.sleep(max(deadline - time.monotonic(), 0.0))
+        return False
 
     def drain_ready(self, now_fn) -> None:
         """Drain every frame currently readable on any pipe (no blocking).
@@ -137,10 +139,11 @@ class _Inbox:
 
     def wait_any(self, deadline: Optional[float], now_fn) -> bool:
         """Block until any pipe is readable; False on deadline expiry.
-        Raises once every peer is gone (nothing can ever arrive)."""
+        Raises once every peer is gone (nothing can ever arrive) unless a
+        deadline bounds the wait."""
         while True:
             live = [c for c in self.conns if c is not None]
-            if not live:
+            if not live and deadline is None:
                 raise CommunicationError(
                     "wildcard receive can never complete: every peer "
                     "process has exited"
@@ -197,108 +200,148 @@ class _Inbox:
         return discarded
 
 
-def worker_main(
-    rank_id: int,
-    nranks: int,
-    program,
-    arg: Any,
-    machine,
-    topology,
-    mesh,
-    ctrl,
-    parent_ctrls,
-    shared_state,
-    t0: float,
-    trace: bool,
-    max_ops: int,
-    dataplane=None,
-) -> None:
-    """Entry point of one forked rank process.  Never returns normally:
-    reports ``("finish", ...)`` or ``("error", ...)`` on the control pipe
-    and exits.
+def _encode(dataplane, stats: RankStats, obj: Any, consumers) -> Any:
+    """Hoist ``obj``'s bulk leaves into shared memory for ``consumers``
+    (identity without a data plane), counting what moved."""
+    if dataplane is None:
+        return obj
+    obj, nbytes, blocks, fallbacks = dataplane.encode(obj, consumers)
+    if nbytes:
+        stats.count("shm_bytes_sent", nbytes)
+        stats.count("shm_blocks_sent", blocks)
+    if fallbacks:
+        stats.count("shm_fallbacks", fallbacks)
+    return obj
+
+
+def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
+              decode, inherited) -> None:
+    """Entry point of one forked rank process, for both mesh lifetimes.
+
+    A *persistent* rank (``inherited`` is None) serves ``job`` / ``reset``
+    / ``ping`` commands from its control pipe until ``stop`` or parent
+    EOF; a *one-shot* rank runs the single job message it inherited
+    through ``fork()`` (so its program was never pickled) and exits, which
+    is what lets peers observe it as EOF.  One :class:`SenderThread` and
+    one :class:`_Inbox` live as long as the process; per-job state (stats,
+    trace buffer, sequence counters, the rank object itself) is rebuilt
+    from the job message every time.
 
     ``dataplane`` is an optional :class:`repro.machine.shm.ShmDataPlane`
     inherited from the parent; when present, bulk payloads travel as
-    shared-memory blocks and pipes carry only control frames."""
-    close_mesh_except(mesh, rank_id)
-    for r, pc in enumerate(parent_ctrls):
+    shared-memory blocks and pipes carry only control frames.  It lives
+    mesh-long too: each rank's arena is rewound at the reset barrier.
+    ``decode(payload, dataplane)`` rebuilds a program shipped over the
+    control pipe; None means the message carries the program itself.
+    """
+    close_mesh_except(pipes, rank_id)
+    for r, c in enumerate(ctrls):
         if r != rank_id:
-            pc.close()
+            c.close()
+    conn = ctrls[rank_id]
+    sender = SenderThread()
+    inbox = _Inbox(pipes[rank_id])
     if dataplane is not None:
         dataplane.attach(rank_id)
 
-    def now() -> float:
-        return time.monotonic() - t0
-
     def set_state(status: int, src: int = -2, tag: int = -2) -> None:
         base = 3 * rank_id
-        shared_state[base] = status
-        shared_state[base + 1] = src
-        shared_state[base + 2] = tag
-
-    stats = RankStats(rank_id)
-    trace_buf: List[TraceEvent] = []
-    sender = SenderThread()
-    inbox = _Inbox(mesh[rank_id])
-
-    def flush_trace(force: bool = False) -> None:
-        if trace and trace_buf and (force or len(trace_buf) >= _TRACE_FLUSH):
-            ctrl.send(("trace", list(trace_buf)))
-            trace_buf.clear()
+        board[base] = status
+        board[base + 1] = src
+        board[base + 2] = tag
 
     try:
-        set_state(ST_RUNNING)
-        rank = Rank(rank_id, nranks, machine, topology, arg)
-        gen = program(rank)
-        if not hasattr(gen, "send"):
-            raise EngineError(
-                "rank program must be a generator function (did you forget "
-                "to 'yield'?)"
-            )
-        value = _interpret(
-            rank_id, nranks, gen, stats, trace_buf if trace else None,
-            sender, inbox, mesh[rank_id], now, set_state, max_ops,
-            flush_trace, dataplane=dataplane,
-        )
-        if dataplane is not None:
-            # Gathered results ride the data plane too: the parent (the
-            # plane's extra party) decodes the refs out of the finish
-            # record.  Counted before the stats object is shipped.
-            value, vbytes, vblocks, vfall = dataplane.encode(
-                value, (dataplane.parent_party,))
-            if vbytes:
-                stats.count("shm_bytes_sent", vbytes)
-                stats.count("shm_blocks_sent", vblocks)
-            if vfall:
-                stats.count("shm_fallbacks", vfall)
-            stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
-        sender.flush_and_stop()
-        # Anything still buffered (or readable) was sent but never
-        # received — the simulator's "undelivered_messages" accounting,
-        # best-effort: frames still in flight from a straggling peer are
-        # missed (documented relaxation).
-        inbox.drain_ready(now)
-        left = inbox.leftover()
-        if left:
-            stats.count("undelivered_messages", left)
-        set_state(ST_DONE)
-        flush_trace(force=True)
-        ctrl.send(("finish", now(), value, stats))
-        ctrl.close()
-    except BaseException:
-        set_state(ST_DONE)
-        try:
-            flush_trace(force=True)
-            ctrl.send(("error", now(), traceback.format_exc(), stats))
-            ctrl.close()
-        except Exception:
-            pass
-        try:  # deterministic teardown: no sender thread outlives the report
+        while True:
+            if inherited is not None:
+                msg = inherited
+            else:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    break  # parent is gone; nothing left to serve
+            kind = msg[0]
+            if kind == "stop":
+                break
+            if kind == "ping":
+                conn.send(("pong", msg[1]))
+                continue
+            if kind == "reset":
+                inbox.drain_ready(time.monotonic)
+                reclaimed = (dataplane.reset_party()
+                             if dataplane is not None else 0)
+                conn.send(("reset_done", inbox.reset(), reclaimed))
+                continue
+
+            _, t0, program, machine, topology, arg, trace, max_ops = msg
+
+            def now() -> float:
+                return time.monotonic() - t0
+
+            stats = RankStats(rank_id)
+            trace_buf: List[TraceEvent] = []
+
+            def flush_trace(force: bool = False) -> None:
+                if trace and trace_buf and (force or
+                                            len(trace_buf) >= _TRACE_FLUSH):
+                    conn.send(("trace", list(trace_buf)))
+                    trace_buf.clear()
+
+            try:
+                set_state(ST_RUNNING)
+                if decode is not None:
+                    program = decode(program, dataplane)
+                gen = program(Rank(rank_id, nranks, machine, topology, arg))
+                if not hasattr(gen, "send"):
+                    raise EngineError(
+                        "rank program must be a generator function (did "
+                        "you forget to 'yield'?)"
+                    )
+                value = _interpret(
+                    rank_id, nranks, gen, stats,
+                    trace_buf if trace else None, sender, inbox,
+                    pipes[rank_id], now, set_state, max_ops, flush_trace,
+                    dataplane=dataplane,
+                )
+                if dataplane is not None:
+                    # Gathered results ride the data plane too: the parent
+                    # (the plane's extra party) decodes the refs out of the
+                    # finish record.  Counted before the stats are shipped.
+                    value = _encode(dataplane, stats, value,
+                                    (dataplane.parent_party,))
+                    stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
+                # Everything this job queued must be on the wire before we
+                # report: peers drain their pipes at the reset barrier, and
+                # the barrier only starts after every rank reported.
+                sender.flush()
+                if inherited is not None:
+                    # No reset barrier will follow, so count what was sent
+                    # here but never received now — best-effort: frames
+                    # still in flight from a straggling peer are missed
+                    # (documented relaxation).  Persistent ranks count at
+                    # the barrier instead, where the drain is exact.
+                    inbox.drain_ready(now)
+                    if inbox.leftover():
+                        stats.count("undelivered_messages", inbox.leftover())
+                set_state(ST_DONE)
+                flush_trace(force=True)
+                conn.send(("finish", now(), value, stats))
+            except Exception:
+                set_state(ST_DONE)
+                try:
+                    flush_trace(force=True)
+                    conn.send(("error", now(), traceback.format_exc(), stats))
+                except Exception:
+                    break
+                # The parent fails the job and tears the mesh down; a
+                # persistent rank keeps answering the control pipe until
+                # then.
+            if inherited is not None:
+                break
+    finally:
+        try:  # deterministic teardown: no sender thread outlives the rank
             sender.flush_and_stop(timeout=5.0)
         except Exception:
             pass
-        raise SystemExit(1)
-    raise SystemExit(0)
 
 
 def _interpret(
@@ -366,18 +409,10 @@ def _interpret(
             nbytes = op.wire_size()
             seq = rank_id + nranks * seq_counter  # globally unique
             seq_counter += 1
-            payload = op.payload
-            if dataplane is not None:
-                payload, sbytes, sblocks, sfall = dataplane.encode(
-                    payload, (op.dest,))
-                if sbytes:
-                    stats.count("shm_bytes_sent", sbytes)
-                    stats.count("shm_blocks_sent", sblocks)
-                if sfall:
-                    stats.count("shm_fallbacks", sfall)
             framelen = sender.send(
                 conns[op.dest],
-                (op.tag, seq, nbytes, op_start, payload),
+                (op.tag, seq, nbytes, op_start,
+                 _encode(dataplane, stats, op.payload, (op.dest,))),
             )
             stats.count("pipe_bytes_sent", framelen)
             end = now()
@@ -476,11 +511,7 @@ def _do_recv(
                     seq=frame[FRAME_SEQ],
                 )
             if op.source != ANY_SOURCE:
-                timeout = (
-                    None if deadline is None
-                    else max(deadline - time.monotonic(), 0.0)
-                )
-                if not inbox.drain_one(op.source, timeout, now):
+                if not inbox.drain_one(op.source, deadline, now):
                     return None
             else:
                 if not inbox.wait_any(deadline, now):

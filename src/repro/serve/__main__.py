@@ -14,8 +14,7 @@
     python -m repro.serve stop   --socket /tmp/repro.sock
 
 ``start`` runs in the foreground (background it with ``&`` or a service
-manager) behind the asyncio front end; ``--threaded-front`` selects the
-legacy one-thread-per-connection front.  Every other command is a thin
+manager) behind the asyncio front end.  Every other command is a thin
 JSON-lines client; ``--json`` prints raw responses for scripting.
 """
 
@@ -74,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the online tuning daemon (drift detection, "
                         "shadow re-planning, A/B plan promotion; needs "
                         "--tune-dir)")
-    p.add_argument("--threaded-front", action="store_true",
-                   help="serve with the legacy thread-per-connection "
-                        "front instead of the asyncio front end")
 
     p = sub.add_parser("submit", help="submit one job")
     _add_socket(p)
@@ -150,18 +146,14 @@ def _cmd_start(args) -> int:
         autoscale=autoscale,
         autopilot=args.autopilot,
     )
-    front = "threaded" if args.threaded_front else "async"
     print(f"repro.serve: {args.nranks} ranks x {args.shards} shards, "
-          f"policy={args.policy}, front={front}, "
+          f"policy={args.policy}, "
           f"cache={args.cache_dir or '(memory only)'}, "
           f"socket={args.socket}", flush=True)
     try:
-        if args.threaded_front:
-            server.serve_forever(args.socket)
-        else:
-            from repro.serve.frontend import serve_async
+        from repro.serve.frontend import serve_async
 
-            serve_async(server, args.socket)
+        serve_async(server, args.socket)
     except KeyboardInterrupt:
         server.close()
     return 0
@@ -178,17 +170,22 @@ def _print_record(record: dict) -> None:
 
 
 def _print_stat(stat: dict) -> None:
-    pool, disk = stat["pool"], stat["disk_cache"]
+    shards, disk = stat["shards"], stat["disk_cache"]
+
+    def total(key: str) -> int:
+        return sum(entry[key] for entry in shards)
+
     print(f"nranks={stat['nranks']} policy={stat['policy']} "
-          f"shards={len(stat.get('shards', []))} "
+          f"shards={len(shards)} "
           f"queued={stat['queued']} done={stat['jobs_done']} "
           f"failures={stat['failures']} sheds={stat.get('sheds', 0)} "
           f"retries={stat.get('retries', 0)}")
-    print(f"pool: warm={pool['warm']} jobs={pool['jobs_done']} "
-          f"rebuilds={pool['rebuilds']} meshes={pool['meshes_built']} "
-          f"shm_ship_bytes={pool.get('shm_ship_bytes', 0)} "
-          f"shm_reclaimed_bytes={pool.get('shm_reclaimed_bytes', 0)}")
-    for entry in stat.get("shards", []):
+    print(f"pool: warm={any(entry['warm'] for entry in shards)} "
+          f"jobs={total('pool_jobs_done')} "
+          f"rebuilds={total('rebuilds')} meshes={total('meshes_built')} "
+          f"shm_ship_bytes={total('shm_ship_bytes')} "
+          f"shm_reclaimed_bytes={total('shm_reclaimed_bytes')}")
+    for entry in shards:
         print(f"  {entry['name']}: warm={entry['warm']} "
               f"queued={entry['queued']} done={entry['jobs_done']} "
               f"retries={entry['retries']} replays_in={entry['replays_in']} "

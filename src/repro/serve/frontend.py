@@ -1,9 +1,8 @@
 """Asyncio front end: many JSON-lines clients, one sharded fleet.
 
-The blocking front (`JobServer.serve_forever`) spends a thread per
-connection and blocks it for the full wall time of every ``submit`` —
-fine for a smoke test, hopeless for a fleet.  :class:`AsyncFrontend`
-multiplexes every connection on one event loop:
+A thread per connection, blocked for the full wall time of every
+``submit``, is fine for a smoke test and hopeless for a fleet.
+:class:`AsyncFrontend` multiplexes every connection on one event loop:
 
 * **submit** runs admission + routing inline (microseconds — it only
   touches the router and a queue lock) and then *awaits* the job's
@@ -16,11 +15,10 @@ multiplexes every connection on one event loop:
   ``asyncio.to_thread`` — the loop keeps serving other clients while
   one connection waits for the fleet to go idle.
 * everything else (``ping``, ``stat``, ``metrics``, ``scale``,
-  ``stop``) is fast and handled inline via the same
-  :meth:`JobServer.handle_request` the blocking front uses, so the two
-  fronts cannot drift apart on protocol.
+  ``stop``) is fast and handled inline via
+  :meth:`JobServer.handle_request`, the protocol's one definition.
 
-The wire protocol is unchanged: one JSON object per line in, one per
+The wire protocol: one JSON object per line in, one per
 line out, ``{"ok": false, "shed": true, ...}`` for admission rejections,
 ``{"ok": true, "stopping": true}`` terminating the server.
 """

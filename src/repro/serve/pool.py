@@ -3,28 +3,22 @@
 ``MpEngine`` pays the full cold-start bill on every run: fork one process
 per rank, build the O(n²) pipe mesh, tear it all down.  For the paper's
 target workload — the *same* forall executed over and over — that bill
-dominates.  :class:`RankPool` forks the mesh **once** and runs many
-successive jobs on it, with a reset protocol between jobs so each job
-sees exactly the clean-slate semantics a fresh ``MpEngine.run`` provides:
+dominates.  :class:`RankPool` keeps one persistent
+:class:`~repro.machine.mp.mesh.Mesh` — the supervisor ``MpEngine`` runs
+one-shot — and runs many successive jobs on it.  Each job's program is
+shipped (:mod:`repro.serve.shipping`) down the control pipes, and after
+every rank has reported the mesh's reset barrier discards the frames the
+job left in the pipes, so job N+1 cannot observe job N's messages and
+sees exactly the clean slate a fresh ``MpEngine.run`` provides.
 
-1. the parent ships the job (program via :mod:`repro.serve.shipping`,
-   machine model, topology, per-rank args, a fresh wall-clock epoch) down
-   each rank's duplex control pipe;
-2. each worker interprets the op stream with the *same* loop the
-   fork-per-run backend uses (:func:`repro.machine.mp.worker._interpret`)
-   against a per-process sender thread and inbox, then flushes its sender
-   and reports ``finish`` with a fresh :class:`RankStats`;
-3. after all ranks finish, the parent broadcasts ``reset``: every worker
-   drains and discards frames still in its pipes (every peer flushed
-   before reporting, so all leftovers are readable by then), clears its
-   inbox, and acks — job N+1 cannot observe job N's messages.
-
-Failure semantics: a rank error, watchdog expiry, or silent rank death
-fails *the job* (same exception types as ``MpEngine``) and condemns the
-mesh — pairwise pipes cannot be re-plumbed into a replacement process
-after fork, so crashed ranks are replaced by rebuilding the whole mesh,
-which the next ``run`` (or an explicit :meth:`check_health`) does
-automatically.  ``pool.rebuilds`` counts how often that happened.
+What lives here is pool *policy*: lazy start, lifetime counters, health
+checks, and condemn-and-rebuild.  A rank error, watchdog expiry, or
+silent rank death fails *the job* (same exception types as ``MpEngine``)
+and condemns the mesh — pairwise pipes cannot be re-plumbed into a
+replacement process after fork, so crashed ranks are replaced by
+rebuilding the whole mesh, which the next ``run`` (or an explicit
+:meth:`check_health`) does automatically.  ``pool.rebuilds`` counts how
+often that happened.
 
 ``RankPool.run`` returns the same :class:`RunResult` shape as both
 engines, so ``repro.obs`` and the differential harness work on pooled
@@ -34,192 +28,21 @@ runs unchanged.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import threading
 import time
-from multiprocessing.connection import wait as conn_wait
 from typing import Any, List, Optional
 
-from repro.errors import BlockedOp, DeadlockError, EngineError
-from repro.machine.api import Rank
+from repro.errors import EngineError, PoolCrashError  # noqa: F401 - re-export
 from repro.machine.cost import MachineModel
-from repro.machine.mp.transport import SenderThread, build_pipe_mesh, close_mesh_except
-from repro.machine.mp.worker import (
-    ST_BLOCKED,
-    ST_DONE,
-    ST_RUNNING,
-    _Inbox,
-    _interpret,
-)
-from repro.machine.shm import (
-    DEFAULT_SEGMENT_BYTES,
-    ShmDataPlane,
-    shm_enabled_default,
-    shm_threshold_default,
-)
-from repro.machine.stats import RankStats, RunResult
+from repro.machine.mp.mesh import Job, Mesh, fork_context, shm_options
+from repro.machine.shm import DEFAULT_SEGMENT_BYTES
+from repro.machine.stats import RunResult
 from repro.machine.topology import FullyConnected, Topology
-from repro.machine.trace import TraceEvent
 # Imported for the side effect: pool workers are forked, so anything the
 # parent has already imported is inherited for free.  Without this the
 # first disk-tier job pays the diskcache (+hashlib/pickle) import once
 # per worker, serialized on oversubscribed hosts.
 from repro.serve import diskcache as _diskcache  # noqa: F401
 from repro.serve import shipping
-
-_TRACE_FLUSH = 512
-
-# Forking a mesh from a multi-threaded parent (the sharded server runs
-# one scheduler thread per shard) is safe for *our* state because workers
-# re-read everything from the job message — but two meshes forking
-# concurrently could each inherit the other's half-built pipe fds.  One
-# process-wide lock serializes mesh construction; it is held only while
-# forking, never while running jobs.
-_FORK_LOCK = threading.Lock()
-
-
-class PoolCrashError(EngineError):
-    """A pool worker died (or stopped answering) out from under a job.
-
-    Raised instead of plain :class:`EngineError` when the failure is
-    *infrastructural* — a rank process exited without reporting, closed
-    its control pipe mid-job, or missed the reset barrier — as opposed
-    to the rank *program* raising (which reports a traceback and is
-    deterministic).  The serving layer retries crashed jobs against its
-    retry budget; program errors it fails immediately, because re-running
-    a deterministic failure buys nothing.
-    """
-
-
-def _pool_worker_main(rank_id, nranks, mesh, job_conns, shared_state,
-                      dataplane=None):
-    """Persistent rank process: serve jobs until ``stop`` (or parent EOF).
-
-    One :class:`SenderThread` and one :class:`_Inbox` live for the whole
-    pool; per-job state (stats, trace buffer, sequence counters, the rank
-    object itself) is rebuilt from the job message every time.  The shm
-    ``dataplane`` (when the pool has one) also lives pool-long: each
-    worker's arena is rewound at the reset barrier, which is the
-    pool-reset reclamation the obs counters report.
-    """
-    close_mesh_except(mesh, rank_id)
-    for r, c in enumerate(job_conns):
-        if r != rank_id:
-            c.close()
-    conn = job_conns[rank_id]
-    sender = SenderThread()
-    inbox = _Inbox(mesh[rank_id])
-    if dataplane is not None:
-        dataplane.attach(rank_id)
-    jobs_done = 0
-
-    def set_state(status, src=-2, tag=-2):
-        base = 3 * rank_id
-        shared_state[base] = status
-        shared_state[base + 1] = src
-        shared_state[base + 2] = tag
-
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break  # parent is gone; nothing left to serve
-            kind = msg[0]
-            if kind == "stop":
-                break
-            if kind == "ping":
-                conn.send(("pong", msg[1], rank_id, jobs_done))
-                continue
-            if kind == "reset":
-                inbox.drain_ready(time.monotonic)
-                reclaimed = (dataplane.reset_party()
-                             if dataplane is not None else 0)
-                conn.send(("reset_done", inbox.reset(), reclaimed))
-                continue
-            if kind != "job":
-                conn.send(("error", 0.0, f"unknown pool command {kind!r}",
-                           RankStats(rank_id)))
-                continue
-
-            _, t0, payload, machine, topology, arg, trace, max_ops = msg
-
-            def now():
-                return time.monotonic() - t0
-
-            stats = RankStats(rank_id)
-            trace_buf: List[TraceEvent] = []
-
-            def flush_trace(force=False):
-                if trace and trace_buf and (force or
-                                            len(trace_buf) >= _TRACE_FLUSH):
-                    conn.send(("trace", list(trace_buf)))
-                    trace_buf.clear()
-
-            try:
-                set_state(ST_RUNNING)
-                program = shipping.loads_via(payload, dataplane)
-                rank = Rank(rank_id, nranks, machine, topology, arg)
-                gen = program(rank)
-                if not hasattr(gen, "send"):
-                    raise EngineError(
-                        "rank program must be a generator function (did "
-                        "you forget to 'yield'?)"
-                    )
-                value = _interpret(
-                    rank_id, nranks, gen, stats,
-                    trace_buf if trace else None, sender, inbox,
-                    mesh[rank_id], now, set_state, max_ops, flush_trace,
-                    dataplane=dataplane,
-                )
-                if dataplane is not None:
-                    value, vbytes, vblocks, vfall = dataplane.encode(
-                        value, (dataplane.parent_party,))
-                    if vbytes:
-                        stats.count("shm_bytes_sent", vbytes)
-                        stats.count("shm_blocks_sent", vblocks)
-                    if vfall:
-                        stats.count("shm_fallbacks", vfall)
-                    stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
-                # Everything this job queued must be on the wire before we
-                # report: peers drain their pipes at the reset barrier, and
-                # the barrier only starts after every rank reported.
-                # Undelivered messages are counted there, not here — the
-                # post-barrier drain is exact where a job-end drain would
-                # race straggling peers.
-                sender.flush()
-                set_state(ST_DONE)
-                flush_trace(force=True)
-                conn.send(("finish", now(), value, stats))
-                jobs_done += 1
-            except Exception:
-                import traceback
-
-                set_state(ST_DONE)
-                try:
-                    flush_trace(force=True)
-                    conn.send(("error", now(), traceback.format_exc(), stats))
-                except Exception:
-                    break
-                # The parent fails the job and rebuilds the mesh; keep
-                # answering the control pipe until it tears us down.
-                continue
-    finally:
-        try:
-            sender.flush_and_stop(timeout=5.0)
-        except Exception:
-            pass
-        for c in mesh[rank_id]:
-            if c is not None:
-                try:
-                    c.close()
-                except OSError:
-                    pass
-        try:
-            conn.close()
-        except OSError:
-            pass
-    raise SystemExit(0)
 
 
 class RankPool:
@@ -255,26 +78,12 @@ class RankPool:
         self.nranks = nranks
         self.timeout = timeout
         self.max_ops = max_ops
-        #: shared-memory data plane knobs (see docs/dataplane.md);
-        #: ``shm=None`` means on unless ``REPRO_SHM=0``
-        self.shm = shm if shm is not None else shm_enabled_default()
-        self.shm_threshold = (shm_threshold if shm_threshold is not None
-                              else shm_threshold_default())
-        self.shm_segment_bytes = shm_segment_bytes
-        self._plane: Optional[ShmDataPlane] = None
+        self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
         self.shm_ship_bytes = 0       # program payload bytes shipped via shm
         self.shm_reclaimed_bytes = 0  # arena bytes rewound at reset barriers
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            raise EngineError(
-                "the warm pool needs the 'fork' start method (POSIX); "
-                "use backend='sim' on this platform"
-            ) from None
+        fork_context()  # fail at construction on hosts without fork
         self.name = f"pool-{next(RankPool._ids)}"
-        self._procs: Optional[List] = None
-        self._ctrls: Optional[List] = None
-        self._shared = None
+        self._mesh: Optional[Mesh] = None
         self._mesh_jobs = 0       # jobs completed on the current mesh
         self.jobs_done = 0        # jobs completed over the pool's lifetime
         self.rebuilds = 0         # meshes rebuilt after a crash/failure
@@ -291,90 +100,36 @@ class RankPool:
 
     @property
     def started(self) -> bool:
-        return self._procs is not None
+        return self._mesh is not None
+
+    @property
+    def _procs(self) -> Optional[List]:
+        """The current mesh's rank processes (chaos tests kill them)."""
+        return self._mesh.procs if self._mesh is not None else None
 
     def _ensure_started(self) -> None:
         if self._closed:
             raise EngineError(f"{self.name} is closed")
-        if self._procs is not None:
-            if all(p.is_alive() for p in self._procs):
+        if self._mesh is not None:
+            if all(p.is_alive() for p in self._mesh.procs):
                 return
-            self._teardown_mesh()   # a rank died between jobs
-            self.rebuilds += 1
-        n = self.nranks
-        ctx = self._ctx
-        with _FORK_LOCK:
-            mesh = build_pipe_mesh(ctx, n)
-            pairs = [ctx.Pipe(duplex=True) for _ in range(n)]
-            parent_ends = [a for a, _b in pairs]
-            child_ends = [b for _a, b in pairs]
-            self._shared = ctx.RawArray("l", 3 * n)
-            # Pre-fork so every worker inherits the primary segment
-            # mapping.
-            self._plane = (ShmDataPlane(n,
-                                        segment_bytes=self.shm_segment_bytes,
-                                        threshold=self.shm_threshold)
-                           if self.shm else None)
-            procs = []
-            for r in range(n):
-                p = ctx.Process(
-                    target=_pool_worker_main,
-                    args=(r, n, mesh, child_ends, self._shared, self._plane),
-                    name=f"repro-{self.name}-rank-{r}",
-                    daemon=True,
-                )
-                p.start()
-                procs.append(p)
-            close_mesh_except(mesh, None)
-            for c in child_ends:
-                c.close()
-        self._procs = procs
-        self._ctrls = parent_ends
+            self._condemn()   # a rank died between jobs
+        self._mesh = Mesh(self.nranks, self.name, self._shm,
+                          decode=shipping.loads_via)
         self._mesh_jobs = 0
         self.meshes_built += 1
 
-    def _teardown_mesh(self) -> None:
-        """Kill and fully release the current mesh (pipes, sentinels)."""
-        if self._procs is None:
-            return
-        for c in self._ctrls:
-            try:
-                c.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for p in self._procs:
-            p.join(2.0)
-        for p in self._procs:
-            if p.is_alive():
-                p.terminate()
-        for p in self._procs:
-            p.join(5.0)
-        for p in self._procs:
-            try:
-                p.close()
-            except ValueError:
-                pass
-        for c in self._ctrls:
-            try:
-                c.close()
-            except OSError:
-                pass
-        self._procs = None
-        self._ctrls = None
-        self._shared = None
-        if self._plane is not None:
-            # All workers joined above: unlink everything, then sweep
-            # the name prefix so a crashed worker's grown segments are
-            # reclaimed too (the crash condemned this mesh, so nothing
-            # can still reference them).
-            self._plane.close(unlink=True)
-            self._plane = None
+    def _condemn(self) -> None:
+        """Tear the mesh down; the next run (or health check) rebuilds."""
+        self._mesh.close()
+        self._mesh = None
+        self.rebuilds += 1
 
     def close(self) -> None:
         """Drain the mesh and release every OS resource (idempotent)."""
-        if self._closed:
-            return
-        self._teardown_mesh()
+        if self._mesh is not None:
+            self._mesh.close()
+            self._mesh = None
         self._closed = True
 
     def __enter__(self) -> "RankPool":
@@ -385,7 +140,7 @@ class RankPool:
 
     def __repr__(self) -> str:
         state = ("closed" if self._closed
-                 else "warm" if self._procs is not None else "cold")
+                 else "warm" if self._mesh is not None else "cold")
         return (f"RankPool({self.name}, nranks={self.nranks}, {state}, "
                 f"jobs_done={self.jobs_done}, rebuilds={self.rebuilds})")
 
@@ -398,32 +153,16 @@ class RankPool:
         describing the state *before* any rebuild.  Only call between
         jobs (workers answer pings from their command loop).
         """
-        if self._closed:
-            raise EngineError(f"{self.name} is closed")
-        if self._procs is None:
+        warm = self._mesh is not None
+        if not warm:
             self._ensure_started()
-            return {"healthy": True, "alive": list(range(self.nranks)),
-                    "rebuilt": False, "warm": False}
-        nonce = time.monotonic_ns()
-        alive = []
-        for r, c in enumerate(self._ctrls):
-            try:
-                c.send(("ping", nonce))
-                if c.poll(timeout):
-                    reply = c.recv()
-                    if reply[0] == "pong" and reply[1] == nonce:
-                        alive.append(r)
-            except (OSError, EOFError, BrokenPipeError):
-                pass
+        alive = self._mesh.ping(timeout)
         healthy = alive == list(range(self.nranks))
-        rebuilt = False
         if not healthy:
-            self._teardown_mesh()
-            self.rebuilds += 1
+            self._condemn()
             self._ensure_started()
-            rebuilt = True
-        return {"healthy": healthy, "alive": alive, "rebuilt": rebuilt,
-                "warm": True}
+        return {"healthy": healthy, "alive": alive, "rebuilt": not healthy,
+                "warm": warm}
 
     # --- job execution ---------------------------------------------------
 
@@ -453,178 +192,28 @@ class RankPool:
                 f"nranks={self.nranks} exceeds topology size {topology.size}"
             )
         self._ensure_started()
+        mesh = self._mesh
         self.last_pool_reused = self._mesh_jobs > 0
         # Shipped schedules ride the data plane: serialize once, publish
         # one shared block every rank reads, send only the ref n times.
         payload, shipped = shipping.dumps_via(
-            program, self._plane, range(self.nranks))
+            program, mesh.plane, range(self.nranks))
         self.shm_ship_bytes += shipped
-        t0 = time.monotonic()
-        job_timeout = timeout if timeout is not None else self.timeout
+        job = Job(time.monotonic(), payload, machine, topology, args, trace,
+                  self.max_ops)
         try:
-            try:
-                for r, c in enumerate(self._ctrls):
-                    c.send((
-                        "job", t0, payload, machine, topology,
-                        args[r] if args is not None else None,
-                        trace, self.max_ops,
-                    ))
-                result = self._supervise(t0, job_timeout, trace)
-                self._reset_barrier(result)
-            except (BrokenPipeError, ConnectionResetError) as io_err:
+            result = mesh.run(
+                job, timeout if timeout is not None else self.timeout)
+            self.shm_reclaimed_bytes += mesh.reset(result)
+        except Exception as exc:
+            # A failed job leaves workers in unknown comm state.
+            self._condemn()
+            if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
                 # A pipe endpoint vanished under us: some rank died
                 # between health checks.  Infrastructure, not program.
                 raise PoolCrashError(
-                    f"a rank's pipe failed mid-job ({io_err})"
-                ) from io_err
-        except Exception:
-            # Condemn the mesh: a failed job leaves workers in unknown
-            # comm state.  The next run (or health check) rebuilds.
-            self._teardown_mesh()
-            self.rebuilds += 1
+                    f"a rank's pipe failed mid-job ({exc})") from exc
             raise
         self._mesh_jobs += 1
         self.jobs_done += 1
         return result
-
-    def _supervise(self, t0: float, job_timeout: float, trace: bool) -> RunResult:
-        n = self.nranks
-        procs, ctrls = self._procs, self._ctrls
-        deadline = time.monotonic() + job_timeout
-        clocks: List[Optional[float]] = [None] * n
-        stats: List[Optional[RankStats]] = [None] * n
-        values: List[Any] = [None] * n
-        trace_events: Optional[List[TraceEvent]] = [] if trace else None
-        pending = set(range(n))
-
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._deadlock(pending, t0)
-            waitables = {ctrls[r]: ("ctrl", r) for r in pending}
-            waitables.update({procs[r].sentinel: ("dead", r) for r in pending})
-            ready = conn_wait(list(waitables), timeout=remaining)
-            if not ready:
-                raise self._deadlock(pending, t0)
-            for obj in ready:
-                what, r = waitables[obj]
-                if r not in pending:
-                    continue
-                if what == "ctrl":
-                    try:
-                        msg = obj.recv()
-                    except (EOFError, ConnectionResetError):
-                        raise PoolCrashError(
-                            f"rank {r} closed its control pipe mid-job"
-                        ) from None
-                    kind = msg[0]
-                    if kind == "trace":
-                        if trace_events is not None:
-                            trace_events.extend(msg[1])
-                    elif kind == "finish":
-                        _, clock, value, rstats = msg
-                        if self._plane is not None:
-                            value, _b, _blk = self._plane.decode(value)
-                        clocks[r] = clock
-                        values[r] = value
-                        stats[r] = rstats
-                        pending.discard(r)
-                    elif kind == "error":
-                        _, clock, tb, _rstats = msg
-                        # A rank that trips over a dead peer (EOF on a
-                        # mesh pipe) reports an "error" like any other
-                        # exception — but if some pool process has died,
-                        # the root cause is the death, not the program.
-                        dead = [i for i in range(n) if not procs[i].is_alive()]
-                        if dead:
-                            raise PoolCrashError(
-                                f"rank {r} failed after rank(s) {dead} "
-                                f"died mid-job:\n{tb}"
-                            )
-                        raise EngineError(
-                            f"rank {r} failed after {clock:.3f}s wall:\n{tb}"
-                        )
-                    else:  # pragma: no cover - protocol future-proofing
-                        raise EngineError(
-                            f"unknown control message {kind!r} from rank {r}"
-                        )
-                else:  # the rank process died
-                    ctrl = ctrls[r]
-                    if ctrl.poll(0):
-                        continue  # its last report is still in the pipe
-                    procs[r].join(1.0)
-                    raise PoolCrashError(
-                        f"rank {r} died without reporting "
-                        f"(exit code {procs[r].exitcode})"
-                    )
-
-        if trace_events is not None:
-            for r in range(n):
-                trace_events.append(TraceEvent(
-                    rank=r, kind="finish", start=clocks[r], end=clocks[r]
-                ))
-            trace_events.sort(key=lambda e: (e.start, e.rank))
-        result = RunResult(
-            nranks=n,
-            clocks=[c if c is not None else 0.0 for c in clocks],
-            stats=stats,
-            values=values,
-        )
-        result.trace = trace_events
-        return result
-
-    def _reset_barrier(self, result: RunResult, timeout: float = 30.0) -> None:
-        """Broadcast ``reset``; workers discard frames job N left in the
-        pipes (all readable: every sender flushed before its finish
-        report).  Discards are accounted as that job's undelivered
-        messages, exactly like the fork-per-run backend's post-run drain."""
-        for c in self._ctrls:
-            c.send(("reset",))
-        deadline = time.monotonic() + timeout
-        for r, c in enumerate(self._ctrls):
-            remaining = max(deadline - time.monotonic(), 0.0)
-            if not c.poll(remaining):
-                raise PoolCrashError(
-                    f"rank {r} failed to ack the inter-job reset within "
-                    f"{timeout}s"
-                )
-            try:
-                reply = c.recv()
-            except (EOFError, ConnectionResetError):
-                raise PoolCrashError(
-                    f"rank {r} closed its control pipe at the reset barrier"
-                ) from None
-            if reply[0] != "reset_done":  # pragma: no cover - protocol guard
-                raise EngineError(
-                    f"rank {r} answered reset with {reply[0]!r}"
-                )
-            if reply[1]:
-                result.stats[r].count("undelivered_messages", reply[1])
-            reclaimed = reply[2] if len(reply) > 2 else 0
-            if reclaimed:
-                self.shm_reclaimed_bytes += reclaimed
-                result.stats[r].count("shm_reclaimed_bytes", reclaimed)
-        if self._plane is not None:
-            # Parent-side housekeeping: every rank has read the ship
-            # block by now, so rewind the parent arena as well.
-            self.shm_reclaimed_bytes += self._plane.reset_party()
-
-    def _deadlock(self, pending, t0) -> DeadlockError:
-        wall = time.monotonic() - t0
-        blocked = {}
-        for r in sorted(pending):
-            base = 3 * r
-            status = self._shared[base]
-            if status == ST_BLOCKED:
-                blocked[r] = BlockedOp(
-                    source=int(self._shared[base + 1]),
-                    tag=int(self._shared[base + 2]),
-                    phase="(pool)",
-                    clock=wall,
-                )
-            elif status != ST_DONE:
-                blocked[r] = BlockedOp(source=-9, tag=-9, phase="(running)",
-                                       clock=wall)
-        return DeadlockError(
-            blocked or {r: (-9, -9) for r in sorted(pending)},
-        )

@@ -15,15 +15,14 @@ amortize *per shard*, exactly as they did for the single pool).
 Job kinds are a registry: ``jacobi`` and ``cg`` run the paper's two
 workloads from shape parameters; ``kali`` compiles and runs Kali source
 shipped in the spec.  :func:`register_job_kind` adds more.  A runner
-receives the *shard* executing the job (duck-compatible with the old
-single-pool server: ``nranks``, ``machine``, ``pool``, ``cache_dir``,
-``tune_dir``).
+receives the *shard* executing the job and reads its ``nranks``,
+``machine``, ``pool``, ``cache_dir`` and ``tune_dir``.
 
 Serving-layer failure semantics (see docs/serving.md):
 
 * a rank *program* error fails the job immediately — deterministic
   failures are not retried;
-* a pool *crash* (:class:`~repro.serve.pool.PoolCrashError`: a worker
+* a pool *crash* (:class:`~repro.errors.PoolCrashError`: a worker
   died, went mute, or missed the reset barrier) condemns that shard's
   mesh and re-dispatches the job — onto a *surviving* shard when the
   fleet has one — against a per-job ``retry_budget``; budget exhausted
@@ -34,11 +33,11 @@ Serving-layer failure semantics (see docs/serving.md):
   never double-completed — which the chaos suite pins down under
   seeded worker kills.
 
-The blocking socket front (`serve_forever`) speaks JSON-lines over a
-unix socket — ``ping``, ``submit``, ``stat``, ``drain``, ``scale``,
-``stop`` — and survives for compatibility; the asyncio front end in
-:mod:`repro.serve.frontend` multiplexes many connections over the same
-protocol and is what ``python -m repro.serve start`` runs.
+The wire protocol is JSON-lines over a unix socket — ``ping``,
+``submit``, ``stat``, ``drain``, ``scale``, ``stop`` — answered by
+:meth:`JobServer.handle_request`; the asyncio front end in
+:mod:`repro.serve.frontend` multiplexes every connection onto it and is
+what ``python -m repro.serve start`` runs.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import KaliError
+from repro.errors import KaliError, PoolCrashError
 from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.stats import RunResult
 from repro.obs.registry import MetricsRegistry, write_run_json
-from repro.serve.pool import PoolCrashError, RankPool
+from repro.serve.pool import RankPool
 from repro.serve.queue import (
     DEFAULT_TENANT,
     Job,
@@ -646,7 +645,6 @@ class JobServer:
         self._lock = threading.Lock()
         self._fleet_lock = threading.RLock()
         self._stop = threading.Event()
-        self._sock: Optional[socket.socket] = None
         self._started_at = time.monotonic()
         self._next_shard_index = 0
         self.router = ShardRouter()
@@ -667,18 +665,6 @@ class JobServer:
             self.autopilot = Autopilot(self, policy_obj)
         if metrics_dir:
             os.makedirs(metrics_dir, exist_ok=True)
-
-    # --- compat accessors (single-pool era) ------------------------------
-
-    @property
-    def pool(self) -> RankPool:
-        """The first shard's pool (single-shard compatibility)."""
-        return self.shards[0].pool
-
-    @property
-    def queue(self) -> JobQueue:
-        """The first shard's queue (single-shard compatibility)."""
-        return self.shards[0].queue
 
     # --- fleet membership ------------------------------------------------
 
@@ -1010,19 +996,6 @@ class JobServer:
             from repro.tune.store import PlanStore
 
             tune["entries"] = len(PlanStore(self.tune_dir).entries())
-        # The aggregate "pool" block: the per-shard sums, under the same
-        # keys the single-pool stat always reported, so dashboards and
-        # scripts keyed on stat()["pool"] read fleet totals unchanged.
-        pool = {
-            "warm": any(e["warm"] for e in shard_entries),
-            "jobs_done": sum(e["pool_jobs_done"] for e in shard_entries),
-            "rebuilds": sum(e["rebuilds"] for e in shard_entries),
-            "meshes_built": sum(e["meshes_built"] for e in shard_entries),
-            "shm_ship_bytes": sum(e["shm_ship_bytes"]
-                                  for e in shard_entries),
-            "shm_reclaimed_bytes": sum(e["shm_reclaimed_bytes"]
-                                       for e in shard_entries),
-        }
         stat = {
             "nranks": self.nranks,
             "policy": self.policy,
@@ -1039,7 +1012,6 @@ class JobServer:
             "tenant_pending": tenant_pending,
             "shards": shard_entries,
             "router": {"shards": list(self.router.shards)},
-            "pool": pool,
             "disk_cache": disk,
             "tune_store": tune,
         }
@@ -1049,66 +1021,11 @@ class JobServer:
             stat["autopilot"] = self.autopilot.describe()
         return stat
 
-    # --- the blocking unix-socket front ----------------------------------
-
-    def serve_forever(self, socket_path: str) -> None:
-        """Accept JSON-lines clients on ``socket_path`` until a ``stop``
-        request (or :meth:`close`).  Blocks; one thread per connection.
-        The asyncio front end (:mod:`repro.serve.frontend`) is the
-        scalable replacement; this one survives for compatibility."""
-        self.start()
-        try:
-            os.unlink(socket_path)
-        except FileNotFoundError:
-            pass
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(socket_path)
-        sock.listen(16)
-        sock.settimeout(0.25)
-        self._sock = sock
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                threading.Thread(
-                    target=self._serve_client, args=(conn,), daemon=True,
-                ).start()
-        finally:
-            sock.close()
-            self._sock = None
-            try:
-                os.unlink(socket_path)
-            except OSError:
-                pass
-            self.close()
-
-    def _serve_client(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rw", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    response = self.handle_request(json.loads(line))
-                except Exception as exc:
-                    response = {"ok": False,
-                                "error": f"{type(exc).__name__}: {exc}"}
-                try:
-                    fh.write(json.dumps(_jsonable(response)) + "\n")
-                    fh.flush()
-                except (BrokenPipeError, OSError):
-                    return
-                if response.get("stopping"):
-                    return
+    # --- the wire protocol -----------------------------------------------
 
     def handle_request(self, req: Dict) -> Dict:
-        """One protocol request → one reply dict (shared by the blocking
-        and asyncio fronts; ``submit`` with ``wait`` blocks and belongs
-        on a worker thread in the async case)."""
+        """One protocol request → one reply dict (``submit`` with ``wait``
+        blocks, so the asyncio front runs it on a worker thread)."""
         cmd = req.get("cmd")
         if cmd == "ping":
             return {"ok": True, "pid": os.getpid(), "nranks": self.nranks,
@@ -1166,12 +1083,9 @@ class JobServer:
                 return {"ok": True, "family": family}
             return {"ok": False, "error": f"unknown autopilot op {op!r}"}
         if cmd == "stop":
-            self._stop.set()  # accept loop exits and closes everything
+            self._stop.set()  # scheduler loops exit; the front end closes us
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": f"unknown command {cmd!r}"}
-
-    # kept under the old name for anything that subclassed/patched it
-    _handle = handle_request
 
 
 # --- the client ------------------------------------------------------------

@@ -41,16 +41,13 @@ def test_stat_totals_equal_sum_of_shard_counters(tmp_path):
     # Both shards actually ran work (three distinct families spread).
     assert all(e["jobs_done"] > 0 for e in shards)
 
-    # The legacy aggregate blocks are exact sums of per-shard entries.
+    # Fleet totals are exact sums of per-shard entries, and the pools'
+    # lifetime counters agree with the record-derived ones.
     assert stat["jobs_done"] == sum(e["jobs_done"] for e in shards) == 6
-    assert stat["pool"]["jobs_done"] == sum(
-        e["pool_jobs_done"] for e in shards)
-    assert stat["pool"]["rebuilds"] == sum(e["rebuilds"] for e in shards)
-    assert stat["pool"]["meshes_built"] == sum(
-        e["meshes_built"] for e in shards)
-    assert stat["pool"]["shm_ship_bytes"] == sum(
-        e["shm_ship_bytes"] for e in shards)
-    assert stat["pool"]["warm"] == any(e["warm"] for e in shards) is True
+    assert sum(e["pool_jobs_done"] for e in shards) == 6
+    assert sum(e["rebuilds"] for e in shards) == 0
+    assert sum(e["meshes_built"] for e in shards) == 2
+    assert all(e["warm"] for e in shards)
     assert stat["disk_cache"]["entries"] == sum(
         e["disk_entries"] for e in shards) > 0
     assert stat["disk_cache"]["bytes"] == sum(
@@ -121,21 +118,18 @@ def test_stat_sum_invariant_under_concurrent_snapshots():
 
 
 def test_single_shard_stat_matches_legacy_shape(tmp_path):
-    """shards=1 must look exactly like the pre-sharding server to any
-    stat consumer: same keys, same meanings, one shard entry."""
+    """shards=1 keeps every fleet-level stat key, with the pool counters
+    in its one shard entry."""
     with JobServer(2, cache_dir=str(tmp_path / "c")) as server:
         server.submit("jacobi", {"rows": 8, "sweeps": 2}).result(timeout=120)
         stat = server.stat()
     for key in ("nranks", "policy", "uptime_s", "busy", "queued",
-                "queue_snapshot", "jobs_done", "failures", "pool",
+                "queue_snapshot", "jobs_done", "failures", "shards",
                 "disk_cache", "tune_store"):
         assert key in stat
-    assert stat["pool"]["warm"] is True
-    assert stat["pool"]["jobs_done"] == 1
-    assert len(stat["shards"]) == 1
-    # Compat accessors still point at the (only) shard's internals.
-    assert server.pool is server.shards[0].pool
-    assert server.queue is server.shards[0].queue
+    (entry,) = stat["shards"]
+    assert entry["warm"] is True
+    assert entry["pool_jobs_done"] == 1
 
 
 def test_records_and_metrics_carry_serve_provenance(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from repro.errors import KaliError
 from repro.obs.registry import read_run_json
 from repro.serve.__main__ import main as serve_main
+from repro.serve.frontend import serve_async
 from repro.serve.queue import Job, JobFuture, JobQueue, QueueClosed
 from repro.serve.server import (
     JOB_KINDS,
@@ -194,8 +195,8 @@ class TestJobServer:
         assert stat["policy"] == "priority"
         assert stat["jobs_done"] == 2
         assert stat["queued"] == 0
-        assert stat["pool"]["jobs_done"] == 2
-        assert stat["pool"]["rebuilds"] == 0
+        assert sum(e["pool_jobs_done"] for e in stat["shards"]) == 2
+        assert sum(e["rebuilds"] for e in stat["shards"]) == 0
         assert stat["disk_cache"]["entries"] == 2
         assert stat["disk_cache"]["disk_stores"] == 2
 
@@ -242,7 +243,7 @@ def live_server(tmp_path):
     server = JobServer(2, cache_dir=str(tmp_path / "cache"),
                        metrics_dir=str(tmp_path / "metrics"))
     thread = threading.Thread(
-        target=server.serve_forever, args=(socket_path,), daemon=True,
+        target=serve_async, args=(server, socket_path), daemon=True,
     )
     thread.start()
     client = ServeClient(socket_path, timeout=120)

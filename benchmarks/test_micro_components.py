@@ -2,7 +2,8 @@
 
 These time the actual Python/NumPy implementation (not virtual time):
 inspector classification throughput, executor sweep throughput,
-translation-table lookups, and the crystal router.  Useful for tracking
+translation-table lookups and the compiled-plan gather that replaces them
+on warm sweeps, and the crystal router.  Useful for tracking
 performance regressions of the simulator itself.
 """
 
@@ -15,7 +16,6 @@ from repro.machine.engine import Engine
 from repro.machine.topology import Hypercube
 from repro.meshes.regular import five_point_grid
 from repro.runtime.schedule import ArraySchedule, coalesce_ranges
-from repro.runtime.translation import TranslationTable
 
 
 def test_jacobi_sweep_throughput(benchmark):
@@ -45,8 +45,9 @@ def test_inspector_classification_rate(benchmark):
     benchmark(classify)
 
 
-def test_translation_lookup_rate(benchmark):
-    """Vectorised O(log r) lookups over a 1000-range table."""
+def _remote_references():
+    """A 1000-range translation table and 10k (proc, offset) references
+    into it."""
     rng = np.random.default_rng(1)
     offsets = {}
     for q in range(16):
@@ -54,13 +55,30 @@ def test_translation_lookup_rate(benchmark):
     records = coalesce_ranges(offsets, me=0, incoming=True)
     sched = ArraySchedule(array="x", in_records=records)
     sched.finalize()
-    procs = rng.integers(0, 16, size=10000)
     offs = np.concatenate([
         rng.choice(offsets[q], size=625) for q in range(16)
     ])
     procs = np.repeat(np.arange(16), 625)
+    return sched, procs, offs
+
+
+def test_translation_lookup_rate(benchmark):
+    """Vectorised O(log r) lookups over a 1000-range table."""
+    sched, procs, offs = _remote_references()
 
     benchmark(lambda: sched.translation.lookup(procs, offs))
+
+
+def test_plan_gather_rate(benchmark):
+    """The same references through a compiled gather index: the lookups
+    above happen once, at plan-compile time, and every later sweep is one
+    ``take`` from the workspace [local rows ‖ receive buffer ‖ zero row]."""
+    sched, procs, offs = _remote_references()
+    n_local = 10000
+    gather = n_local + sched.translation.lookup(procs, offs)
+    workspace = np.random.default_rng(2).random(n_local + sched.buffer_len + 1)
+
+    benchmark(lambda: np.take(workspace, gather, axis=0))
 
 
 def test_crystal_router_wall_time(benchmark):

@@ -4,9 +4,9 @@ user-defined distributions").
 A :class:`Custom` distribution is given the full owner map explicitly —
 one processor id per global index — e.g. the output of a mesh partitioner
 (see :mod:`repro.meshes.partition`).  Local storage packs a processor's
-elements in ascending global order; translation uses ``searchsorted`` on
-the per-processor sorted index list, the NumPy analogue of the paper's
-binary-search translation tables.
+elements in ascending global order; binding builds the per-processor
+index lists and the inverse ``global index → local offset`` table once,
+so every later translation is a single table lookup.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class Custom(DimDistribution):
         if self._map.ndim != 1:
             raise DistributionError("owner_map must be one-dimensional")
         self._locals = None  # per-proc sorted global indices, built on bind
+        self._offsets = None  # global index -> offset on its owner, ditto
 
     def _clone(self) -> "Custom":
         return Custom(self._map)
@@ -47,9 +48,14 @@ class Custom(DimDistribution):
             (self._map < 0).any() or (self._map >= self.nprocs).any()
         ):
             raise DistributionError("owner_map names a processor outside the grid")
-        self._locals = [
-            np.nonzero(self._map == p)[0].astype(np.int64) for p in range(self.nprocs)
-        ]
+        # A stable sort by owner lists each processor's indices in
+        # ascending global order, back to back.
+        order = np.argsort(self._map, kind="stable")
+        counts = np.bincount(self._map, minlength=self.nprocs)
+        starts = np.cumsum(counts) - counts
+        self._locals = np.split(order, starts[1:])
+        self._offsets = np.empty(self.extent, dtype=np.int64)
+        self._offsets[order] = np.arange(self.extent) - np.repeat(starts, counts)
 
     def owner(self, index: IndexLike) -> IndexLike:
         self._require_bound()
@@ -59,15 +65,8 @@ class Custom(DimDistribution):
 
     def to_local(self, index: IndexLike) -> IndexLike:
         self._require_bound()
-        arr = np.asarray(self._check_index(index))
-        owners = self._map[arr]
-        if arr.ndim == 0:
-            return int(np.searchsorted(self._locals[int(owners)], arr))
-        out = np.empty(arr.shape, dtype=np.int64)
-        for p in np.unique(owners):
-            mask = owners == p
-            out[mask] = np.searchsorted(self._locals[int(p)], arr[mask])
-        return out
+        out = self._offsets[self._check_index(index)]
+        return out if out.ndim else int(out)
 
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()

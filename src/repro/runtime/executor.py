@@ -6,37 +6,42 @@ Follows the paper's Figure 3/6 structure exactly:
 2. **local iterations** — compute iterations whose references are all
    local, overlapping with message transit,
 3. **receive** every ``in(p,q)`` block into the communication buffer,
-4. **nonlocal iterations** — compute the rest, resolving remote elements
-   through the O(log r) translation table (with the per-element locality
-   test the paper notes is needed "because even within the same iteration
-   of the forall, the reference old_a[adj[i,j]] may be sometimes local and
-   sometimes nonlocal"),
+4. **nonlocal iterations** — compute the rest (with the per-element
+   locality test the paper notes is needed "because even within the same
+   iteration of the forall, the reference old_a[adj[i,j]] may be
+   sometimes local and sometimes nonlocal"),
 5. commit writes (copy-in/copy-out: no write is visible to any read of
    this forall execution).
 
-Host-side, gathers and kernels are vectorised NumPy over iteration
-batches; virtual time is charged from reference counts using the machine
-cost model, so the simulated cost profile matches the paper's per-element
-C implementation.
+Host-side none of this is re-derived per execution.  On a schedule's
+first execution :func:`compile_plan` flattens it into an
+:class:`~repro.runtime.schedule.ExecPlan` — send-index vectors, receive
+slices, one gather index per read and batch, write offsets — resolving
+every remote element through the O(log r) translation table once; from
+then on an execution is ``take`` → kernel → ``put``.  Virtual time is
+charged from the plan's reference counts using the machine cost model,
+so the simulated cost profile still matches the paper's per-element C
+implementation, searches included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.arrays.localview import LocalArray
 from repro.comm.collectives import allreduce
-from repro.core.forall import (
-    AffineRead,
-    Forall,
-    IndirectOperand,
-    IndirectRead,
-)
+from repro.core.forall import AffineRead, Forall, IndirectOperand
 from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank, Recv, Send
-from repro.runtime.schedule import ArraySchedule, CommSchedule
+from repro.runtime.schedule import (
+    ArraySchedule,
+    BatchPlan,
+    CommSchedule,
+    ExecPlan,
+    Message,
+)
 
 PHASE = "executor"
 
@@ -52,118 +57,126 @@ def _dim0_coord(local: LocalArray) -> int:
     return dist.procs.coords_of(local.rank)[pdim]
 
 
-class _GatherPlan:
-    """Resolved value sources for one read over one iteration batch."""
+def _positions(arr: LocalArray, asched: ArraySchedule, elems: np.ndarray, live):
+    """Workspace positions of ``arr``'s global rows ``elems`` (dead slots
+    → the zero row) plus the local / remote live-reference counts.
 
-    __slots__ = ("values", "n_local_refs", "n_remote_refs", "n_indirect_refs")
-
-    def __init__(self, values, n_local_refs: int, n_remote_refs: int,
-                 n_indirect_refs: int = 0):
-        self.values = values
-        self.n_local_refs = n_local_refs
-        self.n_remote_refs = n_remote_refs
-        self.n_indirect_refs = n_indirect_refs
-
-
-def _gather_affine(
-    read: AffineRead,
-    iters: np.ndarray,
-    env: Dict[str, LocalArray],
-    asched: ArraySchedule,
-    buffers: Dict[str, np.ndarray],
-) -> _GatherPlan:
-    arr = env[read.array]
-    elems = read.fn(iters)
+    Remote rows go through the translation table here, once: a miss
+    raises at compile time, and the virtual clock still charges the
+    per-reference O(log r) search on every execution."""
+    n_rows = arr.data.shape[0]
     dim0 = arr.dist.dims[0]
     owners = np.asarray(dim0.owner(elems))
-    me = _dim0_coord(arr)
-    local_mask = owners == me
-    if arr.data.ndim == 1:
-        out = np.zeros(iters.shape, dtype=arr.data.dtype)
-    else:
-        out = np.zeros((iters.size,) + arr.data.shape[1:], dtype=arr.data.dtype)
-    if local_mask.any():
-        out[local_mask] = arr.data[np.asarray(dim0.to_local(elems[local_mask]))]
-    remote = ~local_mask
-    n_remote = int(remote.sum())
-    if n_remote:
+    mine = owners == _dim0_coord(arr)
+    local, remote = mine & live, ~mine & live
+    pos = np.full(elems.shape, n_rows + asched.buffer_len, dtype=np.int64)
+    pos[local] = dim0.to_local(elems[local])
+    if remote.any():
         offs = np.asarray(dim0.to_local(elems[remote]))
-        slots = asched.translation.lookup(owners[remote], offs)
-        out[remote] = buffers[read.array][slots]
-    return _GatherPlan(out, int(local_mask.sum()), n_remote)
+        pos[remote] = n_rows + asched.translation.lookup(owners[remote], offs)
+    return pos, int(local.sum()), int(remote.sum())
 
 
-def _gather_indirect(
-    read: IndirectRead,
-    iters: np.ndarray,
-    env: Dict[str, LocalArray],
-    asched: ArraySchedule,
-    buffers: Dict[str, np.ndarray],
-) -> _GatherPlan:
-    arr = env[read.array]
-    table = env[read.table]
-    rows = table.get_rows(iters) + read.offset
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    width = rows.shape[1]
-    if read.count is not None:
-        live_width = env[read.count].get_rows(iters).astype(np.int64)
-        live = np.arange(width)[None, :] < live_width[:, None]
-    else:
-        live_width = np.full(iters.shape, width, dtype=np.int64)
-        live = np.ones(rows.shape, dtype=bool)
-    dim0 = arr.dist.dims[0]
-    me = _dim0_coord(arr)
-    safe = np.where(live, rows, 0)
-    owners = np.asarray(dim0.owner(safe))
-    local_mask = (owners == me) & live
-    remote_mask = (owners != me) & live
-    values = np.zeros(rows.shape, dtype=arr.data.dtype)
-    if local_mask.any():
-        values[local_mask] = arr.data[
-            np.asarray(dim0.to_local(safe[local_mask]))
-        ]
-    n_remote = int(remote_mask.sum())
-    if n_remote:
-        offs = np.asarray(dim0.to_local(safe[remote_mask]))
-        slots = asched.translation.lookup(owners[remote_mask], offs)
-        values[remote_mask] = buffers[read.array][slots]
-    n_local = int(local_mask.sum())
-    return _GatherPlan(
-        IndirectOperand(values=values, counts=live_width),
-        n_local,
-        n_remote,
-        n_indirect_refs=n_local + n_remote,
+def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
+                   schedule: CommSchedule, iters: np.ndarray) -> BatchPlan:
+    batch = BatchPlan(iters=iters)
+    if iters.size == 0:
+        return batch
+    for read in forall.reads:
+        if isinstance(read, AffineRead):
+            elems, live, counts = read.fn(iters), True, None
+        else:
+            rows = env[read.table].get_rows(iters) + read.offset
+            if rows.ndim == 1:
+                rows = rows[:, None]
+            width = rows.shape[1]
+            if read.count is not None:
+                counts = env[read.count].get_rows(iters).astype(np.int64)
+            else:
+                counts = np.full(iters.shape, width, dtype=np.int64)
+            live = np.arange(width)[None, :] < counts[:, None]
+            elems = np.where(live, rows, 0)  # dead slots may hold garbage
+        pos, n_local, n_remote = _positions(
+            env[read.array], schedule.arrays[read.array], elems, live)
+        batch.gathers.append((pos, counts))
+        batch.n_local += n_local
+        batch.n_remote += n_remote
+        if counts is not None:
+            # Live elements of indirection reads: what ``flops_per_ref`` is
+            # charged against (one multiply-add per mesh edge in the Jacobi
+            # kernel, not per auxiliary coefficient read).
+            batch.n_indirect += n_local + n_remote
+    batch.targets = [env[w.array].to_local_rows(w.fn(iters)) for w in forall.writes]
+    return batch
+
+
+def _messages(per_array: Dict[str, Dict[int, object]], combine: bool) -> List[Message]:
+    """Group per-(array, peer) items into messages, in wire order: one
+    per peer carrying every array's item (the paper's §3.3 combining; the
+    array name is the "symbol field"), or one per (array, peer)."""
+    order = sorted(per_array)
+    if combine:
+        peers = sorted({q for items in per_array.values() for q in items})
+        return [(q, 0, {a: per_array[a][q] for a in order if q in per_array[a]})
+                for q in peers]
+    return [(q, a_idx, {a: per_array[a][q]})
+            for a_idx, a in enumerate(order) for q in sorted(per_array[a])]
+
+
+def compile_plan(forall: Forall, env: Dict[str, LocalArray],
+                 schedule: CommSchedule) -> ExecPlan:
+    """Flatten ``schedule`` into the index vectors an execution needs.
+
+    All of the executor's index arithmetic lives here (and in the two
+    helpers above): owner / local-offset lookups, translation-table
+    searches and range-record walks happen once per schedule, not once
+    per sweep.
+    """
+    send_idx: Dict[str, Dict[int, np.ndarray]] = {}
+    recv_at: Dict[str, Dict[int, Tuple[int, int]]] = {}
+    for name, asched in schedule.arrays.items():
+        n_rows = env[name].data.shape[0]
+        send_idx[name] = {
+            q: np.concatenate([np.arange(r.low, r.high + 1)
+                               for r in asched.ranges_for_peer_out(q)])
+            for q in asched.peers_out()
+        }
+        recv_at[name] = {}
+        for q in asched.peers_in():
+            recs = asched.ranges_for_peer_in(q)
+            count = sum(r.count for r in recs)
+            if recs[-1].buffer_start + recs[-1].count - recs[0].buffer_start != count:
+                raise InspectorError(
+                    f"{forall.label}: blocks of {name} from {q} are not "
+                    "contiguous in the receive buffer"
+                )
+            recv_at[name][q] = (n_rows + recs[0].buffer_start, count)
+    local = _compile_batch(forall, env, schedule, schedule.exec_local)
+    if local.n_remote:
+        raise InspectorError(
+            f"{forall.label}: schedule marked iterations local but "
+            f"{local.n_remote} references resolve remotely (stale schedule?)"
+        )
+    return ExecPlan(
+        sends=(_messages(send_idx, False), _messages(send_idx, True)),
+        recvs=(_messages(recv_at, False), _messages(recv_at, True)),
+        local=local,
+        nonlocal_=_compile_batch(forall, env, schedule, schedule.exec_nonlocal),
+        max_ranges=max(
+            (schedule.arrays[r.array].num_in_ranges() for r in forall.reads),
+            default=0,
+        ),
     )
 
 
-def _gather_batch(
-    forall: Forall,
-    iters: np.ndarray,
-    env: Dict[str, LocalArray],
-    schedule: CommSchedule,
-    buffers: Dict[str, np.ndarray],
-) -> Tuple[Dict[str, object], int, int, int]:
-    """Gather all read operands for a batch.
-
-    Returns ``(operands, n_local_refs, n_remote_refs, n_indirect_refs)``;
-    the last counts live elements of indirection reads, which is what
-    ``flops_per_ref`` is charged against (one multiply-add per mesh edge
-    in the Jacobi kernel, not per auxiliary coefficient read).
-    """
-    operands: Dict[str, object] = {}
-    n_local = n_remote = n_indirect = 0
-    for read in forall.reads:
-        asched = schedule.arrays[read.array]
-        if isinstance(read, AffineRead):
-            plan = _gather_affine(read, iters, env, asched, buffers)
-        else:
-            plan = _gather_indirect(read, iters, env, asched, buffers)
-        operands[read.operand_name()] = plan.values
-        n_local += plan.n_local_refs
-        n_remote += plan.n_remote_refs
-        n_indirect += plan.n_indirect_refs
-    return operands, n_local, n_remote, n_indirect
+def _workspace(data: np.ndarray, pad: int) -> np.ndarray:
+    """``[local rows ‖ pad zero rows]``: a copy of ``data`` with room for
+    the receive buffer and the zero row dead indirection slots read."""
+    n_rows = data.shape[0]
+    out = np.empty((n_rows + pad,) + data.shape[1:], dtype=data.dtype)
+    out[:n_rows] = data
+    out[n_rows:] = 0
+    return out
 
 
 def _apply_kernel(
@@ -219,71 +232,36 @@ def run_executor(
     array name).  Disable for the message-combining ablation.
     """
     m = rank.machine
+    plan = schedule.plan
+    if plan is None:
+        plan = schedule.plan = compile_plan(forall, env, schedule)
+    combine = bool(combine_messages)
 
     # --- 1. send out-blocks (old values: nothing written yet) -------------
-    array_order = sorted(schedule.arrays)
-    if combine_messages:
-        # One message per peer, carrying every array's blocks ("symbol
-        # field" = the array name keying each chunk).
-        combined_tag = _EXEC_TAG_BASE + tag_base
-        peer_payloads: Dict[int, Dict[str, np.ndarray]] = {}
-        for name in array_order:
-            asched = schedule.arrays[name]
-            arr = env[name]
-            for q in asched.peers_out():
-                chunks = [
-                    arr.data[r.low : r.high + 1]
-                    for r in asched.ranges_for_peer_out(q)
-                ]
-                payload = (
-                    np.concatenate(chunks) if len(chunks) > 1 else chunks[0].copy()
-                )
-                peer_payloads.setdefault(q, {})[name] = payload
-        for q in sorted(peer_payloads):
-            bundle = peer_payloads[q]
-            n_elems = sum(int(v.shape[0]) for v in bundle.values())
+    # Fancy-index copies, never views: on the simulator the receiver gets
+    # the payload object itself, and this rank commits its writes below.
+    for q, tag_offset, items in plan.sends[combine]:
+        bundle = {name: env[name].data[idx] for name, idx in items.items()}
+        n_elems = sum(idx.size for idx in items.values())
+        if combine:
             # Wire size: the data plus a small symbol field per array (the
             # paper's in-message array identifier), not Python dict overhead.
+            payload = bundle
             nbytes = sum(v.nbytes for v in bundle.values()) + 8 * len(bundle)
-            yield Compute(m.copy_elem * n_elems, phase=PHASE, label=forall.label)
-            yield Send(dest=q, payload=bundle, tag=combined_tag,
-                       nbytes=nbytes, phase=PHASE, label=forall.label)
-            yield Count("executor_elems_sent", n_elems)
-    else:
-        for a_idx, name in enumerate(array_order):
-            asched = schedule.arrays[name]
-            arr = env[name]
-            tag = _EXEC_TAG_BASE + tag_base + a_idx
-            for q in asched.peers_out():
-                chunks = [
-                    arr.data[r.low : r.high + 1]
-                    for r in asched.ranges_for_peer_out(q)
-                ]
-                payload = (
-                    np.concatenate(chunks) if len(chunks) > 1 else chunks[0].copy()
-                )
-                yield Compute(m.copy_elem * payload.shape[0], phase=PHASE,
-                              label=forall.label)
-                yield Send(dest=q, payload=payload, tag=tag, phase=PHASE,
-                           label=forall.label)
-                yield Count("executor_elems_sent", int(payload.shape[0]))
-
-    # --- snapshot read-write overlap for copy-in/copy-out ----------------------
-    # Reads gather from arr.data; if a read array is also written we must
-    # gather *before* committing writes.  We gather everything first and
-    # commit last, so a snapshot is only needed defensively for buffers
-    # already sent (done above).  Nothing to do here; order guarantees it.
+        else:
+            (payload,) = bundle.values()
+            nbytes = None
+        yield Compute(m.copy_elem * n_elems, phase=PHASE, label=forall.label)
+        yield Send(dest=q, payload=payload, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
+                   nbytes=nbytes, phase=PHASE, label=forall.label)
+        yield Count("executor_elems_sent", n_elems)
 
     # --- 2. local iterations ------------------------------------------------
-    buffers: Dict[str, np.ndarray] = {
-        name: np.zeros(
-            (schedule.arrays[name].buffer_len,) + env[name].data.shape[1:],
-            dtype=env[name].data.dtype,
-        )
-        for name in array_order
-    }
-    exec_local = schedule.exec_local
-    pending_writes: List[Tuple[np.ndarray, Dict[str, np.ndarray]]] = []
+    # Reads gather from the workspaces (copies of arr.data taken now) and
+    # writes commit last, so no read of this execution sees a write of it.
+    workspaces = {name: _workspace(env[name].data, asched.buffer_len + 1)
+                  for name, asched in schedule.arrays.items()}
+    pending_writes: List[Tuple[BatchPlan, Dict[str, np.ndarray]]] = []
     partials: Dict[str, float] = {
         spec.name: spec.identity for spec in forall.reductions
     }
@@ -301,119 +279,82 @@ def run_executor(
                 batch = float(vec.min())
             partials[spec.name] = spec.fn(partials[spec.name], batch)
 
-    live_refs_local = 0
-    if exec_local.size:
-        operands, n_loc, n_rem, n_ind = _gather_batch(
-            forall, exec_local, env, schedule, buffers
-        )
-        if n_rem:
-            raise InspectorError(
-                f"{forall.label}: schedule marked iterations local but "
-                f"{n_rem} references resolve remotely (stale schedule?)"
+    # Every reference in the nonlocal loop pays the locality test; remote
+    # ones additionally pay the O(log r) search — unless the schedule
+    # enumerates every element (Saltz-style), where a remote access is two
+    # plain references (table probe + buffer load).  Charged from the
+    # plan's reference counts: the host did those searches at compile time.
+    if schedule.translation_kind == "enumerated":
+        per_remote = 2.0 * m.ref_local
+    else:
+        per_remote = m.search_cost(max(plan.max_ranges, 1))
+
+    def run_batch(batch: BatchPlan):
+        operands: Dict[str, object] = {}
+        for read, (pos, counts) in zip(forall.reads, batch.gathers):
+            values = np.take(workspaces[read.array], pos, axis=0)
+            operands[read.operand_name()] = (
+                values if counts is None else IndirectOperand(values, counts)
             )
-        live_refs_local = n_loc
-        out_vals, contribs = _apply_kernel(forall, exec_local, operands)
-        pending_writes.append((exec_local, out_vals))
+        n_iters = batch.iters.size
+        out_vals, contribs = _apply_kernel(forall, batch.iters, operands)
+        pending_writes.append((batch, out_vals))
         fold_contributions(contribs)
         cost = (
-            exec_local.size * m.iter_base
-            + n_loc * m.ref_local
-            + n_ind * forall.flops_per_ref * m.flop
-            + exec_local.size * forall.flops_per_iter * m.flop
+            n_iters * m.iter_base
+            + batch.n_local * m.ref_local
+            + batch.n_remote * per_remote
+            + batch.n_indirect * forall.flops_per_ref * m.flop
+            + n_iters * forall.flops_per_iter * m.flop
         )
         yield Compute(cost, phase=PHASE, label=forall.label)
+
+    if plan.local.iters.size:
+        yield from run_batch(plan.local)
 
     # --- 3. receive in-blocks ------------------------------------------------
-    def unpack(name: str, q: int, data: np.ndarray) -> int:
-        asched = schedule.arrays[name]
-        pos = 0
-        for r in asched.ranges_for_peer_in(q):
-            buffers[name][r.buffer_start : r.buffer_start + r.count] = data[
-                pos : pos + r.count
-            ]
-            pos += r.count
-        if pos != data.shape[0]:
+    for q, tag_offset, expected in plan.recvs[combine]:
+        msg = yield Recv(source=q, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
+                         phase=PHASE, label=forall.label)
+        # (per-array messages carry the one chunk bare)
+        bundle = msg.payload if combine else dict.fromkeys(expected, msg.payload)
+        if bundle.keys() != expected.keys():
             raise InspectorError(
-                f"{forall.label}: message from {q} for {name} carried "
-                f"{data.shape[0]} elements, schedule expects {pos}"
+                f"{forall.label}: message from {q} is missing arrays "
+                f"{sorted(expected.keys() - bundle.keys())} and carries "
+                f"unscheduled arrays {sorted(bundle.keys() - expected.keys())}"
             )
-        return pos
-
-    if combine_messages:
-        peers_in = sorted(
-            {q for name in array_order for q in schedule.arrays[name].peers_in()}
-        )
-        combined_tag = _EXEC_TAG_BASE + tag_base
-        for q in peers_in:
-            msg = yield Recv(source=q, tag=combined_tag, phase=PHASE,
-                             label=forall.label)
-            total = 0
-            for name, data in msg.payload.items():
-                total += unpack(name, q, data)
-            yield Compute(m.copy_elem * total, phase=PHASE, label=forall.label)
-            yield Count("executor_elems_recv", total)
-    else:
-        for a_idx, name in enumerate(array_order):
-            asched = schedule.arrays[name]
-            tag = _EXEC_TAG_BASE + tag_base + a_idx
-            for q in asched.peers_in():
-                msg = yield Recv(source=q, tag=tag, phase=PHASE,
-                                 label=forall.label)
-                pos = unpack(name, q, msg.payload)
-                yield Compute(m.copy_elem * pos, phase=PHASE,
-                              label=forall.label)
-                yield Count("executor_elems_recv", pos)
+        total = 0
+        for name, (start, count) in expected.items():
+            data = bundle[name]
+            if data.shape[0] != count:
+                raise InspectorError(
+                    f"{forall.label}: message from {q} for {name} carried "
+                    f"{data.shape[0]} elements, schedule expects {count}"
+                )
+            workspaces[name][start : start + count] = data
+            total += count
+        yield Compute(m.copy_elem * total, phase=PHASE, label=forall.label)
+        yield Count("executor_elems_recv", total)
 
     # --- 4. nonlocal iterations ----------------------------------------------
-    exec_nonlocal = schedule.exec_nonlocal
-    live_refs_remote = 0
-    if exec_nonlocal.size:
-        operands, n_loc, n_rem, n_ind = _gather_batch(
-            forall, exec_nonlocal, env, schedule, buffers
-        )
-        live_refs_remote = n_rem
-        out_vals, contribs = _apply_kernel(forall, exec_nonlocal, operands)
-        pending_writes.append((exec_nonlocal, out_vals))
-        fold_contributions(contribs)
-        # Every reference in the nonlocal loop pays the locality test;
-        # remote ones additionally pay the O(log r) search — unless the
-        # schedule enumerates every element (Saltz-style), where a remote
-        # access is two plain references (table probe + buffer load).
-        max_ranges = max(
-            (schedule.arrays[r.array].num_in_ranges() for r in forall.reads),
-            default=0,
-        )
-        if schedule.translation_kind == "enumerated":
-            per_remote = 2.0 * m.ref_local
-        else:
-            per_remote = m.search_cost(max(max_ranges, 1))
-        cost = (
-            exec_nonlocal.size * m.iter_base
-            + n_loc * m.ref_local
-            + n_rem * per_remote
-            + n_ind * forall.flops_per_ref * m.flop
-            + exec_nonlocal.size * forall.flops_per_iter * m.flop
-        )
-        yield Compute(cost, phase=PHASE, label=forall.label)
-        yield Count("executor_remote_refs", n_rem)
+    if plan.nonlocal_.iters.size:
+        yield from run_batch(plan.nonlocal_)
+        yield Count("executor_remote_refs", plan.nonlocal_.n_remote)
 
     # --- 5. commit writes (copy-out) ---------------------------------------------
     n_written = 0
-    written_arrays = set()
-    for iters, outputs in pending_writes:
-        for w in forall.writes:
-            arr = env[w.array]
-            targets = w.fn(iters)
-            arr.set_rows(targets, outputs[w.array])
-            written_arrays.add(w.array)
-            n_written += iters.size
-    # Bump versions so schedules depending on written arrays re-inspect.
-    for name in written_arrays:
-        env[name].version += 1
+    for batch, outputs in pending_writes:
+        for w, offsets in zip(forall.writes, batch.targets):
+            env[w.array].data[offsets] = outputs[w.array]
+            n_written += batch.iters.size
     if n_written:
+        # Bump versions so schedules depending on written arrays re-inspect.
+        for name in set(forall.arrays_written()):
+            env[name].version += 1
         yield Compute(m.ref_local * n_written, phase=PHASE, label=forall.label)
     yield Count("executor_iters", schedule.num_exec())
-    yield Count("executor_local_refs", live_refs_local)
+    yield Count("executor_local_refs", plan.local.n_local)
 
     # --- 6. global reductions (recursive doubling, charged like any
     # other executor communication) -----------------------------------------

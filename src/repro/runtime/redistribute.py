@@ -21,8 +21,6 @@ schedule cache validates alongside the data versions.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from repro.arrays.localview import LocalArray
@@ -60,7 +58,6 @@ def redistribute(
         )
     me, P = rank.id, rank.size
     m = rank.machine
-    extent = dist.shape[0]
 
     trailing = []
     for d, pdim in zip(dist.dims[1:], dist.proc_dim_of[1:]):

@@ -22,7 +22,7 @@ referenced array, which is equivalent and simpler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +132,54 @@ class ArraySchedule:
 
 
 @dataclass
+class BatchPlan:
+    """One iteration batch (``exec_local`` or ``exec_nonlocal``), compiled.
+
+    ``gathers[k]`` serves the forall's k-th read: positions in that
+    array's workspace *[local rows ‖ receive buffer ‖ one zero row]* and,
+    for an indirect read, the live width per iteration (dead columns
+    point at the zero row).  ``targets[k]`` holds the local offsets the
+    k-th write stores to.  The reference counts are what the executor's
+    virtual-time charges are computed from.
+    """
+
+    iters: np.ndarray
+    gathers: List[Tuple[np.ndarray, Optional[np.ndarray]]] = field(default_factory=list)
+    targets: List[np.ndarray] = field(default_factory=list)
+    n_local: int = 0
+    n_remote: int = 0
+    n_indirect: int = 0
+
+
+#: one message: (peer, tag offset, {array: item}) — see ``ExecPlan``
+Message = Tuple[int, int, Dict[str, Any]]
+
+
+@dataclass
+class ExecPlan:
+    """A :class:`CommSchedule` flattened for execution (built once by
+    ``repro.runtime.executor.compile_plan``, memoised on the schedule).
+
+    ``sends`` / ``recvs`` are indexed by ``combine_messages`` and list the
+    messages in wire order; a send item is the vector of local offsets
+    whose fancy-index copy is the payload, a receive item the
+    ``(start, count)`` workspace slice the chunk lands in.
+
+    Index arrays and counts only: a plan outlives the env and the
+    ``Forall`` object it was compiled with (pool workers get a fresh env
+    per job, callers may rebuild a forall around another kernel), so it
+    must never hold array data, a ``LocalArray``, the forall or its kernel.
+    """
+
+    sends: Tuple[List[Message], List[Message]]
+    recvs: Tuple[List[Message], List[Message]]
+    local: BatchPlan
+    nonlocal_: BatchPlan
+    #: most in-ranges of any read array (the r of the O(log r) charge)
+    max_ranges: int
+
+
+@dataclass
 class CommSchedule:
     """The complete cached result of inspecting one forall on one rank.
 
@@ -145,7 +193,9 @@ class CommSchedule:
     * ``arrays``: per-referenced-array :class:`ArraySchedule`,
     * ``versions``: versions of the communication-determining arrays at
       inspection time (cache invalidation key),
-    * counters used by the executor's cost charging.
+    * ``plan``: the compiled :class:`ExecPlan` — derived state, set by
+      the executor on first execution and never pickled, so it lives and
+      dies with this object in whichever cache tier holds it.
     """
 
     label: str
@@ -160,6 +210,12 @@ class CommSchedule:
     dist_versions: Dict[str, int] = field(default_factory=dict)
     built_by: str = "inspector"  # or "compile-time"
     translation_kind: str = "ranges"  # or "enumerated"
+    plan: Optional[ExecPlan] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("plan", None)
+        return state
 
     def enumerate_translations(self) -> None:
         """Convert all translation tables to enumerated form."""

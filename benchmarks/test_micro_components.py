@@ -3,7 +3,8 @@
 These time the actual Python/NumPy implementation (not virtual time):
 inspector classification throughput, executor sweep throughput,
 translation-table lookups and the compiled-plan gather that replaces them
-on warm sweeps, and the crystal router.  Useful for tracking
+on warm sweeps, the crystal router, and the hash table's ``LocalStore``
+batch apply.  Useful for tracking
 performance regressions of the simulator itself.
 """
 
@@ -16,6 +17,7 @@ from repro.machine.engine import Engine
 from repro.machine.topology import Hypercube
 from repro.meshes.regular import five_point_grid
 from repro.runtime.schedule import ArraySchedule, coalesce_ranges
+from repro.structs.dhash import LocalStore
 
 
 def test_jacobi_sweep_throughput(benchmark):
@@ -113,3 +115,26 @@ def test_engine_message_rate(benchmark):
         Engine(NCUBE7, topology=Hypercube(2)).run(prog)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("nkeys", [512, 8192])
+@pytest.mark.parametrize("op", ["lookup", "insert", "delete"])
+def test_local_store_apply_rate(benchmark, op, nkeys):
+    """One ``LocalStore.apply`` batch against a 32k-entry, load-factor-4
+    store: ``nkeys`` hits for lookup / insert (upsert) / delete."""
+    rng = np.random.default_rng(2)
+    resident = rng.permutation(1 << 20)[:1 << 15].astype(np.int64)
+    values = rng.standard_normal(len(resident))
+    batch = resident[rng.permutation(len(resident))[:nkeys]]
+    vals = None if op != "insert" else np.ones(nkeys)
+
+    def fresh():
+        store = LocalStore()
+        store.apply("insert", resident % 8192, resident, values)
+        return (store,), {}
+
+    def apply(store):
+        found, _, _ = store.apply(op, batch % 8192, batch, vals)
+        assert found.all()
+
+    benchmark.pedantic(apply, setup=fresh, rounds=5, iterations=1)

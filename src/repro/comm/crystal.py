@@ -59,28 +59,27 @@ def crystal_route(
     dim = log2_exact(size)
     t = _CRYSTAL_TAG + tag
 
-    # pending: (final_dest, original_source, payload)
-    pending: List[Tuple[int, int, Any]] = [
-        (dest, me, payload) for dest, payload in sorted(outgoing.items())
-    ]
+    # pending: (final_dest, original_source, payload, payload wire size) —
+    # a packet is sized once, where it enters the router, and carries the
+    # figure with it across every hop.
     delivered: Dict[int, Any] = {}
-
-    # Local packets deliver immediately.
-    pending, local = [p for p in pending if p[0] != me], [p for p in pending if p[0] == me]
-    for _, src, payload in local:
-        delivered[src] = payload
+    pending: List[Tuple[int, int, Any, int]] = []
+    for dest, payload in sorted(outgoing.items()):
+        if dest == me:
+            delivered[me] = payload  # local packets deliver at no cost
+        else:
+            pending.append((dest, me, payload, payload_nbytes(payload)))
 
     for d in range(dim):
         bit = 1 << d
         partner = me ^ bit
         ship = [p for p in pending if (p[0] ^ me) & bit]
         keep = [p for p in pending if not ((p[0] ^ me) & bit)]
-        nbytes = sum(payload_nbytes(p[2]) for p in ship) + 12 * len(ship)
+        nbytes = sum(p[3] for p in ship) + 12 * len(ship)
         yield Count("crystal_rounds", 1)
         yield Count("crystal_bytes", nbytes)
         yield Send(dest=partner, payload=ship, tag=t + d, nbytes=nbytes, phase=phase)
         msg = yield Recv(source=partner, tag=t + d, phase=phase)
-        arrived: List[Tuple[int, int, Any]] = msg.payload
         if charge_combine:
             m = rank.machine
             yield Compute(
@@ -88,15 +87,15 @@ def crystal_route(
                 phase=phase,
             )
         pending = keep
-        for dest, src, payload in arrived:
-            if dest == me:
-                delivered[src] = payload
+        for packet in msg.payload:
+            if packet[0] == me:
+                delivered[packet[1]] = packet[2]
             else:
-                pending.append((dest, src, payload))
+                pending.append(packet)
 
     if pending:
         raise CommunicationError(
             f"crystal router finished with undelivered packets on rank {me}: "
-            f"{[(d, s) for d, s, _ in pending]}"
+            f"{[(p[0], p[1]) for p in pending]}"
         )
     return delivered

@@ -13,10 +13,17 @@ Layout (owner-computes, paper §2.2 vocabulary):
   over ranks by the :class:`~repro.distributions.cyclic.Cyclic`
   distribution — bucket ``b`` is *owned* by rank ``b % P`` at local slot
   ``b // P``;
-* each rank keeps an **open-chaining** :class:`LocalStore`: local bucket
-  → list of ``[key, value]`` entries, scanned linearly, appended on new
-  keys (chain order is insertion order, which both backends reproduce
-  exactly);
+* each rank keeps an **open-chaining** :class:`LocalStore` as three flat
+  arrays: the chain of a local bucket is one contiguous run of ``keys``
+  / ``vals`` in insertion order (new keys append at the tail, deletes
+  close the gap), which both backends reproduce exactly.  A batch is
+  applied as if one element at a time — a linear scan per element,
+  whose slot count ``scanned`` is what virtual time charges — but is
+  computed by one flat NumPy scan of the pre-batch chains plus
+  closed-form in-batch ordering, so the host cost can change while
+  ``scanned``, and with it every virtual second, cannot.  A batch that
+  creates or deletes entries copies the rank's arrays once
+  (O(entries), memcpy speed);
 * a key's bucket is ``mix64(key) % nbuckets`` — computable by any rank
   with no communication (:mod:`repro.structs.hashing`).
 
@@ -28,8 +35,8 @@ Batching protocol (two combining hops per op):
    destination** through the crystal router
    (:func:`repro.structs.exchange.combining_route`);
 3. owners apply the op in deterministic order — packets sorted by
-   source rank, elements in packet order — and route replies back the
-   same way;
+   source rank, elements in packet order, as one store batch — and
+   route replies back the same way;
 4. each rank returns ``(positions, reply arrays)``; the driver scatters
    replies into input order.  Results are exact regardless of how the
    batch was sliced.
@@ -82,97 +89,228 @@ class StructsError(KaliError):
 # --- per-rank storage ------------------------------------------------------
 
 
-class LocalStore:
-    """One rank's share of the table: open chains over its local buckets.
+#: Most (element, chain slot) pairs one slice of a flat scan materialises
+#: (~40 bytes each): a degenerate table — every key in one bucket — costs
+#: more slices, i.e. time, not memory.
+_PAIR_BUDGET = 1 << 18
 
-    ``chains`` maps *local* bucket id → list of ``[key, value]`` pairs in
-    insertion order.  Scans are linear (the honest cost the chain-scan
-    counters charge); deletes splice the chain, preserving order.
+
+def _expand(lo: np.ndarray, lens: np.ndarray):
+    """The index runs ``lo[i] .. lo[i] + lens[i]`` laid end to end, in
+    slices of at most ``_PAIR_BUDGET`` indices (one run is never split).
+
+    Yields ``(i0, i1, begin, ends, idx)``: runs ``i0:i1`` occupy
+    ``idx[begin[k]:ends[k]]``.
+    """
+    cum = np.cumsum(lens)
+    i0, n = 0, len(lens)
+    while i0 < n:
+        base = int(cum[i0 - 1]) if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(cum, base + _PAIR_BUDGET,
+                                             side="right")))
+        part = lens[i0:i1]
+        ends = cum[i0:i1] - base
+        begin = ends - part
+        idx = np.arange(ends[-1]) + np.repeat(lo[i0:i1] - begin, part)
+        yield i0, i1, begin, ends, idx
+        i0 = i1
+
+
+def _group_sort(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable sort by label: ``(order, start)``, ``start[k]`` being the
+    sorted position where the group of sorted element ``k`` begins — so
+    ``k - start[k]`` counts the earlier elements with the same label."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    head = np.ones(len(labels), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    start = np.maximum.accumulate(np.where(head, np.arange(len(labels)), 0))
+    return order, start
+
+
+def _occurrences(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per element: how many earlier elements carry the same key, and the
+    index of that key's first element."""
+    order, start = _group_sort(keys)
+    occ = np.empty(len(keys), dtype=np.int64)
+    first = np.empty(len(keys), dtype=np.int64)
+    occ[order] = np.arange(len(keys)) - start
+    first[order] = order[start]
+    return occ, first
+
+
+def _offsets(lbuckets: np.ndarray, nb: int) -> np.ndarray:
+    """How far each of ``nb + 1`` chain offsets moves when one entry per
+    element of ``lbuckets`` joins (or leaves) the table."""
+    shift = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lbuckets, minlength=nb), out=shift[1:])
+    return shift
+
+
+class LocalStore:
+    """One rank's share of the table: open chains over its local buckets,
+    held as three flat arrays.
+
+    The chain of local bucket ``b`` is the contiguous run
+    ``keys[starts[b]:starts[b + 1]]`` (values alongside in ``vals``), in
+    insertion order; ``starts`` has one offset per local bucket plus one.
+    New keys append at their chain's tail and deletes close the gap, so
+    order is preserved exactly as a linked chain would keep it.
+
+    :meth:`apply` reports, per element, the chain slots a *sequential*
+    linear scan would have visited — the honest cost the chain-scan
+    counters and virtual time charge — but computes them without
+    replaying the batch: one flat NumPy scan of the pre-batch chains,
+    then the in-batch order (element ``i`` sees the effects of every
+    ``j < i``) resolved in closed form.  The price of contiguous runs is
+    that a batch which creates or deletes entries copies the rank's
+    arrays once (``np.insert`` / ``np.delete``, memcpy speed); value
+    updates and lookups touch nothing else.
+
+    The arrays are ``__shm_fields__``: on the mp backend the table rides
+    the shared-memory plane home instead of the control pipe.
     """
 
-    __slots__ = ("chains", "count")
+    __slots__ = ("starts", "keys", "vals")
+    __shm_fields__ = ("starts", "keys", "vals")
 
     def __init__(self):
-        self.chains: Dict[int, List[list]] = {}
-        self.count = 0
+        self.starts = np.zeros(1, dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0, dtype=np.float64)
+
+    @property
+    def count(self) -> int:
+        return len(self.keys)
 
     def apply(self, op: str, lbuckets: np.ndarray, keys: np.ndarray,
-              vals: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Apply one packet of ``op`` elements in order.
+              vals: Optional[np.ndarray],
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply a batch of ``op`` elements as if one at a time, in order.
 
-        Returns ``(found mask, result values, chain slots scanned)``.
-        ``found`` means: key already present (insert/add), key present
-        (lookup/delete).  ``result`` is the post-op value for
+        Returns ``(found mask, result values, chain slots scanned per
+        element)``.  ``found`` means: key already present (insert/add),
+        key present (lookup/delete).  ``result`` is the post-op value for
         insert/add, the stored value (or 0) for lookup/delete.
+        ``lbuckets[i]`` must be a function of ``keys[i]`` (it is the
+        key's bucket).
         """
+        if op not in ("insert", "add", "lookup", "delete"):
+            raise StructsError(f"unknown dhash op {op!r}")
         n = len(keys)
-        found = np.zeros(n, dtype=bool)
+        if n == 0:
+            return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64),
+                    np.zeros(0, dtype=np.int64))
+        lb = np.asarray(lbuckets, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.int64)
+        nb = len(self.starts) - 1
+        if op in ("insert", "add") and lb.max() >= nb:
+            self.starts = np.pad(self.starts, (0, int(lb.max()) + 1 - nb),
+                                 mode="edge")
+            nb = len(self.starts) - 1
+
+        # Flat scan of the pre-batch chains: each element against every
+        # slot of its chain; a chain holds a key once, so hits are unique.
+        lo = self.starts[np.minimum(lb, nb)]
+        len0 = self.starts[np.minimum(lb + 1, nb)] - lo
+        pos = np.full(n, -1, dtype=np.int64)     # 0-based chain position
+        slot = np.zeros(n, dtype=np.int64)       # index into keys / vals
+        for i0, i1, begin, ends, idx in _expand(lo, len0):
+            hit = np.flatnonzero(
+                self.keys[idx] == np.repeat(keys[i0:i1], len0[i0:i1]))
+            elem = np.searchsorted(ends, hit, side="right")
+            pos[i0 + elem] = hit - begin[elem]
+            slot[i0 + elem] = idx[hit]
+        present = pos >= 0
+
+        if op == "lookup":
+            result = np.zeros(n, dtype=np.float64)
+            result[present] = self.vals[slot[present]]
+            return present, result, np.where(present, pos + 1, len0)
+        occ, first = _occurrences(keys)
+        if op == "delete":
+            return self._delete(lb, len0, pos, slot, present & (occ == 0))
+
+        # insert / add.  A miss on a key's first occurrence creates the
+        # entry at the chain tail, behind the creations earlier in the
+        # batch; every later occurrence of that key hits it there.
+        vals = np.asarray(vals, dtype=np.float64)
+        missing = ~present
+        creator = missing & (occ == 0)
+        born = np.flatnonzero(creator)
+        if born.size:
+            order, start = _group_sort(lb[born])
+            born = born[order]                   # bucket-major, batch order
+            pos[born] = len0[born] + np.arange(born.size) - start
+            pos[missing] = pos[first[missing]]
+            at = self.starts[lb[born] + 1]
+            self.keys = np.insert(self.keys, at, keys[born])
+            self.vals = np.insert(self.vals, at, vals[born])
+            self.starts = self.starts + _offsets(lb[born], nb)
+        found = ~creator
+        result = vals.copy()                     # a creation assigns: -0.0
+        # Values land in occurrence rounds — one round unless the batch
+        # repeats a key — so a key's updates keep their sequential order.
+        hits = np.flatnonzero(found)
+        rounds = np.bincount(occ[hits])
+        if len(rounds) > 1:
+            hits = hits[np.argsort(occ[hits], kind="stable")]
+        target = self.starts[lb] + pos
+        done = 0
+        for size in rounds.tolist():
+            sel = hits[done:done + size]
+            done += size
+            cell = target[sel]
+            if op == "add":
+                self.vals[cell] += vals[sel]
+            else:
+                self.vals[cell] = vals[sel]
+            result[sel] = self.vals[cell]
+        return found, result, pos + found
+
+    def _delete(self, lb, len0, pos, slot, gone):
+        """Delete tail of :meth:`apply`: ``gone`` marks each present
+        key's first occurrence, the only one that succeeds.  A scan is
+        shortened by the earlier deletes in the same chain — those ahead
+        of the hit for a success, all of them for a miss."""
+        n = len(lb)
         result = np.zeros(n, dtype=np.float64)
-        scanned = 0
-        for i in range(n):
-            key = int(keys[i])
-            chain = self.chains.get(int(lbuckets[i]))
-            hit = None
-            if chain is not None:
-                for entry in chain:
-                    scanned += 1
-                    if entry[0] == key:
-                        hit = entry
-                        break
-            if op == "insert" or op == "add":
-                value = float(vals[i])
-                if hit is None:
-                    if chain is None:
-                        chain = []
-                        self.chains[int(lbuckets[i])] = chain
-                    chain.append([key, value])
-                    self.count += 1
-                    result[i] = value
-                else:
-                    found[i] = True
-                    hit[1] = hit[1] + value if op == "add" else value
-                    result[i] = hit[1]
-            elif op == "lookup":
-                if hit is not None:
-                    found[i] = True
-                    result[i] = hit[1]
-            elif op == "delete":
-                if hit is not None:
-                    found[i] = True
-                    result[i] = hit[1]
-                    chain.remove(hit)
-                    self.count -= 1
-                    if not chain:
-                        del self.chains[int(lbuckets[i])]
-            else:  # pragma: no cover - guarded at the driver
-                raise StructsError(f"unknown dhash op {op!r}")
-        return found, result, scanned
+        scanned = np.where(gone, pos + 1, len0)
+        if gone.any():
+            order, start = _group_sort(lb)
+            s_gone, s_pos = gone[order], pos[order]
+            limit = np.where(s_gone, s_pos, np.iinfo(np.int64).max)
+            earlier = np.arange(n) - start
+            for i0, i1, begin, ends, idx in _expand(start, earlier):
+                ahead = np.zeros(len(idx) + 1, dtype=np.int64)
+                np.cumsum(s_gone[idx] & (s_pos[idx] < np.repeat(
+                    limit[i0:i1], earlier[i0:i1])), out=ahead[1:])
+                scanned[order[i0:i1]] -= ahead[ends] - ahead[begin]
+            dead = slot[gone]
+            result[gone] = self.vals[dead]
+            self.keys = np.delete(self.keys, dead)
+            self.vals = np.delete(self.vals, dead)
+            self.starts = self.starts - _offsets(lb[gone], len(self.starts) - 1)
+        return gone, result, scanned
 
     def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every entry as ``(local bucket, key, value)`` arrays, in the
         deterministic iteration order: buckets ascending, chains in
-        insertion order."""
-        lb: List[int] = []
-        keys: List[int] = []
-        vals: List[float] = []
-        for bucket in sorted(self.chains):
-            for key, value in self.chains[bucket]:
-                lb.append(bucket)
-                keys.append(key)
-                vals.append(value)
-        return (np.asarray(lb, dtype=np.int64),
-                np.asarray(keys, dtype=np.int64),
-                np.asarray(vals, dtype=np.float64))
+        insertion order.  ``key`` and ``value`` are the store's own
+        arrays (read-only by convention)."""
+        nb = len(self.starts) - 1
+        lb = np.repeat(np.arange(nb, dtype=np.int64), np.diff(self.starts))
+        return lb, self.keys, self.vals
 
     def rebuild(self, lbuckets: np.ndarray, keys: np.ndarray,
                 vals: np.ndarray) -> None:
-        """Replace contents with fresh chains (rebalance landing)."""
-        self.chains = {}
-        self.count = 0
-        for i in range(len(keys)):
-            chain = self.chains.setdefault(int(lbuckets[i]), [])
-            chain.append([int(keys[i]), float(vals[i])])
-            self.count += 1
+        """Replace contents with fresh chains (rebalance landing);
+        ``keys`` are distinct and chain order is their given order."""
+        lb = np.asarray(lbuckets, dtype=np.int64)
+        order = np.argsort(lb, kind="stable")
+        self.keys = np.asarray(keys, dtype=np.int64)[order]
+        self.vals = np.asarray(vals, dtype=np.float64)[order]
+        self.starts = _offsets(lb, int(lb.max()) + 1 if len(lb) else 0)
 
 
 # --- the op program --------------------------------------------------------
@@ -201,11 +339,12 @@ class _OpSpec:
 class _OpOutcome:
     """One rank's result: mutated store + in-slice replies, plain data.
 
-    ``__shm_fields__``: on the mp backend the reply arrays ride the
-    shared-memory plane home instead of the control pipe.
+    ``__shm_fields__``: on the mp backend the reply arrays and the
+    store's arrays ride the shared-memory plane home instead of the
+    control pipe.
     """
 
-    __shm_fields__ = ("found", "result")
+    __shm_fields__ = ("store", "found", "result")
 
     store: LocalStore
     pos: np.ndarray
@@ -217,21 +356,30 @@ class _OpOutcome:
 
 def _apply_packets(rank: Rank, op: str, store: LocalStore, nbuckets: int,
                    delivered: Dict[int, Dict[str, np.ndarray]], phase: str):
-    """Owner side: apply arriving packets in (source, packet) order and
+    """Owner side: apply arriving packets in (source, packet) order — one
+    ``store.apply`` over their concatenation, charged per source — and
     build reply packets addressed back to each source."""
     m = rank.machine
-    dist = bucket_dist(nbuckets, rank.size)
     replies: Dict[int, Dict[str, np.ndarray]] = {}
-    for src in sorted(delivered):
-        packet = delivered[src]
-        keys = packet["keys"]
-        lbuckets = np.asarray(dist.to_local(bucket_of(keys, nbuckets)))
-        found, result, scanned = store.apply(
-            op, lbuckets, keys, packet.get("vals"))
-        yield Count("structs_chain_scans", scanned)
-        yield Compute(m.copy_elem * len(keys) + m.flop * scanned, phase=phase)
-        replies[src] = {"pos": packet["pos"], "found": found,
-                        "result": result}
+    if not delivered:
+        return replies
+    sources = sorted(delivered)
+    packets = [delivered[src] for src in sources]
+    keys = np.concatenate([p["keys"] for p in packets])
+    vals = (np.concatenate([p["vals"] for p in packets])
+            if "vals" in packets[0] else None)
+    dist = bucket_dist(nbuckets, rank.size)
+    lbuckets = np.asarray(dist.to_local(bucket_of(keys, nbuckets)))
+    found, result, scanned = store.apply(op, lbuckets, keys, vals)
+    lo = 0
+    for src, packet in zip(sources, packets):
+        hi = lo + len(packet["keys"])
+        scans = int(scanned[lo:hi].sum())
+        yield Count("structs_chain_scans", scans)
+        yield Compute(m.copy_elem * (hi - lo) + m.flop * scans, phase=phase)
+        replies[src] = {"pos": packet["pos"], "found": found[lo:hi],
+                        "result": result[lo:hi]}
+        lo = hi
     return replies
 
 
@@ -378,14 +526,11 @@ def _dhash_op_program(rank: Rank):
             items.append((int(owners[i]), packet))
         delivered = yield from element_route(rank, items, spec.rounds, tag=16,
                                              phase=phase)
-        replies: Dict[int, Dict[str, np.ndarray]] = {}
-        for src in sorted(delivered):
-            parts = delivered[src]
-            merged = {name: np.concatenate([p[name] for p in parts])
-                      for name in parts[0]}
-            reply = yield from _apply_packets(
-                rank, spec.op, store, nbuckets, {src: merged}, phase)
-            replies.update(reply)
+        merged = {src: {name: np.concatenate([p[name] for p in parts])
+                        for name in parts[0]}
+                  for src, parts in delivered.items()}
+        replies = yield from _apply_packets(rank, spec.op, store, nbuckets,
+                                            merged, phase)
         reply_items = [
             (src, {name: arr[i:i + 1] for name, arr in packet.items()})
             for src, packet in sorted(replies.items())

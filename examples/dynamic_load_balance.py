@@ -22,7 +22,7 @@ Run:  python examples/dynamic_load_balance.py
 
 import numpy as np
 
-from repro.apps.jacobi import build_jacobi
+from repro.apps.jacobi import JACOBI_ARRAYS, build_jacobi
 from repro.machine.cost import NCUBE7
 from repro.meshes.partition import coordinate_bisection, edge_cut
 from repro.meshes.regular import reference_sweep
@@ -50,8 +50,8 @@ def main() -> None:
 
     prog = build_jacobi(mesh, P, machine=NCUBE7, initial=init)
     runner = AdaptiveRunner(
-        TuneSpec(arrays=("a", "old_a", "count", "adj", "coef"),
-                 table="adj", count="count", points=points),
+        TuneSpec(arrays=JACOBI_ARRAYS, table="adj", count="count",
+                 points=points),
         TunePolicy(interval=4, warmup=4, max_moves=2),
     )
     res = runner.run(prog.ctx, [prog.copy_loop, prog.relax_loop], SWEEPS)

@@ -51,6 +51,10 @@ from repro.distributions.replicated import Replicated
 from repro.machine.cost import MachineModel, NCUBE7
 from repro.meshes.regular import MeshArrays
 
+# The Figure 4 quintet in declaration order: the arrays that share the
+# node distribution and therefore move together when a layout changes.
+JACOBI_ARRAYS = ("a", "old_a", "count", "adj", "coef")
+
 
 def copy_kernel(iters: np.ndarray, ops) -> np.ndarray:
     """``old_a[i] := a[i]``."""
@@ -65,6 +69,36 @@ def relax_kernel(iters: np.ndarray, ops) -> np.ndarray:
     live = np.arange(width)[None, :] < nb.counts[:, None]
     x = (coef * nb.values * live).sum(axis=1)
     return np.where(nb.counts > 0, x, ops["a_i"])
+
+
+def jacobi_row_weights(mesh: MeshArrays) -> tuple:
+    """Move-cost row weights for :data:`JACOBI_ARRAYS`: ``a``, ``old_a``
+    and ``count`` move one element per node, ``adj`` and ``coef`` a full
+    row of ``width`` neighbours each."""
+    width = float(mesh.width)
+    return (1.0, 1.0, 1.0, width, width)
+
+
+def scrambled_jacobi(nodes: int, nprocs: int, seed: int):
+    """The tuner's canonical bad start, returned as ``(mesh, points,
+    owners)``: an unstructured mesh whose node order is decorrelated from
+    its geometry (so naive layouts cut many edges) plus a seeded random
+    owner map over ``nprocs`` ranks.
+
+    Every consumer — the ``jacobi_adaptive`` / ``jacobi_served`` serve
+    kinds, the autopilot's ``jacobi_served`` profiler, the T1 bench and
+    ``python -m repro.tune`` — must see the *same* mesh and map for the
+    same ``(nodes, nprocs, seed)``: the autopilot re-plans a family from
+    its spec alone, and a plan learned for one map is keyed (and only
+    valid) for that map.  That is why this lives in one place.
+    """
+    from repro.meshes.unstructured import random_unstructured_mesh
+
+    mesh, points = random_unstructured_mesh(nodes, seed=seed,
+                                            locality_sort=False)
+    owners = np.random.default_rng(seed + 1).integers(
+        0, nprocs, size=mesh.n).astype(np.int64)
+    return mesh, points, owners
 
 
 @dataclass

@@ -62,27 +62,22 @@ def has_profiler(kind: str) -> bool:
 
 
 def _jacobi_served_inputs(nranks: int, spec: Dict) -> PlanInputs:
-    """Planning inputs for ``jacobi_served`` — mirrors the runner's
-    spec-seeded mesh and scrambled owner-map construction exactly."""
-    from repro.meshes.unstructured import random_unstructured_mesh
+    """Planning inputs for ``jacobi_served`` — the runner's own
+    spec-seeded mesh and scrambled owner map (one shared constructor)."""
+    from repro.apps.jacobi import (
+        JACOBI_ARRAYS, jacobi_row_weights, scrambled_jacobi)
 
     nodes = int(spec.get("nodes", 400))
     seed = int(spec.get("seed", 7))
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    rng = np.random.default_rng(seed + 1)
-    owners = rng.integers(0, nranks, size=mesh.n).astype(np.int64)
-    width = float(mesh.adj.shape[1])
+    mesh, points, owners = scrambled_jacobi(nodes, nranks, seed)
     return PlanInputs(
         n=mesh.n,
         table=mesh.adj,
         current=owners,
-        arrays=("a", "old_a", "count", "adj", "coef"),
+        arrays=JACOBI_ARRAYS,
         counts=mesh.count,
         points=points,
-        # move-cost row weights: one element per row for the vectors,
-        # one row of the table width for adj/coef
-        row_weights=(1.0, 1.0, 1.0, width, width),
+        row_weights=jacobi_row_weights(mesh),
         meta={"nodes": nodes, "seed": seed},
     )
 

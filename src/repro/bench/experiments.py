@@ -427,15 +427,12 @@ def adaptive_vs_static(
     """
     import numpy as np
 
+    from repro.apps.jacobi import JACOBI_ARRAYS, scrambled_jacobi
     from repro.distributions.custom import Custom
     from repro.meshes.partition import coordinate_bisection
-    from repro.meshes.unstructured import random_unstructured_mesh
     from repro.tune import AdaptiveRunner, TunePolicy, TuneSpec
 
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    bad = np.random.default_rng(seed + 1).integers(
-        0, nprocs, size=mesh.n).astype(np.int64)
+    mesh, points, bad = scrambled_jacobi(nodes, nprocs, seed)
     rcb = np.asarray(coordinate_bisection(points, nprocs), dtype=np.int64)
     initial = np.random.default_rng(20260806).random(mesh.n)
 
@@ -443,8 +440,8 @@ def adaptive_vs_static(
         prog = build_jacobi(mesh, nprocs, machine=machine,
                             dist=Custom(owners), initial=initial.copy())
         runner = AdaptiveRunner(
-            TuneSpec(arrays=("a", "old_a", "count", "adj", "coef"),
-                     table="adj", count="count", points=points),
+            TuneSpec(arrays=JACOBI_ARRAYS, table="adj", count="count",
+                     points=points),
             TunePolicy(interval=4, warmup=4, max_moves=max_moves),
         )
         res = runner.run(prog.ctx, [prog.copy_loop, prog.relax_loop], sweeps)

@@ -29,6 +29,51 @@ Number = Union[int, float]
 
 RUN_FORMAT = "repro-run-v1"
 
+# Stable dotted aliases ``from_run`` reports for every run, as
+# (metric, "sum" | "max" over ranks, engine counter) rows in output order.
+#
+# One table here rather than a ``register_prefix()`` call from each
+# subsystem: a run must report the *same key set* whoever produced it —
+# a mesh run carries ``structs.*`` as zeros without ``repro.structs``
+# ever having been imported, a simulator run carries ``shm.*`` as zeros —
+# so dashboards and the byte-identical bench metrics files never depend
+# on import order.  Adding a prefix is adding rows.
+RUN_ALIASES = (
+    # Schedule-cache health under one stable prefix: `cache.*` is the
+    # name dashboards (and the tuner's tests) key on — in particular
+    # `cache.invalidations`, the count of schedules a redistribution
+    # threw away, which is how many re-inspections a layout move cost.
+    ("cache.hits", "sum", "schedule_cache_hits"),
+    ("cache.misses", "sum", "schedule_cache_misses"),
+    ("cache.invalidations", "sum", "schedule_cache_invalidations"),
+    # Shared-memory data-plane health under the same kind of stable
+    # prefix (mp backend only; all zero on simulator runs).  `shm.bytes`
+    # vs `shm.pipe_bytes` is the zero-copy win; `shm.hwm_bytes` the
+    # deepest any rank's arena got; `shm.reclaimed_bytes` what pool
+    # reset barriers gave back.  See docs/dataplane.md.
+    ("shm.bytes", "sum", "shm_bytes_sent"),
+    ("shm.blocks", "sum", "shm_blocks_sent"),
+    ("shm.pipe_bytes", "sum", "pipe_bytes_sent"),
+    ("shm.fallbacks", "sum", "shm_fallbacks"),
+    ("shm.hwm_bytes", "max", "shm_hwm_bytes"),
+    ("shm.reclaimed_bytes", "sum", "shm_reclaimed_bytes"),
+    # Distributed-structure traffic under `structs.*` (all zero for mesh
+    # workloads).  `structs.items` over `structs.exchanges` is the
+    # combining win — elements moved per collective exchange;
+    # `structs.migrated_keys` vs `structs.rehashed_keys` separates
+    # entries that changed *rank* from entries that merely changed
+    # bucket during a rebalance.  See docs/structs.md.
+    ("structs.batches", "sum", "structs_batches"),
+    ("structs.items", "sum", "structs_items"),
+    ("structs.exchanges", "sum", "structs_exchanges"),
+    ("structs.chain_scans", "sum", "structs_chain_scans"),
+    ("structs.rebalances", "max", "structs_rebalances"),
+    ("structs.migrated_keys", "sum", "structs_migrated_keys"),
+    ("structs.rehashed_keys", "sum", "structs_rehashed_keys"),
+    ("structs.pushed", "sum", "structs_pushed"),
+    ("structs.popped", "sum", "structs_popped"),
+)
+
 
 class MetricsRegistry:
     """An ordered name → scalar mapping with uniform exporters."""
@@ -70,44 +115,9 @@ class MetricsRegistry:
         for n in names:
             reg.add(f"counter_sum.{n}", result.counter_sum(n))
             reg.add(f"counter_max.{n}", result.counter_max(n))
-        # Schedule-cache health under one stable prefix: `cache.*` is the
-        # name dashboards (and the tuner's tests) key on — in particular
-        # `cache.invalidations`, the count of schedules a redistribution
-        # threw away, which is how many re-inspections a layout move cost.
-        for short in ("hits", "misses", "invalidations"):
-            reg.add(f"cache.{short}",
-                    result.counter_sum(f"schedule_cache_{short}"))
-        # Shared-memory data-plane health under the same kind of stable
-        # prefix (mp backend only; all zero on simulator runs).  `shm.
-        # bytes` vs `shm.pipe_bytes` is the zero-copy win; `shm.hwm_bytes`
-        # the deepest any rank's arena got; `shm.reclaimed_bytes` what
-        # pool reset barriers gave back.  See docs/dataplane.md.
-        reg.add("shm.bytes", result.counter_sum("shm_bytes_sent"))
-        reg.add("shm.blocks", result.counter_sum("shm_blocks_sent"))
-        reg.add("shm.pipe_bytes", result.counter_sum("pipe_bytes_sent"))
-        reg.add("shm.fallbacks", result.counter_sum("shm_fallbacks"))
-        reg.add("shm.hwm_bytes", result.counter_max("shm_hwm_bytes"))
-        reg.add("shm.reclaimed_bytes",
-                result.counter_sum("shm_reclaimed_bytes"))
-        # Distributed-structure traffic under `structs.*` (all zero for
-        # mesh workloads).  `structs.items` over `structs.exchanges` is
-        # the combining win — elements moved per collective exchange;
-        # `structs.migrated_keys` vs `structs.rehashed_keys` separates
-        # entries that changed *rank* from entries that merely changed
-        # bucket during a rebalance.  See docs/structs.md.
-        reg.add("structs.batches", result.counter_sum("structs_batches"))
-        reg.add("structs.items", result.counter_sum("structs_items"))
-        reg.add("structs.exchanges", result.counter_sum("structs_exchanges"))
-        reg.add("structs.chain_scans",
-                result.counter_sum("structs_chain_scans"))
-        reg.add("structs.rebalances",
-                result.counter_max("structs_rebalances"))
-        reg.add("structs.migrated_keys",
-                result.counter_sum("structs_migrated_keys"))
-        reg.add("structs.rehashed_keys",
-                result.counter_sum("structs_rehashed_keys"))
-        reg.add("structs.pushed", result.counter_sum("structs_pushed"))
-        reg.add("structs.popped", result.counter_sum("structs_popped"))
+        for metric, how, counter in RUN_ALIASES:
+            fold = result.counter_sum if how == "sum" else result.counter_max
+            reg.add(metric, fold(counter))
         busy = sum(s.total_time() for s in result.stats)
         denom = result.makespan * result.nranks
         reg.add("parallel_efficiency", busy / denom if denom > 0 else 0.0)

@@ -198,28 +198,25 @@ def _run_jacobi_adaptive(server: "Shard",
     jobs with the same fingerprint then warm-start directly in the
     learned layout (``tune_applied`` True, ``tune_moves`` 0).
     """
-    from repro.apps.jacobi import build_jacobi
+    from repro.apps.jacobi import (
+        JACOBI_ARRAYS, build_jacobi, scrambled_jacobi)
     from repro.distributions.custom import Custom
-    from repro.meshes.unstructured import random_unstructured_mesh
     from repro.tune import AdaptiveRunner, TunePolicy, TuneSpec
 
-    nodes = int(spec.get("nodes", 600))
     sweeps = int(spec.get("sweeps", 16))
-    seed = int(spec.get("seed", 7))
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    rng = np.random.default_rng(seed + 1)
-    bad = Custom(rng.integers(0, server.nranks, size=mesh.n))
+    mesh, points, bad = scrambled_jacobi(
+        int(spec.get("nodes", 600)), server.nranks, int(spec.get("seed", 7)))
     init = np.random.default_rng(int(spec.get("init_seed", 12345))).random(
         mesh.n)
     prog = build_jacobi(
-        mesh, server.nranks, machine=server.machine, dist=bad, initial=init,
+        mesh, server.nranks, machine=server.machine, dist=Custom(bad),
+        initial=init,
         pool=server.pool, schedule_cache_dir=server.cache_dir,
         tune=server.tune_dir,
     )
     runner = AdaptiveRunner(
-        TuneSpec(arrays=["a", "old_a", "count", "adj", "coef"],
-                 table="adj", count="count", points=points),
+        TuneSpec(arrays=JACOBI_ARRAYS, table="adj", count="count",
+                 points=points),
         TunePolicy(interval=int(spec.get("interval", 4)),
                    warmup=int(spec.get("warmup", 4))),
     )
@@ -256,21 +253,16 @@ def _run_jacobi_served(server: "Shard",
     reports — the quantity a layout change moves, and the one the
     autopilot's A/B compares deterministically.
     """
-    from repro.apps.jacobi import build_jacobi
+    from repro.apps.jacobi import build_jacobi, scrambled_jacobi
     from repro.distributions.custom import Custom
-    from repro.meshes.unstructured import random_unstructured_mesh
 
-    nodes = int(spec.get("nodes", 400))
     sweeps = int(spec.get("sweeps", 8))
-    seed = int(spec.get("seed", 7))
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    rng = np.random.default_rng(seed + 1)
-    scrambled = Custom(rng.integers(0, server.nranks, size=mesh.n))
+    mesh, _, scrambled = scrambled_jacobi(
+        int(spec.get("nodes", 400)), server.nranks, int(spec.get("seed", 7)))
     init = np.random.default_rng(int(spec.get("init_seed", 12345))).random(
         mesh.n)
     prog = build_jacobi(
-        mesh, server.nranks, machine=server.machine, dist=scrambled,
+        mesh, server.nranks, machine=server.machine, dist=Custom(scrambled),
         initial=init,
         schedule_cache_dir=server.cache_dir, tune=server.tune_dir,
     )

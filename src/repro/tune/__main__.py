@@ -32,8 +32,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import KaliError
 
 
@@ -53,36 +51,18 @@ def _machine(name: str):
 
 
 def _workload(args):
-    """The CLI's canonical workload: a shuffled unstructured mesh (node
-    order decorrelated from geometry, so naive layouts are bad) plus the
-    seeded adversarial owner map ``--layout bad`` starts from."""
-    from repro.meshes.unstructured import random_unstructured_mesh
-
-    mesh, points = random_unstructured_mesh(
-        args.nodes, seed=args.seed, locality_sort=False
-    )
-    return mesh, points
-
-
-def _current_spec(args, mesh, nprocs):
+    """The CLI's canonical workload — a shuffled unstructured mesh (node
+    order decorrelated from geometry, so naive layouts are bad) — and the
+    distribution ``--layout`` starts it in; ``bad`` is the seeded
+    adversarial owner map.  Returns ``(mesh, points, start_dist)``."""
+    from repro.apps.jacobi import scrambled_jacobi
     from repro.distributions.block import Block
     from repro.distributions.custom import Custom
     from repro.distributions.cyclic import Cyclic
 
-    if args.layout == "block":
-        return Block()
-    if args.layout == "cyclic":
-        return Cyclic()
-    if args.layout == "bad":
-        rng = np.random.default_rng(args.seed + 1)
-        return Custom(rng.integers(0, nprocs, size=mesh.n))
-    raise CliError(f"unknown layout {args.layout!r} (block, cyclic, bad)")
-
-
-def _row_weights(mesh):
-    # The Figure 4 quintet: a, old_a, count move one element per node;
-    # adj and coef move a full row of `width` neighbours each.
-    return (1.0, 1.0, 1.0, float(mesh.width), float(mesh.width))
+    mesh, points, bad = scrambled_jacobi(args.nodes, args.procs, args.seed)
+    start = {"block": Block(), "cyclic": Cyclic(), "bad": Custom(bad)}
+    return mesh, points, start[args.layout]
 
 
 def cmd_profile(args) -> int:
@@ -111,16 +91,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from repro.apps.jacobi import jacobi_row_weights
     from repro.tune import plan
     from repro.tune.candidates import owner_map
 
     machine = _machine(args.machine)
-    mesh, points = _workload(args)
-    spec = _current_spec(args, mesh, args.procs)
+    mesh, points, spec = _workload(args)
     report = plan(
         mesh.n, args.procs, machine, mesh.adj, counts=mesh.count,
         points=points, current=owner_map(spec, mesh.n, args.procs),
-        sweeps=args.sweeps, row_weights=_row_weights(mesh),
+        sweeps=args.sweeps, row_weights=jacobi_row_weights(mesh),
     )
     if args.json:
         print(json.dumps(report, indent=2))
@@ -149,17 +129,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    from repro.apps.jacobi import build_jacobi
+    from repro.apps.jacobi import JACOBI_ARRAYS, build_jacobi
     from repro.tune import AdaptiveRunner, TunePolicy, TuneSpec
 
     machine = _machine(args.machine)
-    mesh, points = _workload(args)
-    spec_dist = _current_spec(args, mesh, args.procs)
+    mesh, points, spec_dist = _workload(args)
     prog = build_jacobi(mesh, args.procs, machine=machine, dist=spec_dist,
                         trace=args.out is not None)
     runner = AdaptiveRunner(
-        TuneSpec(arrays=["a", "old_a", "count", "adj", "coef"],
-                 table="adj", count="count", points=points),
+        TuneSpec(arrays=JACOBI_ARRAYS, table="adj", count="count",
+                 points=points),
         TunePolicy(interval=args.interval, warmup=args.warmup,
                    max_moves=args.max_moves, cooldown=args.cooldown,
                    min_improvement=args.min_improvement),

@@ -3,7 +3,8 @@
 These time the actual Python/NumPy implementation (not virtual time):
 inspector classification throughput, executor sweep throughput,
 translation-table lookups and the compiled-plan gather that replaces them
-on warm sweeps, the crystal router, and the hash table's ``LocalStore``
+on warm sweeps, the Jacobi kernel, the crystal router, the engine's
+dispatch of a warm sweep's op mix, and the hash table's ``LocalStore``
 batch apply.  Useful for tracking
 performance regressions of the simulator itself.
 """
@@ -11,7 +12,8 @@ performance regressions of the simulator itself.
 import numpy as np
 import pytest
 
-from repro.apps.jacobi import build_jacobi
+from repro.apps.jacobi import build_jacobi, relax_kernel
+from repro.core.forall import IndirectOperand
 from repro.machine.cost import NCUBE7
 from repro.machine.engine import Engine
 from repro.machine.topology import Hypercube
@@ -83,6 +85,24 @@ def test_plan_gather_rate(benchmark):
     benchmark(lambda: np.take(workspace, gather, axis=0))
 
 
+def test_relax_kernel_rate(benchmark):
+    """The Jacobi relaxation kernel on one 512x20 batch, masked with the
+    plan's compiled ``live`` (nothing rebuilt per call)."""
+    rng = np.random.default_rng(3)
+    n, width = 512, 20
+    counts = rng.integers(0, width + 1, size=n)
+    live = np.arange(width)[None, :] < counts[:, None]
+    ops = {
+        "neighbours": IndirectOperand(np.where(live, rng.random((n, width)), 0.0),
+                                      counts, live),
+        "coef_i": rng.random((n, width)),
+        "a_i": rng.random(n),
+    }
+    iters = np.arange(n)
+
+    benchmark(lambda: relax_kernel(iters, ops))
+
+
 def test_crystal_router_wall_time(benchmark):
     """64-rank crystal router all-to-all on the simulator."""
     from repro.comm.crystal import crystal_route
@@ -113,6 +133,44 @@ def test_engine_message_rate(benchmark):
                     yield Recv(source=0, tag=0)
 
         Engine(NCUBE7, topology=Hypercube(2)).run(prog)
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def test_engine_warm_sweep_dispatch_rate(benchmark):
+    """Host cost of the engine handing a warm Jacobi sweep's op mix
+    around, with no executor work behind it: 16 ranks, each sweep one
+    ``Compute`` per loop phase, a ``Compute`` + ``Send`` and a ``Recv`` +
+    ``Compute`` per neighbour, and one ``Count`` per counter — about the
+    33 ops per rank per sweep of ``jacobi-warm-sim``."""
+    from repro.machine.api import Compute, Count, Recv, Send
+
+    sweeps, nranks = 50, 16
+
+    def prog(rank):
+        peers = sorted({(rank.id + d) % nranks for d in (-4, -1, 1, 4)})
+        for sweep in range(sweeps):
+            for loop in range(2):               # copy, then relax
+                yield Count("schedule_cache_hits", 1)
+                if loop:
+                    for q in peers:
+                        yield Compute(1e-6)
+                        yield Send(dest=q, payload=None, tag=sweep, nbytes=64)
+                    yield Count("executor_elems_sent", 4 * len(peers))
+                yield Compute(1e-5)             # local iterations
+                if loop:
+                    for q in peers:
+                        yield Recv(source=q, tag=sweep)
+                        yield Compute(1e-6)
+                    yield Count("executor_elems_recv", 4 * len(peers))
+                    yield Compute(1e-5)         # nonlocal iterations
+                    yield Count("executor_remote_refs", 8)
+                yield Compute(1e-6)             # commit
+                yield Count("executor_iters", 64)
+                yield Count("executor_local_refs", 200)
+
+    def run():
+        Engine(NCUBE7, nranks=nranks).run(prog)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
 

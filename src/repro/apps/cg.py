@@ -132,9 +132,7 @@ class CGSolver:
 
         def spmv_kernel(iters, ops):
             pvals: IndirectOperand = ops["pv"]
-            avals = ops["av"]
-            live = np.arange(width)[None, :] < pvals.counts[:, None]
-            return (avals * pvals.values * live).sum(axis=1)
+            return (ops["av"] * pvals.values * pvals.live).sum(axis=1)
 
         self.spmv = Forall(
             index_range=n_range,

@@ -64,10 +64,7 @@ def copy_kernel(iters: np.ndarray, ops) -> np.ndarray:
 def relax_kernel(iters: np.ndarray, ops) -> np.ndarray:
     """``x := sum_j coef[i,j] * old_a[adj[i,j]]; if count[i]>0 a[i]:=x``."""
     nb: IndirectOperand = ops["neighbours"]
-    coef = ops["coef_i"]
-    width = nb.values.shape[1]
-    live = np.arange(width)[None, :] < nb.counts[:, None]
-    x = (coef * nb.values * live).sum(axis=1)
+    x = (ops["coef_i"] * nb.values * nb.live).sum(axis=1)
     return np.where(nb.counts > 0, x, ops["a_i"])
 
 

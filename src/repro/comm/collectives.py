@@ -14,7 +14,7 @@ and accepts a ``tag`` so concurrent collectives cannot interfere.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from repro.machine.api import Compute, Count, Rank, Recv, Send
 

@@ -64,6 +64,7 @@ def crystal_route(
     # figure with it across every hop.
     delivered: Dict[int, Any] = {}
     pending: List[Tuple[int, int, Any, int]] = []
+    total_bytes = 0
     for dest, payload in sorted(outgoing.items()):
         if dest == me:
             delivered[me] = payload  # local packets deliver at no cost
@@ -76,8 +77,7 @@ def crystal_route(
         ship = [p for p in pending if (p[0] ^ me) & bit]
         keep = [p for p in pending if not ((p[0] ^ me) & bit)]
         nbytes = sum(p[3] for p in ship) + 12 * len(ship)
-        yield Count("crystal_rounds", 1)
-        yield Count("crystal_bytes", nbytes)
+        total_bytes += nbytes
         yield Send(dest=partner, payload=ship, tag=t + d, nbytes=nbytes, phase=phase)
         msg = yield Recv(source=partner, tag=t + d, phase=phase)
         if charge_combine:
@@ -92,6 +92,10 @@ def crystal_route(
                 delivered[packet[1]] = packet[2]
             else:
                 pending.append(packet)
+    if dim:
+        # One Count per counter per route, once every stage is done.
+        yield Count("crystal_rounds", dim)
+        yield Count("crystal_bytes", total_bytes)
 
     if pending:
         raise CommunicationError(

@@ -171,11 +171,18 @@ class IndirectOperand:
 
     ``values[k, j]`` is ``array[table[i_k, j]]`` for live columns
     (``j < counts[k]``); dead columns hold 0.  ``counts`` is the live
-    width per iteration in the batch.
+    width per iteration in the batch and ``live`` the boolean mask
+    ``arange(width) < counts[:, None]``, the shape of ``values``.
+
+    ``counts`` and ``live`` are compiled once per schedule and shared by
+    every execution of it, so they are read-only: mask with ``live``
+    rather than rebuilding it, and copy before modifying either.
+    ``values`` is this execution's own array.
     """
 
     values: np.ndarray
     counts: np.ndarray
+    live: np.ndarray
 
 
 KernelFn = Callable[[np.ndarray, Dict[str, object]], np.ndarray]

@@ -21,7 +21,7 @@ generator by hand and inspect the ops it yields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import CommunicationError
@@ -58,7 +58,7 @@ class Op:
     __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Send(Op):
     """Send ``payload`` to rank ``dest`` with a matching ``tag``.
 
@@ -93,7 +93,7 @@ class Send(Op):
         return self.nbytes if self.nbytes is not None else payload_nbytes(self.payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class Recv(Op):
     """Blocking receive.  Resumes the generator with a :class:`Message`.
 
@@ -128,7 +128,7 @@ class Recv(Op):
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Compute(Op):
     """Advance this rank's virtual clock by ``seconds`` of local work."""
 
@@ -141,12 +141,12 @@ class Compute(Op):
             raise ValueError(f"Compute seconds must be >= 0, got {self.seconds}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Now(Op):
     """Resume the generator with the rank's current virtual clock."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Count(Op):
     """Increment a named statistics counter (no time charged)."""
 

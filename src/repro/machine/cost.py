@@ -30,7 +30,7 @@ All times are in seconds; ``beta`` is seconds per byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import log2
 
 

@@ -193,7 +193,10 @@ class Engine:
         ready: Deque[int] = deque(range(self.nranks))
         seq_counter = 0
         ops_interpreted = 0
+        max_ops = self.max_ops
         trace_events: List[TraceEvent] = [] if self.trace else None
+        # topology.hops per (src, dst), memoised for this run
+        hops_memo: Dict[Tuple[int, int], int] = {}
 
         def fault_event(rank: int, label: str, t: float, peer=None, tag=None,
                         nbytes: int = 0, phase: str = "") -> None:
@@ -273,10 +276,12 @@ class Engine:
                 ))
 
         def wake_receiver(dest: int, source: int, tag: int) -> None:
-            """Wake ``dest`` if it is blocked on a matching receive.  A
-            wildcard-source receiver is woken too: it re-enters the
-            resolution path, which stays conservative because the
-            resolution phase only runs when nothing else can."""
+            """Wake ``dest`` if it is blocked on a receive naming
+            ``source`` (and a matching tag) that the message can complete.
+            A wildcard-source receiver is *not* woken here: it stays
+            blocked until the resolution phase, which only runs when
+            nothing else can — that is what keeps wildcard matching
+            conservative."""
             dst_state = states[dest]
             if dst_state.status != _BLOCKED:
                 return
@@ -300,7 +305,9 @@ class Engine:
             self._validate_send(me, op)
             m = self.machine
             nbytes = op.wire_size()
-            hops = self.topology.hops(me, op.dest)
+            hops = hops_memo.get((me, op.dest))
+            if hops is None:
+                hops = hops_memo[(me, op.dest)] = self.topology.hops(me, op.dest)
             link = faults.link(me, op.dest) if faults is not None else None
             send_start = state.clock
             seq = seq_counter
@@ -383,39 +390,49 @@ class Engine:
                 wake_receiver(op.dest, me, op.tag)
 
         def step(state: _RankState) -> None:
-            """Advance one rank until it blocks, finishes, or crashes."""
+            """Advance one rank until it blocks, finishes, or crashes.
+
+            Dispatch is on the op's exact type, most frequent first; an
+            object of any other type (a subclass of an op included) is
+            not an op."""
             nonlocal ops_interpreted
-            slowdown = faults.slowdown(state.rank_id) if faults is not None else 1.0
-            ct = crash_at.get(state.rank_id)
+            rid = state.rank_id
+            stats = state.stats
+            send = state.gen.send
+            slowdown = faults.slowdown(rid) if faults is not None else 1.0
+            ct = crash_at.get(rid)
             while True:
                 if ct is not None and state.clock >= ct:
                     crash(state, ct)
                     return
                 try:
-                    op = state.gen.send(state.resume_value)
+                    op = send(state.resume_value)
                 except StopIteration as stop:
                     state.status = _FINISHED
                     state.value = stop.value
                     return
                 state.resume_value = None
                 ops_interpreted += 1
-                if ops_interpreted > self.max_ops:
+                if ops_interpreted > max_ops:
                     raise EngineError(
-                        f"exceeded max_ops={self.max_ops}; runaway rank program?"
+                        f"exceeded max_ops={max_ops}; runaway rank program?"
                     )
-                if isinstance(op, Compute):
+                kind = type(op)
+                if kind is Count:
+                    stats.count(op.name, op.amount)
+                elif kind is Compute:
                     seconds = op.seconds * slowdown
                     if trace_events is not None and seconds > 0:
                         trace_events.append(TraceEvent(
-                            rank=state.rank_id, kind="compute",
+                            rank=rid, kind="compute",
                             start=state.clock, end=state.clock + seconds,
                             phase=op.phase, label=op.label,
                         ))
                     state.clock += seconds
-                    state.stats.charge(op.phase, seconds)
-                elif isinstance(op, Send):
+                    stats.charge(op.phase, seconds)
+                elif kind is Send:
                     inject(state, op)
-                elif isinstance(op, Recv):
+                elif kind is Recv:
                     if op.source != ANY_SOURCE:
                         self._validate_peer(op.source)
                         msg = try_match(state, op)
@@ -425,12 +442,10 @@ class Engine:
                     state.status = _BLOCKED
                     state.waiting = op
                     return
-                elif isinstance(op, Now):
+                elif kind is Now:
                     state.resume_value = state.clock
-                elif isinstance(op, Count):
-                    state.stats.count(op.name, op.amount)
                 else:
-                    raise EngineError(f"rank {state.rank_id} yielded non-op {op!r}")
+                    raise EngineError(f"rank {rid} yielded non-op {op!r}")
 
         while True:
             while ready:

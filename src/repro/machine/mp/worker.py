@@ -369,17 +369,17 @@ def _interpret(
     resume: Any = None
     seq_counter = 0
     ops = 0
+    send = gen.send
+    check = sender.check
     # Wall time spent *inside the generator* since the last op completed;
     # attributed to the phase of the op it led up to.  Ops without a
-    # phase (Now/Count) roll their elapsed time into the next phased op.
+    # phase (Now/Count) roll their elapsed time into the next phased op,
+    # and read no clock of their own beyond Now's value.
     pending_since = now()
-
-    def charge(phase: str, start: float, end: float) -> None:
-        stats.charge(phase, end - start)
 
     while True:
         try:
-            op = gen.send(resume)
+            op = send(resume)
         except StopIteration as stop:
             return stop.value
         resume = None
@@ -388,14 +388,18 @@ def _interpret(
             raise EngineError(
                 f"exceeded max_ops={max_ops}; runaway rank program?"
             )
-        sender.check()
-        op_start = now()
+        check()
+        kind = type(op)
 
-        if isinstance(op, Compute):
+        if kind is Count:
+            stats.count(op.name, op.amount)
+
+        elif kind is Compute:
             # No sleep: the modelled seconds describe the 1990 machine.
             # The *host* time the generator just spent computing is what
             # gets charged to this op's phase.
-            charge(op.phase, pending_since, op_start)
+            op_start = now()
+            stats.charge(op.phase, op_start - pending_since)
             if trace_events is not None and op_start - pending_since > 0:
                 trace_events.append(TraceEvent(
                     rank=rank_id, kind="compute", start=pending_since,
@@ -404,7 +408,8 @@ def _interpret(
                 flush_trace()
             pending_since = op_start
 
-        elif isinstance(op, Send):
+        elif kind is Send:
+            op_start = now()
             validate_send(rank_id, op, nranks)
             nbytes = op.wire_size()
             seq = rank_id + nranks * seq_counter  # globally unique
@@ -416,7 +421,7 @@ def _interpret(
             )
             stats.count("pipe_bytes_sent", framelen)
             end = now()
-            charge(op.phase, pending_since, end)
+            stats.charge(op.phase, end - pending_since)
             stats.messages_sent += 1
             stats.bytes_sent += nbytes
             if trace_events is not None:
@@ -428,14 +433,15 @@ def _interpret(
                 flush_trace()
             pending_since = end
 
-        elif isinstance(op, Recv):
+        elif kind is Recv:
+            op_start = now()
             if op.source != ANY_SOURCE:
                 validate_peer(op.source, nranks)
             msg = _do_recv(
                 rank_id, op, inbox, now, set_state, dataplane, stats,
             )
             end = now()
-            charge(op.phase, pending_since, end)
+            stats.charge(op.phase, end - pending_since)
             if msg is None:
                 stats.count("recv_timeouts", 1)
                 if trace_events is not None:
@@ -461,11 +467,8 @@ def _interpret(
                     flush_trace()
             pending_since = end
 
-        elif isinstance(op, Now):
+        elif kind is Now:
             resume = now()
-
-        elif isinstance(op, Count):
-            stats.count(op.name, op.amount)
 
         elif isinstance(op, Op):
             raise EngineError(

@@ -77,14 +77,22 @@ def _positions(arr: LocalArray, asched: ArraySchedule, elems: np.ndarray, live):
     return pos, int(local.sum()), int(remote.sum())
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a plan array read-only (see ``BatchPlan``); returns it."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
                    schedule: CommSchedule, iters: np.ndarray) -> BatchPlan:
-    batch = BatchPlan(iters=iters)
+    # A read-only view: the kernel is handed these iters on every
+    # execution, while the schedule's own array stays as it was.
+    batch = BatchPlan(iters=_frozen(iters.view()))
     if iters.size == 0:
         return batch
     for read in forall.reads:
         if isinstance(read, AffineRead):
-            elems, live, counts = read.fn(iters), True, None
+            elems, counts, live = read.fn(iters), None, None
         else:
             rows = env[read.table].get_rows(iters) + read.offset
             if rows.ndim == 1:
@@ -94,11 +102,13 @@ def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
                 counts = env[read.count].get_rows(iters).astype(np.int64)
             else:
                 counts = np.full(iters.shape, width, dtype=np.int64)
-            live = np.arange(width)[None, :] < counts[:, None]
+            live = _frozen(np.arange(width)[None, :] < counts[:, None])
+            counts = _frozen(counts)
             elems = np.where(live, rows, 0)  # dead slots may hold garbage
         pos, n_local, n_remote = _positions(
-            env[read.array], schedule.arrays[read.array], elems, live)
-        batch.gathers.append((pos, counts))
+            env[read.array], schedule.arrays[read.array], elems,
+            True if live is None else live)
+        batch.gathers.append((_frozen(pos), counts, live))
         batch.n_local += n_local
         batch.n_remote += n_remote
         if counts is not None:
@@ -106,7 +116,8 @@ def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
             # charged against (one multiply-add per mesh edge in the Jacobi
             # kernel, not per auxiliary coefficient read).
             batch.n_indirect += n_local + n_remote
-    batch.targets = [env[w.array].to_local_rows(w.fn(iters)) for w in forall.writes]
+    batch.targets = [_frozen(env[w.array].to_local_rows(w.fn(iters)))
+                     for w in forall.writes]
     return batch
 
 
@@ -137,8 +148,8 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
     for name, asched in schedule.arrays.items():
         n_rows = env[name].data.shape[0]
         send_idx[name] = {
-            q: np.concatenate([np.arange(r.low, r.high + 1)
-                               for r in asched.ranges_for_peer_out(q)])
+            q: _frozen(np.concatenate([np.arange(r.low, r.high + 1)
+                                       for r in asched.ranges_for_peer_out(q)]))
             for q in asched.peers_out()
         }
         recv_at[name] = {}
@@ -157,15 +168,25 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
             f"{forall.label}: schedule marked iterations local but "
             f"{local.n_remote} references resolve remotely (stale schedule?)"
         )
+    nonlocal_ = _compile_batch(forall, env, schedule, schedule.exec_nonlocal)
+    # A workspace only where data lands past the local rows: a receive
+    # buffer, or a gather that addresses the zero row.
+    landing = {name for name, asched in schedule.arrays.items()
+               if asched.buffer_len > 0}
+    for batch in (local, nonlocal_):
+        for read, (pos, _counts, _live) in zip(forall.reads, batch.gathers):
+            if pos.size and pos.max() >= env[read.array].data.shape[0]:
+                landing.add(read.array)
     return ExecPlan(
         sends=(_messages(send_idx, False), _messages(send_idx, True)),
         recvs=(_messages(recv_at, False), _messages(recv_at, True)),
         local=local,
-        nonlocal_=_compile_batch(forall, env, schedule, schedule.exec_nonlocal),
+        nonlocal_=nonlocal_,
         max_ranges=max(
             (schedule.arrays[r.array].num_in_ranges() for r in forall.reads),
             default=0,
         ),
+        workspaces=tuple(name for name in schedule.arrays if name in landing),
     )
 
 
@@ -240,7 +261,10 @@ def run_executor(
     # --- 1. send out-blocks (old values: nothing written yet) -------------
     # Fancy-index copies, never views: on the simulator the receiver gets
     # the payload object itself, and this rank commits its writes below.
-    for q, tag_offset, items in plan.sends[combine]:
+    # Each counter is yielded once per phase, summed over its messages.
+    sends = plan.sends[combine]
+    n_sent = 0
+    for q, tag_offset, items in sends:
         bundle = {name: env[name].data[idx] for name, idx in items.items()}
         n_elems = sum(idx.size for idx in items.values())
         if combine:
@@ -254,13 +278,17 @@ def run_executor(
         yield Compute(m.copy_elem * n_elems, phase=PHASE, label=forall.label)
         yield Send(dest=q, payload=payload, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
                    nbytes=nbytes, phase=PHASE, label=forall.label)
-        yield Count("executor_elems_sent", n_elems)
+        n_sent += n_elems
+    if sends:
+        yield Count("executor_elems_sent", n_sent)
 
     # --- 2. local iterations ------------------------------------------------
-    # Reads gather from the workspaces (copies of arr.data taken now) and
-    # writes commit last, so no read of this execution sees a write of it.
-    workspaces = {name: _workspace(env[name].data, asched.buffer_len + 1)
-                  for name, asched in schedule.arrays.items()}
+    # Reads gather with ``take`` — a copy of arr.data, or of the workspace
+    # built from it now — and writes commit last, so no read of this
+    # execution sees a write of it.
+    workspaces = {name: _workspace(env[name].data,
+                                   schedule.arrays[name].buffer_len + 1)
+                  for name in plan.workspaces}
     pending_writes: List[Tuple[BatchPlan, Dict[str, np.ndarray]]] = []
     partials: Dict[str, float] = {
         spec.name: spec.identity for spec in forall.reductions
@@ -291,10 +319,13 @@ def run_executor(
 
     def run_batch(batch: BatchPlan):
         operands: Dict[str, object] = {}
-        for read, (pos, counts) in zip(forall.reads, batch.gathers):
-            values = np.take(workspaces[read.array], pos, axis=0)
+        for read, (pos, counts, live) in zip(forall.reads, batch.gathers):
+            source = workspaces.get(read.array)
+            if source is None:
+                source = env[read.array].data
+            values = source.take(pos, axis=0)
             operands[read.operand_name()] = (
-                values if counts is None else IndirectOperand(values, counts)
+                values if counts is None else IndirectOperand(values, counts, live)
             )
         n_iters = batch.iters.size
         out_vals, contribs = _apply_kernel(forall, batch.iters, operands)
@@ -313,7 +344,9 @@ def run_executor(
         yield from run_batch(plan.local)
 
     # --- 3. receive in-blocks ------------------------------------------------
-    for q, tag_offset, expected in plan.recvs[combine]:
+    recvs = plan.recvs[combine]
+    n_recv = 0
+    for q, tag_offset, expected in recvs:
         msg = yield Recv(source=q, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
                          phase=PHASE, label=forall.label)
         # (per-array messages carry the one chunk bare)
@@ -335,7 +368,9 @@ def run_executor(
             workspaces[name][start : start + count] = data
             total += count
         yield Compute(m.copy_elem * total, phase=PHASE, label=forall.label)
-        yield Count("executor_elems_recv", total)
+        n_recv += total
+    if recvs:
+        yield Count("executor_elems_recv", n_recv)
 
     # --- 4. nonlocal iterations ----------------------------------------------
     if plan.nonlocal_.iters.size:

@@ -131,20 +131,31 @@ class ArraySchedule:
         return len(self.in_records)
 
 
+#: one read's gather: (positions, live counts, live mask) — see ``BatchPlan``
+Gather = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+
 @dataclass
 class BatchPlan:
     """One iteration batch (``exec_local`` or ``exec_nonlocal``), compiled.
 
-    ``gathers[k]`` serves the forall's k-th read: positions in that
-    array's workspace *[local rows ‖ receive buffer ‖ one zero row]* and,
-    for an indirect read, the live width per iteration (dead columns
-    point at the zero row).  ``targets[k]`` holds the local offsets the
-    k-th write stores to.  The reference counts are what the executor's
-    virtual-time charges are computed from.
+    ``gathers[k]`` serves the forall's k-th read as ``(pos, counts,
+    live)``: positions in that array's workspace *[local rows ‖ receive
+    buffer ‖ one zero row]* (or, for an array without one, in its local
+    rows) and, for an indirect read, the live width per iteration and the
+    ``arange(width) < counts`` mask (dead columns point at the zero row;
+    both are None for an affine read).  ``targets[k]`` holds the local
+    offsets the k-th write stores to.  The reference counts are what the
+    executor's virtual-time charges are computed from.
+
+    Every array here is read-only: a plan is shared by every execution
+    of its schedule (and, through the disk tier's load memo, by later
+    jobs of a pool worker), so a kernel writing into an operand it was
+    handed must fail, not corrupt the next sweep.
     """
 
     iters: np.ndarray
-    gathers: List[Tuple[np.ndarray, Optional[np.ndarray]]] = field(default_factory=list)
+    gathers: List[Gather] = field(default_factory=list)
     targets: List[np.ndarray] = field(default_factory=list)
     n_local: int = 0
     n_remote: int = 0
@@ -164,8 +175,11 @@ class ExecPlan:
     messages in wire order; a send item is the vector of local offsets
     whose fancy-index copy is the payload, a receive item the
     ``(start, count)`` workspace slice the chunk lands in.
+    ``workspaces`` names the arrays that need a *[local ‖ recv ‖ zero
+    row]* workspace — those that receive data or whose gathers address
+    the zero row; every other read takes straight from its local rows.
 
-    Index arrays and counts only: a plan outlives the env and the
+    Index arrays, counts and names only: a plan outlives the env and the
     ``Forall`` object it was compiled with (pool workers get a fresh env
     per job, callers may rebuild a forall around another kernel), so it
     must never hold array data, a ``LocalArray``, the forall or its kernel.
@@ -177,6 +191,8 @@ class ExecPlan:
     nonlocal_: BatchPlan
     #: most in-ranges of any read array (the r of the O(log r) charge)
     max_ranges: int
+    #: arrays gathered through a workspace, in schedule order
+    workspaces: Tuple[str, ...]
 
 
 @dataclass

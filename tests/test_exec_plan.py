@@ -5,6 +5,7 @@ vectors (``repro.runtime.schedule.ExecPlan``) and afterwards does no
 index arithmetic at all.  These tests pin that contract from outside.
 """
 
+import dataclasses
 import hashlib
 import pickle
 
@@ -27,7 +28,7 @@ from repro.distributions import Block, Custom, Cyclic, Replicated
 from repro.distributions.base import DimDistribution
 from repro.errors import InspectorError
 from repro.lang import compile_kali
-from repro.machine.api import Send
+from repro.machine.api import Count, Send
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.meshes.partition import coordinate_bisection
 from repro.meshes.regular import five_point_grid, reference_sweep
@@ -593,6 +594,300 @@ def test_jacobi_pair_never_sends_a_view(monkeypatch):
     prog.run(4)
     assert sent == ["old_a"] * (4 * 2)
     np.testing.assert_allclose(prog.solution, _reference(mesh, init, 4))
+
+
+# --- warm sweeps redo no per-execution work ---------------------------------
+
+
+def _recorded(gen, ops):
+    """``yield from gen``, appending every op it yields to ``ops``."""
+    reply = None
+    while True:
+        try:
+            op = gen.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        ops.append(op)
+        reply = yield op
+
+
+def _recording_executor(monkeypatch):
+    """Wrap ``run_executor``: every execution's ``(label, rank, [ops])``."""
+    executions = []
+    original = context.run_executor
+
+    def recording(rank, forall, env, schedule, tag_base, **kwargs):
+        ops = []
+        executions.append((forall.label, rank.id, ops))
+        return (yield from _recorded(
+            original(rank, forall, env, schedule, tag_base, **kwargs), ops))
+
+    monkeypatch.setattr(context, "run_executor", recording)
+    return executions
+
+
+def test_one_count_per_counter_per_execution(monkeypatch):
+    """Message counters are summed over the phase's messages and yielded
+    once, so a warm relax forall yields each counter name once — and the
+    run's totals are still the pinned ones."""
+    executions = _recording_executor(monkeypatch)
+    counters, sha, per_setting = GOLDEN["jacobi"]
+    virtual_s, messages, nbytes = per_setting[(True, "ranges")]
+    assert pinned_figures("jacobi", True, "ranges") == {
+        "virtual_s": virtual_s, "messages": messages, "bytes": nbytes,
+        "counters": counters, "sha": sha,
+    }
+    for label, rank, ops in executions:
+        names = [op.name for op in ops if isinstance(op, Count)]
+        assert len(names) == len(set(names)), (label, rank, names)
+    relax_by_rank = {}
+    for label, rank, ops in executions:
+        if label == "jacobi-relax":
+            relax_by_rank.setdefault(rank, []).append(ops)
+    warm_relax = [ops for runs in relax_by_rank.values() for ops in runs[1:]]
+    assert len(warm_relax) == 2 * 4         # 4 ranks, 3 sweeps
+    sends = sum(isinstance(op, Send) for ops in warm_relax for op in ops)
+    assert sends > len(warm_relax)      # several messages, one Count each
+    for ops in warm_relax:
+        names = [op.name for op in ops if isinstance(op, Count)]
+        assert set(names) <= {"executor_elems_sent", "executor_elems_recv",
+                              "executor_remote_refs", "executor_iters",
+                              "executor_local_refs"}
+
+
+def _plan_arrays(plan):
+    for batch in (plan.local, plan.nonlocal_):
+        yield batch.iters
+        for pos, counts, live in batch.gathers:
+            yield pos
+            if counts is not None:
+                yield counts
+                yield live
+        yield from batch.targets
+    for grouping in plan.sends:
+        for _q, _tag, items in grouping:
+            yield from items.values()
+
+
+def test_plan_arrays_are_read_only(compiled):
+    prog = build_jacobi(five_point_grid(8, 8), 4)
+    prog.run(2)
+    assert compiled
+    for _label, _rank, schedule, plan in compiled:
+        arrays = list(_plan_arrays(plan))
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert schedule.exec_local.flags.writeable   # the schedule's own copy
+
+
+def test_kernel_writing_into_a_plan_array_fails_on_first_execution():
+    """A kernel that zeroes ``nb.counts`` would silently change every
+    later sweep of the schedule (and of the next pool job reusing it)."""
+    calls = []
+
+    def vandal(iters, ops):
+        calls.append(iters.size)
+        ops["neighbours"].counts[:] = 0
+        return ops["a_i"]
+
+    prog = build_jacobi(five_point_grid(6, 6), 2)
+    loop = dataclasses.replace(prog.relax_loop, kernel=vandal)
+
+    def program(kr):
+        yield from kr.forall(loop)
+
+    with pytest.raises(ValueError, match="read-only"):
+        prog.ctx.run(program)
+    assert len(calls) == 1
+
+
+def _workspace_calls(monkeypatch):
+    """Names of the arrays ``_workspace`` is called for, matched by data
+    identity against the envs ``compile_plan`` saw."""
+    names, calls = {}, []
+    original_compile, original_workspace = executor.compile_plan, executor._workspace
+
+    def compile_spy(forall, env, schedule):
+        names.update({id(arr.data): name for name, arr in env.items()})
+        return original_compile(forall, env, schedule)
+
+    def workspace_spy(data, pad):
+        calls.append(names[id(data)])
+        return original_workspace(data, pad)
+
+    monkeypatch.setattr(executor, "compile_plan", compile_spy)
+    monkeypatch.setattr(executor, "_workspace", workspace_spy)
+    return calls
+
+
+@pytest.mark.parametrize("layout", ["block", "rcb"])
+def test_workspaces_only_where_data_lands(monkeypatch, compiled, layout):
+    """Only ``old_a`` (received, and read through dead slots) gets a
+    workspace; ``coef``, ``a`` and the copy loop's reads ``take`` from
+    local rows."""
+    calls = _workspace_calls(monkeypatch)
+    sweeps, p = 3, 4
+    mesh, rcb = _rcb_grid(12, 12, p)
+    init = np.random.default_rng(5).random(mesh.n)
+    prog = build_jacobi(mesh, p, initial=init,
+                        dist=rcb if layout == "rcb" else Block())
+    prog.run(sweeps)
+    np.testing.assert_allclose(prog.solution, _reference(mesh, init, sweeps))
+    landing = 0
+    for label, _rank, schedule, plan in compiled:
+        if label == "jacobi-copy":
+            assert plan.workspaces == ()
+            continue
+        iters = np.concatenate([schedule.exec_local, schedule.exec_nonlocal])
+        dead = (mesh.count[iters] < mesh.width).any()
+        receives = schedule.arrays["old_a"].buffer_len > 0
+        assert plan.workspaces == (("old_a",) if dead or receives else ())
+        landing += bool(dead or receives)
+    assert landing and calls == ["old_a"] * (sweeps * landing)
+
+
+@pytest.mark.parametrize("case", ["in-block", "dead-slot", "crossing"])
+def test_indirect_read_workspace_follows_the_data(monkeypatch, case):
+    """Two permutations inside each block: no receive buffer and no dead
+    slot, so no workspace.  A dead slot on rank 1 needs the zero row, a
+    reference across blocks the receive buffer — each only on that rank."""
+    calls = _workspace_calls(monkeypatch)
+    n, p = 16, 4
+    reversed_blocks = np.arange(n).reshape(p, -1)[:, ::-1].ravel()
+    table = np.stack([reversed_blocks, np.arange(n)], axis=1)
+    count = np.full(n, 2)
+    if case == "dead-slot":
+        count[5] = 1                        # rank 1
+    elif case == "crossing":
+        table[0, 1] = n - 1                 # rank 0 receives from rank 3
+    x = np.arange(1.0, n + 1)
+    ctx = KaliContext(p, machine=IDEAL)
+    ctx.array("x", n, dist=[Block()]).set(x)
+    ctx.array("y", n, dist=[Block()]).set(np.zeros(n))
+    ctx.array("count", n, dist=[Block()], dtype=np.int64).set(count)
+    ctx.array("table", (n, 2), dist=[Block(), Replicated()],
+              dtype=np.int64).set(table)
+    loop = Forall(index_range=(0, n - 1), on=OnOwner("y"),
+                  reads=[IndirectRead("x", table="table", count="count",
+                                      name="xt")],
+                  writes=[AffineWrite("y")],
+                  kernel=lambda i, o: (o["xt"].values * o["xt"].live).sum(axis=1),
+                  label="permute")
+
+    def program(kr):
+        yield from kr.forall(loop)
+        yield from kr.forall(loop)
+
+    ctx.run(program)
+    live = np.arange(2)[None, :] < count[:, None]
+    np.testing.assert_array_equal(ctx.arrays["y"].data,
+                                  np.where(live, x[table], 0.0).sum(axis=1))
+    assert calls == ([] if case == "in-block" else ["x", "x"])
+
+
+@pytest.mark.parametrize("count", ["count", None])
+def test_live_mask_is_compiled_for_both_batches(count):
+    n, p, width = 16, 4, 3
+    # even rows read their own block, odd rows the next one: every rank
+    # has a local and a nonlocal batch
+    i = np.arange(n)
+    base = i - i % 4 + 4 * (i % 2)
+    table = (base[:, None] + np.arange(width)[None, :]) % n
+    counts = i % (width + 1)
+    seen = []
+
+    def kernel(iters, ops):
+        nb = ops["nb"]
+        expected = np.arange(width)[None, :] < nb.counts[:, None]
+        assert nb.live.dtype == bool and nb.live.shape == nb.values.shape
+        np.testing.assert_array_equal(nb.live, expected)
+        if count is None:
+            assert nb.live.all()
+        seen.append(iters.size)
+        return (nb.values * nb.live).sum(axis=1)
+
+    ctx = KaliContext(p, machine=IDEAL)
+    ctx.array("x", n, dist=[Block()]).set(np.arange(1.0, n + 1))
+    ctx.array("y", n, dist=[Block()]).set(np.zeros(n))
+    ctx.array("count", n, dist=[Block()], dtype=np.int64).set(counts)
+    ctx.array("table", (n, width), dist=[Block(), Replicated()],
+              dtype=np.int64).set(table)
+    loop = Forall(index_range=(0, n - 1), on=OnOwner("y"),
+                  reads=[IndirectRead("x", table="table", count=count,
+                                      name="nb")],
+                  writes=[AffineWrite("y")], kernel=kernel, label="live")
+
+    def program(kr):
+        yield from kr.forall(loop)
+        yield from kr.forall(loop)
+
+    ctx.run(program)
+    live = (np.arange(width)[None, :] < counts[:, None] if count
+            else np.ones((n, width), dtype=bool))
+    np.testing.assert_array_equal(
+        ctx.arrays["y"].data, np.where(live, table + 1.0, 0.0).sum(axis=1))
+    # both batches, cold and warm, on every rank
+    assert len(seen) == 2 * 2 * p and sum(seen) == 2 * n
+
+
+def _seeded_packets(rank):
+    rng = np.random.default_rng(100 + rank.id)
+    dests = rng.choice(rank.size, size=rng.integers(1, rank.size),
+                       replace=False)
+    return {int(q): rng.random(int(rng.integers(1, 9))) for q in dests}
+
+
+def test_crystal_counts_once_per_route_with_the_same_totals():
+    from repro.comm.crystal import crystal_route
+    from repro.machine.engine import Engine
+    from repro.machine.topology import Hypercube
+
+    ops = {}
+
+    def program(rank):
+        got = yield from _recorded(
+            crystal_route(rank, _seeded_packets(rank), tag=3),
+            ops.setdefault(rank.id, []))
+        return sorted(got)
+
+    res = Engine(NCUBE7, topology=Hypercube(8)).run(program)
+    # recorded at the parent commit, which counted once per stage
+    assert res.counter_sum("crystal_rounds") == 24
+    assert res.counter_sum("crystal_bytes") == 2240
+    assert [s.counters["crystal_bytes"] for s in res.stats] == [
+        416, 312, 348, 244, 268, 296, 184, 172]
+    assert float(res.makespan).hex() == "0x1.263bbfc9af0b2p-1"
+    for rank_ops in ops.values():
+        assert [op.name for op in rank_ops if isinstance(op, Count)] == [
+            "crystal_rounds", "crystal_bytes"]
+
+
+def _trace_digest(events):
+    def hexed(v):
+        return None if v is None else float(v).hex()
+
+    rows = [(e.rank, e.kind, hexed(e.start), hexed(e.end), e.phase, e.peer,
+             e.tag, e.nbytes, e.label, e.seq, hexed(e.busy_start))
+            for e in events]
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+#: (events, sha256 of their fields) of a traced 3-sweep 4-rank Jacobi on a
+#: 12x12 grid, recorded at the parent commit with ``_trace_digest``
+TRACE_GOLDEN = {
+    "block": (164, "e98f30aef9079582f68cca0d77252e9efb545c693d1b344953fb462864d1bb3b"),
+    "rcb": (212, "d9155461f575411655d98b7fa45c1cf4663b9a2716df1cbb912324cbb1c34cdb"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(TRACE_GOLDEN))
+def test_trace_events_are_unchanged(layout):
+    mesh = five_point_grid(12, 12)
+    points = np.stack(np.divmod(np.arange(mesh.n), 12), axis=1).astype(float)
+    dist = (Custom(coordinate_bisection(points, 4)) if layout == "rcb"
+            else Block())
+    prog = build_jacobi(mesh, 4, machine=NCUBE7, trace=True, dist=dist,
+                        initial=np.random.default_rng(7).random(mesh.n))
+    assert _trace_digest(prog.run(3).engine.trace) == TRACE_GOLDEN[layout]
 
 
 if __name__ == "__main__":      # re-record GOLDEN: PYTHONPATH=<tree>/src:. python <this file>

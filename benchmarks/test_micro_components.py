@@ -3,10 +3,11 @@
 These time the actual Python/NumPy implementation (not virtual time):
 inspector classification throughput, executor sweep throughput,
 translation-table lookups and the compiled-plan gather that replaces them
-on warm sweeps, the Jacobi kernel, the crystal router, the engine's
-dispatch of a warm sweep's op mix, and the hash table's ``LocalStore``
-batch apply.  Useful for tracking
-performance regressions of the simulator itself.
+on warm sweeps, the Jacobi kernel, the kernel the Kali compiler generates
+for Figure 4's relax loop and the plan compiled for it, the crystal
+router, the engine's dispatch of a warm sweep's op mix, and the hash
+table's ``LocalStore`` batch apply.  Useful for tracking performance
+regressions of the simulator itself.
 """
 
 import numpy as np
@@ -101,6 +102,95 @@ def test_relax_kernel_rate(benchmark):
     iters = np.arange(n)
 
     benchmark(lambda: relax_kernel(iters, ops))
+
+
+#: the paper's Figure 4 (its relax forall is the second statement in the
+#: sweep loop)
+FIGURE4 = """
+processors Procs : array[1..P] with P in 1..n;
+const n : integer;  const width : integer;  const nsweeps : integer;
+var a, old_a : array[1..n] of real dist by [ block ] on Procs;
+    count    : array[1..n] of integer dist by [ block ] on Procs;
+    adj      : array[1..n, 1..width] of integer dist by [ block, * ] on Procs;
+    coef     : array[1..n, 1..width] of real dist by [ block, * ] on Procs;
+var sweep : integer;
+for sweep in 1..nsweeps do
+    forall i in 1..n on old_a[i].loc do old_a[i] := a[i]; end;
+    forall i in 1..n on a[i].loc do
+        var x : real;
+        x := 0.0;
+        for j in 1..count[i] do
+            x := x + coef[i,j] * old_a[ adj[i,j] ];
+        end;
+        if (count[i] > 0) then a[i] := x; end;
+    end;
+end;
+"""
+
+
+def test_kali_relax_kernel_rate(benchmark):
+    """Figure 4's relax forall through the Kali lowering — the kernel
+    generated from its body — on one 500x20 batch."""
+    from repro.lang import ast, parse
+    from repro.lang.lower import ArrayInfo, lower_forall
+    from repro.lang.sema import analyze
+
+    n, width, rows = 500, 20, 4000
+    program = parse(FIGURE4)
+    relax = next(s for s in ast.walk_stmts(program.stmts)
+                 if isinstance(s, ast.ForallStmt) and s.local_decls)
+    arrays = {name: ArrayInfo(name, (1,) * len(ext), ext, True, elem)
+              for name, ext, elem in [("a", (rows,), "real"), ("old_a", (rows,), "real"),
+                                      ("count", (rows,), "integer"),
+                                      ("adj", (rows, width), "integer"),
+                                      ("coef", (rows, width), "real")]}
+    loop = lower_forall(relax, analyze(program), arrays,
+                        {"n": rows, "width": width, "nsweeps": 1, "sweep": 1},
+                        {}, "relax")
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, width + 1, size=n)
+    live = np.arange(width)[None, :] < counts[:, None]
+    ops = {}
+    for read in loop.reads:
+        if read.array == "old_a":
+            ops[read.name] = IndirectOperand(
+                np.where(live, rng.random((n, width)), 0.0), counts, live)
+        elif read.array == "count":
+            ops[read.name] = counts
+        else:
+            ops[read.name] = rng.random((n, width) if read.array == "coef" else n)
+    iters = np.arange(n)
+
+    benchmark(lambda: loop.kernel(iters, ops))
+
+
+def test_compile_plan_rate(benchmark):
+    """``compile_plan`` for Figure 4's relax forall on all 8 ranks of a
+    4096-node mesh: the per-schedule cost a cold Kali run pays once."""
+    from repro.lang import compile_kali
+    from repro.runtime import executor
+
+    mesh = five_point_grid(64, 64)
+    captured = []
+    original = executor.compile_plan
+
+    def capture(forall, env, schedule):
+        if forall.reads and any(r.array == "old_a" for r in forall.reads):
+            captured.append((forall, env, schedule))
+        return original(forall, env, schedule)
+
+    executor.compile_plan = capture
+    try:
+        compile_kali(FIGURE4).run(
+            nprocs=8, machine=NCUBE7,
+            consts={"n": mesh.n, "width": mesh.width, "nsweeps": 1},
+            inputs={"a": np.ones(mesh.n), "count": mesh.count,
+                    "adj": mesh.adj + 1, "coef": mesh.coef})
+    finally:
+        executor.compile_plan = original
+    assert len(captured) == 8
+
+    benchmark(lambda: [original(*args) for args in captured])
 
 
 def test_crystal_router_wall_time(benchmark):

@@ -99,10 +99,11 @@ class DistributedArray:
     def content_fingerprint(self) -> str:
         """SHA-256 of the *global* content (cached per version).
 
-        Stamped onto every scattered :class:`LocalArray` so content-
-        addressed schedule keys hash what schedules actually depend on —
-        the whole array, identically on every rank — rather than the
-        rank's local piece.
+        A context with a disk tier stamps it onto every scattered
+        :class:`LocalArray` (``content_tag``), so content-addressed
+        schedule keys hash what schedules actually depend on — the whole
+        array, identically on every rank — rather than the rank's local
+        piece.
         """
         if self._fingerprint is None or self._fingerprint[0] != self._version:
             digest = hashlib.sha256(
@@ -112,7 +113,8 @@ class DistributedArray:
         return self._fingerprint[1]
 
     def scatter(self, rank: int) -> LocalArray:
-        """Cut the local piece for ``rank`` (a copy — ranks own their data)."""
+        """Cut the local piece for ``rank`` (a copy — ranks own their data).
+        The piece carries no ``content_tag``; only the disk tier reads one."""
         dist = self.dist
         if dist.ndim == 1:
             idx = dist.global_indices_of(rank)
@@ -124,8 +126,7 @@ class DistributedArray:
                 p = 0 if pdim is None else coords[pdim]
                 slicers.append(dim.local_indices(p))
             local = self._data[np.ix_(*slicers)].copy()
-        return LocalArray(self.name, rank, dist, local, version=self._version,
-                          content_tag=self.content_fingerprint())
+        return LocalArray(self.name, rank, dist, local, version=self._version)
 
     def scatter_all(self) -> List[LocalArray]:
         return [self.scatter(r) for r in range(self.dist.procs.size)]

@@ -57,8 +57,9 @@ class LocalArray:
         #: fingerprint of the **global** array content at scatter time.
         #: Schedules are collective, so content-addressed cache keys must
         #: hash global content — hashing only the local piece would let
-        #: ranks disagree about a hit and diverge.  None when unknown
-        #: (e.g. after a redistribute), which disables the disk tier.
+        #: ranks disagree about a hit and diverge.  Stamped only by a
+        #: context with a disk tier, its one reader; None otherwise (and
+        #: after a redistribute), which disables the disk tier.
         self.content_tag = content_tag
         self._global_rows: Optional[np.ndarray] = None
 

@@ -486,6 +486,11 @@ class KaliContext:
 
         def rank_main(rank: Rank):
             env = {name: darr.scatter(rank.id) for name, darr in arrays.items()}
+            if schedule_cache_dir is not None:
+                # The disk tier's keys hash global content; nothing else
+                # reads the tag, so only its runs pay for the hashing.
+                for name, local in env.items():
+                    local.content_tag = arrays[name].content_fingerprint()
             kr = KaliRank(
                 rank,
                 env,

@@ -2,8 +2,8 @@
 
 Pipeline: :func:`repro.lang.parser.parse` (lexer + recursive descent) →
 :func:`repro.lang.sema.analyze` (symbol table, static checks) →
-:func:`repro.lang.lower.lower_forall` (subscript analysis, vectorised
-kernel synthesis) → :class:`repro.lang.interp.CompiledKali` (SPMD
+:func:`repro.lang.lower.lower_forall` (subscript analysis, kernel
+generation) → :class:`repro.lang.interp.CompiledKali` (SPMD
 interpretation on the simulated machine).
 
 Entry point::

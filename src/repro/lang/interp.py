@@ -26,7 +26,8 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -323,7 +324,10 @@ class _Interpreter:
         key = (id(s), fp)
         ir = lowered_cache.get(key)
         if ir is None:
-            label = f"forall@L{s.line}" + (f"/{abs(hash(fp))}" if fp else "")
+            # The label is hashed into disk-cache keys, so it must not
+            # depend on the process (``hash`` of strings is salted).
+            digest = hashlib.blake2b(repr(fp).encode(), digest_size=8).hexdigest()
+            label = f"forall@L{s.line}" + (f"/{digest}" if fp else "")
             replicated_data = {
                 name: kr.env[name].data
                 for name, info in self.arrays.items()

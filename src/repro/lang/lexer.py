@@ -8,7 +8,7 @@ integer literals (``1..`` must lex as INT DOTDOT, not a malformed real),
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import KaliSyntaxError
 from repro.lang.tokens import KEYWORDS, Token, TokenType
@@ -163,7 +163,8 @@ class Lexer:
                     self._advance()
             text = self.src[start : self.pos]
             return self._make(TokenType.REAL, text, line, col, value=float(text))
-        if self._peek() in "eE" and (self._peek(1).isdigit() or (self._peek(1) in "+-" and self._peek(2).isdigit())):
+        signed = self._peek(1) in "+-" and self._peek(2).isdigit()
+        if self._peek() in "eE" and (self._peek(1).isdigit() or signed):
             self._advance()
             if self._peek() in "+-":
                 self._advance()

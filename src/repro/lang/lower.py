@@ -12,9 +12,10 @@ paper §3.1, classifying every array reference in the loop body as
 * **replicated** — references to non-distributed arrays, read directly
   from the rank's full copy,
 
-and synthesises a *vectorised kernel*: a closure evaluating the loop body
-over a whole batch of iterations with NumPy — inner ``for`` loops become
-masked column sweeps, ``if`` statements become masked merges.
+and generates the loop's *kernel*: the body translated once into
+straight-line NumPy source that evaluates it over a whole batch of
+iterations — inner ``for`` loops become masked column sweeps, ``if``
+statements masked merges, reductions masked folds.
 
 Index origins
 -------------
@@ -26,12 +27,33 @@ feeds the iteration value directly to ``table.get_rows``), and all affine
 subscript maps absorb both ``delta`` and the array lower bounds.  The
 kernel converts back (``i = u + delta``) so body expressions see Kali's
 own index values.
+
+Generated kernels
+-----------------
+The kernel source defines ``make(a0, a1, ...)``, which returns
+``kernel(iters, ops)``.  The text holds only names the lowerer makes up
+(``v`` variables, ``a`` arguments, ``p`` operands, ``w``/``u`` write
+values and masks, ``r`` reductions, ``m`` masks, ``t`` temporaries) and
+``repr()`` of numeric literals.  Kali identifiers, operand keys, scalar
+values, replicated arrays, bounds and result names are all arguments of
+``make``, so source text from a socket client never reaches ``compile()``
+as code.  The text therefore depends only on the body's shape, and it is
+compiled through a bounded process-wide cache keyed by that text.
+
+The kernel performs exactly the NumPy operations the body prescribes, in
+order: locals start as float64 ``np.zeros(n)``, every assignment is
+``np.where(mask, value, old)``, an inner loop accumulates one column per
+``j``, a conditional write merges the target's old value, and an inner
+lower bound that differs between iterations is a ``KaliSemanticError``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +62,6 @@ from repro.core.forall import (
     AffineRead,
     AffineWrite,
     Forall,
-    IndirectOperand,
     IndirectRead,
     OnOwner,
     OnProcessor,
@@ -170,25 +191,27 @@ def forall_fingerprint(stmt: ast.ForallStmt, table: SymbolTable,
 # --- the lowerer ----------------------------------------------------------------
 
 
-class _ReadPlan:
+class _ReadPlan(NamedTuple):
     """How one Index AST node fetches its value inside the kernel."""
 
-    __slots__ = ("kind", "key", "col_expr", "col_lb", "array")
+    kind: str  # "affine" | "row" | "indirect" | "replicated"
+    key: str
+    col_expr: Optional[ast.Expr] = None
+    col_lb: int = 0
 
-    def __init__(self, kind: str, key: str, col_expr=None, col_lb: int = 0,
-                 array: str = ""):
-        self.kind = kind  # "affine" | "row" | "indirect" | "replicated"
-        self.key = key
-        self.col_expr = col_expr
-        self.col_lb = col_lb
-        self.array = array
+
+#: static value kinds the emitter tracks: an (n,) ndarray for certain, a
+#: Python int for certain, or anything (checked at run time, as before)
+_VEC, _INT, _ANY = "vec", "int", "any"
+
+_IDENTITY = {"sum": 0.0, "max": float("-inf"), "min": float("inf")}
 
 
 class ForallLowerer:
     """Two-pass lowering: (1) walk the body collecting read/write
     descriptors in *Kali coordinates* and the required domain shift
     ``delta``; (2) emit the IR with all maps rebased to ``u = i - delta``
-    and build the vectorised kernel."""
+    and generate the vectorised kernel."""
 
     def __init__(
         self,
@@ -256,7 +279,7 @@ class ForallLowerer:
             raise self._err(f"{node.base!r} is not an array", node.line)
 
         if not info.distributed:
-            self.read_plans[id(node)] = _ReadPlan("replicated", key="", array=node.base)
+            self.read_plans[id(node)] = _ReadPlan("replicated", key="")
             for sub in node.subs:
                 self._classify_nested(sub)
             return
@@ -268,9 +291,7 @@ class ForallLowerer:
             key_t = (node.base, aff0[0], aff0[1])
             if key_t not in self.affine_reads:
                 self.affine_reads[key_t] = self._new_key(node.base)
-            self.read_plans[id(node)] = _ReadPlan(
-                "affine", self.affine_reads[key_t], array=node.base
-            )
+            self.read_plans[id(node)] = _ReadPlan("affine", self.affine_reads[key_t])
             return
 
         if aff0 is not None and len(node.subs) == 2:
@@ -278,11 +299,8 @@ class ForallLowerer:
             if key_t not in self.row_reads:
                 self.row_reads[key_t] = self._new_key(node.base)
             self.read_plans[id(node)] = _ReadPlan(
-                "row",
-                self.row_reads[key_t],
-                col_expr=node.subs[1],
+                "row", self.row_reads[key_t], col_expr=node.subs[1],
                 col_lb=info.lower_bounds[1],
-                array=node.base,
             )
             self._classify_nested(node.subs[1])
             return
@@ -319,7 +337,6 @@ class ForallLowerer:
                 self.indirect_reads[key_t],
                 col_expr=col_expr,
                 col_lb=tinfo.lower_bounds[1] if len(tinfo.lower_bounds) > 1 else 0,
-                array=node.base,
             )
             if col_expr is not None:
                 self._classify_nested(col_expr)
@@ -340,12 +357,12 @@ class ForallLowerer:
     # --- body walk --------------------------------------------------------------
 
     def analyze_body(self) -> None:
-        self._walk_stmts(self.stmt.body, conditional=False, in_inner=False)
+        self._walk_stmts(self.stmt.body, in_inner=False)
 
-    def _walk_stmts(self, stmts: List[ast.Stmt], conditional: bool, in_inner: bool) -> None:
+    def _walk_stmts(self, stmts: List[ast.Stmt], in_inner: bool) -> None:
         for s in stmts:
             if isinstance(s, ast.Assign):
-                if self._record_reduction(s, conditional, in_inner):
+                if self._record_reduction(s, in_inner):
                     continue
                 self._walk_expr(s.value, in_inner)
                 if isinstance(s.target, ast.Index):
@@ -353,13 +370,13 @@ class ForallLowerer:
                 # local-scalar targets need no analysis
             elif isinstance(s, ast.IfStmt):
                 self._walk_expr(s.cond, in_inner)
-                self._walk_stmts(s.then_body, conditional=True, in_inner=in_inner)
-                self._walk_stmts(s.else_body, conditional=True, in_inner=in_inner)
+                self._walk_stmts(s.then_body, in_inner)
+                self._walk_stmts(s.else_body, in_inner)
             elif isinstance(s, ast.ForStmt):
                 self._enter_inner_loop(s)
                 self._walk_expr(s.lo, in_inner)
                 self._walk_expr(s.hi, in_inner)
-                self._walk_stmts(s.body, conditional=conditional, in_inner=True)
+                self._walk_stmts(s.body, in_inner=True)
                 self._loop_stack.pop()
             else:
                 raise self._err(
@@ -394,14 +411,9 @@ class ForallLowerer:
             raise self._err(
                 f"conflicting write subscripts for {target.base!r}", s.line
             )
-        in_cond = self._currently_conditional
         self.writes[target.base] = aff
-        self.write_conditional[target.base] = (
-            self.write_conditional.get(target.base, False) or in_cond
-        )
 
-    def _record_reduction(self, s: ast.Assign, conditional: bool,
-                          in_inner: bool) -> bool:
+    def _record_reduction(self, s: ast.Assign, in_inner: bool) -> bool:
         """Handle global-scalar reduction assignments (sema validated the
         shape); returns True when the statement is a reduction.
 
@@ -430,11 +442,6 @@ class ForallLowerer:
         self._walk_expr(contrib, in_inner)
         return True
 
-    _currently_conditional = False
-
-    def _walk_stmts_cond_tracking(self):  # pragma: no cover - documentation
-        pass
-
     def _walk_expr(self, expr: ast.Expr, in_inner: bool) -> None:
         if expr is None:
             return
@@ -457,6 +464,13 @@ class ForallLowerer:
 
     def _enter_inner_loop(self, s: ast.ForStmt) -> None:
         """Detect the canonical live-width bound ``for j in 1..C[i]``."""
+        bound = {self.stmt.var, *self._loop_stack,
+                 *(n for d in self.stmt.local_decls for n in d.names)}
+        if s.var in bound:
+            # A kernel's names are lexically scoped; the loop would hide
+            # (and, leaving, drop) an enclosing variable of the same name.
+            raise self._err(f"inner for variable {s.var!r} shadows an "
+                            "enclosing forall, local or loop variable", s.line)
         count_name: Optional[str] = None
         hi = s.hi
         if isinstance(hi, ast.Index) and len(hi.subs) == 1:
@@ -477,7 +491,6 @@ class ForallLowerer:
         lo = _eval_const(stmt.lo, self.scalars, stmt.line)
         hi = _eval_const(stmt.hi, self.scalars, stmt.line)
 
-        # Track conditionality through a shadow walk (cheap second pass):
         self._walk_with_cond(stmt.body, False)
         self.analyze_body()
         if not self.writes and not self.reductions:
@@ -501,11 +514,10 @@ class ForallLowerer:
             a, b = aff
             return Affine(a, a * delta + b - lb)
 
-        reads: List = []
-        for (arr, a, b), key in self.affine_reads.items():
-            reads.append(AffineRead(arr, rebase((a, b), self.arrays[arr].lower_bounds[0]), name=key))
-        for (arr, a, b), key in self.row_reads.items():
-            reads.append(AffineRead(arr, rebase((a, b), self.arrays[arr].lower_bounds[0]), name=key))
+        reads: List = [
+            AffineRead(arr, rebase((a, b), self.arrays[arr].lower_bounds[0]), name=key)
+            for (arr, a, b), key in [*self.affine_reads.items(), *self.row_reads.items()]
+        ]
         for (arr, tbl, cnt), key in self.indirect_reads.items():
             reads.append(
                 IndirectRead(
@@ -541,13 +553,12 @@ class ForallLowerer:
                 )
             on = OnOwner(stmt.on_array, rebase(aff, info.lower_bounds[0]))
 
-        kernel = self._build_kernel(delta)
         return Forall(
             index_range=(lo - delta, hi - delta),
             on=on,
             reads=reads,
             writes=writes,
-            kernel=kernel,
+            kernel=_KernelEmitter(self, delta).kernel(),
             reductions=[
                 ReduceSpec(name, op)
                 for name, op in sorted(self.reductions.items())
@@ -571,241 +582,340 @@ class ForallLowerer:
             elif isinstance(s, ast.ForStmt):
                 self._walk_with_cond(s.body, conditional)
 
-    # --- kernel construction ---------------------------------------------------
 
-    def _build_kernel(self, delta: int) -> Callable:
-        stmt = self.stmt
-        plans = self.read_plans
-        scalars = dict(self.scalars)
-        local_data = self.local_data
-        arrays = self.arrays
-        var = stmt.var
-        writes_aff = dict(self.writes)
-        write_conditional = dict(self.write_conditional)
-        affine_keys = dict(self.affine_reads)
-        local_names = [n for d in stmt.local_decls for n in d.names]
-        reductions = dict(self.reductions)
-        reduction_stmts = dict(self.reduction_stmts)
-        table_scalars = set(self.table.scalars)
-        _identity = {"sum": 0.0, "max": float("-inf"), "min": float("inf")}
-
-        def kernel(iters: np.ndarray, ops: Dict[str, object]):
-            n = int(iters.size)
-            venv: Dict[str, object] = {var: iters + delta}  # Kali coordinates
-            for name in local_names:
-                venv[name] = np.zeros(n)
-            wvals: Dict[str, np.ndarray] = {}
-            wmask: Dict[str, np.ndarray] = {}
-            rvals: Dict[str, np.ndarray] = {
-                rname: np.full(n, _identity[op]) for rname, op in reductions.items()
-            }
-
-            def fetch(node: ast.Index, mask):
-                plan = plans[id(node)]
-                if plan.kind == "replicated":
-                    data = local_data[node.base]
-                    info = arrays[node.base]
-                    idx = tuple(
-                        _as_index(evaluate(sub, mask)) - lb
-                        for sub, lb in zip(node.subs, info.lower_bounds)
-                    )
-                    return data[idx]
-                if plan.kind == "affine":
-                    return ops[plan.key]
-                if plan.kind == "row":
-                    rows = ops[plan.key]
-                    col = _as_index(evaluate(plan.col_expr, mask)) - plan.col_lb
-                    return _column(rows, col, n)
-                operand: IndirectOperand = ops[plan.key]
-                if plan.col_expr is None:
-                    return operand.values[:, 0]
-                col = _as_index(evaluate(plan.col_expr, mask)) - plan.col_lb
-                return _column(operand.values, col, n)
-
-            def evaluate(expr: ast.Expr, mask):
-                if isinstance(expr, ast.NumLit):
-                    return expr.value
-                if isinstance(expr, ast.BoolLit):
-                    return expr.value
-                if isinstance(expr, ast.Name):
-                    if expr.ident in venv:
-                        return venv[expr.ident]
-                    return scalars[expr.ident]
-                if isinstance(expr, ast.Index):
-                    return fetch(expr, mask)
-                if isinstance(expr, ast.UnOp):
-                    v = evaluate(expr.operand, mask)
-                    if expr.op == "not":
-                        return np.logical_not(v)
-                    return -np.asarray(v) if isinstance(v, np.ndarray) else -v
-                if isinstance(expr, ast.BinOp):
-                    return _binop(
-                        expr.op, evaluate(expr.left, mask), evaluate(expr.right, mask)
-                    )
-                if isinstance(expr, ast.Call):
-                    return _call(expr.func, [evaluate(a, mask) for a in expr.args])
-                raise AssertionError(f"bad kernel expression {expr!r}")
-
-            def assign(target, value, mask):
-                value = np.asarray(value)
-                if value.ndim == 0:
-                    value = np.broadcast_to(value, (n,))
-                if isinstance(target, ast.Name):
-                    old = np.asarray(venv[target.ident])
-                    if old.ndim == 0:
-                        old = np.broadcast_to(old, (n,))
-                    venv[target.ident] = np.where(mask, value, old)
-                    return
-                name = target.base
-                if name not in wvals:
-                    dtype = np.int64 if arrays[name].elem == "integer" else np.float64
-                    wvals[name] = np.zeros(n, dtype=dtype)
-                    wmask[name] = np.zeros(n, dtype=bool)
-                wvals[name] = np.where(mask, value, wvals[name])
-                wmask[name] = wmask[name] | mask
-
-            def fold_reduction(stmt_id, mask):
-                rname, contrib = reduction_stmts[stmt_id]
-                op = reductions[rname]
-                c = np.asarray(evaluate(contrib, mask), dtype=np.float64)
-                if c.ndim == 0:
-                    c = np.broadcast_to(c, (n,))
-                cur = rvals[rname]
-                if op == "sum":
-                    rvals[rname] = np.where(mask, cur + c, cur)
-                elif op == "max":
-                    rvals[rname] = np.where(mask & (c > cur), c, cur)
-                else:
-                    rvals[rname] = np.where(mask & (c < cur), c, cur)
-
-            def run_stmts(stmts, mask):
-                for s in stmts:
-                    if isinstance(s, ast.Assign):
-                        if (
-                            isinstance(s.target, ast.Name)
-                            and s.target.ident in table_scalars
-                        ):
-                            fold_reduction(id(s), mask)
-                            continue
-                        assign(s.target, evaluate(s.value, mask), mask)
-                    elif isinstance(s, ast.IfStmt):
-                        cond = np.broadcast_to(
-                            np.asarray(evaluate(s.cond, mask), dtype=bool), (n,)
-                        )
-                        if (mask & cond).any():
-                            run_stmts(s.then_body, mask & cond)
-                        if s.else_body and (mask & ~cond).any():
-                            run_stmts(s.else_body, mask & ~cond)
-                    elif isinstance(s, ast.ForStmt):
-                        lo_v = np.asarray(evaluate(s.lo, mask))
-                        hi_v = np.asarray(evaluate(s.hi, mask))
-                        if lo_v.ndim and (lo_v != lo_v.flat[0]).any():
-                            raise KaliSemanticError(
-                                "inner for lower bound must be uniform", s.line
-                            )
-                        lo_i = int(lo_v.flat[0]) if lo_v.ndim else int(lo_v)
-                        hi_vec = np.broadcast_to(hi_v, (n,))
-                        hi_max = int(hi_vec.max()) if n else lo_i - 1
-                        for j in range(lo_i, hi_max + 1):
-                            venv[s.var] = j
-                            live = mask & (j <= hi_vec)
-                            if live.any():
-                                run_stmts(s.body, live)
-                        venv.pop(s.var, None)
-                    else:  # pragma: no cover - rejected during analysis
-                        raise AssertionError(s)
-
-            if n:
-                run_stmts(stmt.body, np.ones(n, dtype=bool))
-
-            out: Dict[str, np.ndarray] = {}
-            for name, aff in writes_aff.items():
-                vals = wvals.get(name)
-                m = wmask.get(name)
-                if vals is None:
-                    dtype = np.int64 if arrays[name].elem == "integer" else np.float64
-                    vals = np.zeros(n, dtype=dtype)
-                    m = np.zeros(n, dtype=bool)
-                if write_conditional.get(name) and not m.all():
-                    key = affine_keys[(name, aff[0], aff[1])]
-                    vals = np.where(m, vals, ops[key])
-                out[name] = vals
-            for rname in reductions:
-                out[rname] = rvals[rname]
-            if len(out) == 1 and not reductions:
-                return next(iter(out.values()))
-            return out
-
-        return kernel
+# --- what generated kernels call ---------------------------------------------
 
 
-def _column(rows: np.ndarray, col, n: int) -> np.ndarray:
+def _vec(v, n: int):
+    """A value as an (n,) array: a scalar broadcast, an array as it is."""
+    v = np.asarray(v)
+    return np.broadcast_to(v, (n,)) if v.ndim == 0 else v
+
+
+def _fvec(v, n: int):
+    return _vec(np.asarray(v, dtype=np.float64), n)
+
+
+def _bvec(v, n: int):
+    return np.broadcast_to(np.asarray(v, dtype=bool), (n,))
+
+
+def _ix(v):
+    """A subscript value as an index: int64 array or Python int."""
+    return v.astype(np.int64) if isinstance(v, np.ndarray) else int(v)
+
+
+def _col(rows: np.ndarray, col, n: int) -> np.ndarray:
+    """Column ``col`` of each row: one shared column or one per row."""
     if np.ndim(col) == 0:
         return rows[:, int(col)]
     return rows[np.arange(n), np.asarray(col)]
 
 
-def _as_index(value):
-    if isinstance(value, np.ndarray):
-        return value.astype(np.int64)
-    return int(value)
+def _bounds(lo, hi, n: int, line: int):
+    """An inner ``for``'s uniform lower bound, per-lane upper bounds and
+    the largest of those."""
+    lo_v, hi_v = np.asarray(lo), np.asarray(hi)
+    if lo_v.ndim and (lo_v != lo_v.flat[0]).any():
+        raise KaliSemanticError("inner for lower bound must be uniform", line)
+    hi_vec = np.broadcast_to(hi_v, (n,))
+    return int(lo_v.flat[0]) if lo_v.ndim else int(lo_v), hi_vec, int(hi_vec.max())
+
+
+def _and(left, right):
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.logical_and(left, right)
+    return left and right
+
+
+def _or(left, right):
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.logical_or(left, right)
+    return left or right
+
+
+def _float(v):
+    return np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) else float(v)
+
+
+def _trunc(v):
+    return np.trunc(v).astype(np.int64) if isinstance(v, np.ndarray) else int(v)
+
+
+#: the globals of generated code: NumPy and the helpers above
+_RUNTIME = {"np": np, "_vec": _vec, "_fvec": _fvec, "_bvec": _bvec, "_ix": _ix,
+            "_col": _col, "_bounds": _bounds, "_and": _and, "_or": _or,
+            "_float": _float, "_trunc": _trunc}
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_factory(text: str) -> Callable:
+    """The ``make`` function of one kernel text, compiled once per process."""
+    namespace = dict(_RUNTIME)
+    exec(compile(text, "<kali-kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+# --- Kali's operators, in kernel text and in sequential code --------------------
+
+
+#: Kali operator -> (Python operator in kernel text, the same operator
+#: as a function for sequential code); ``and`` / ``or`` are helpers in
+#: kernel text too, since they pick NumPy or Python semantics by type
+_OPS = {"+": ("+", operator.add), "-": ("-", operator.sub),
+        "*": ("*", operator.mul), "/": ("/", operator.truediv),
+        "div": ("//", operator.floordiv), "mod": ("%", operator.mod),
+        "=": ("==", operator.eq), "<>": ("!=", operator.ne),
+        "<": ("<", operator.lt), "<=": ("<=", operator.le),
+        ">": (">", operator.gt), ">=": (">=", operator.ge),
+        "and": (None, _and), "or": (None, _or)}
+#: built-in -> (its name in kernel text, the function); ``abs`` of an
+#: array is ``np.abs``
+_BUILTINS = {"abs": ("abs", abs), "min": ("np.minimum", np.minimum),
+             "max": ("np.maximum", np.maximum), "float": ("_float", _float),
+             "trunc": ("_trunc", _trunc), "sqrt": ("np.sqrt", np.sqrt)}
 
 
 def _binop(op: str, left, right):
-    vector = isinstance(left, np.ndarray) or isinstance(right, np.ndarray)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return np.true_divide(left, right) if vector else left / right
-    if op == "div":
-        return left // right
-    if op == "mod":
-        return left % right
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "and":
-        return np.logical_and(left, right) if vector else (left and right)
-    if op == "or":
-        return np.logical_or(left, right) if vector else (left or right)
-    raise AssertionError(f"unknown operator {op}")
+    """A Kali binary operator in sequential code."""
+    return _OPS[op][1](left, right)
 
 
 def _call(func: str, args):
-    if func == "abs":
-        return np.abs(args[0]) if isinstance(args[0], np.ndarray) else abs(args[0])
-    if func == "min":
-        return np.minimum(args[0], args[1])
-    if func == "max":
-        return np.maximum(args[0], args[1])
-    if func == "float":
-        return (
-            np.asarray(args[0], dtype=np.float64)
-            if isinstance(args[0], np.ndarray)
-            else float(args[0])
-        )
-    if func == "trunc":
-        return (
-            np.trunc(args[0]).astype(np.int64)
-            if isinstance(args[0], np.ndarray)
-            else int(args[0])
-        )
-    if func == "sqrt":
-        return np.sqrt(args[0])
-    raise KaliSemanticError(f"unknown built-in function {func!r}")
+    """A Kali built-in in sequential code."""
+    if func not in _BUILTINS:
+        raise KaliSemanticError(f"unknown built-in function {func!r}")
+    return _BUILTINS[func][1](*args)
+
+
+# --- kernel generation ------------------------------------------------------------
+
+
+class _KernelEmitter:
+    """Emits the kernel text for one analysed forall (see module docstring)
+    and instantiates it through :func:`_kernel_factory`."""
+
+    def __init__(self, lowerer: ForallLowerer, delta: int):
+        self.low = lowerer
+        self.args: List[object] = []
+        self.pre: List[str] = []      # before ``if n:``, at depth 2
+        self.body: List[str] = []
+        self.count = 0
+        self.operands: Dict[str, str] = {}
+        #: Kali name -> (Python variable, kind), lexically scoped
+        self.scope: Dict[str, Tuple[str, str]] = {}
+        stmt = lowerer.stmt
+        self._declare(stmt.var, _VEC, f"iters + {self._bind(delta)}")
+        for decl in stmt.local_decls:
+            for name in decl.names:
+                self._declare(name, _VEC, "np.zeros(n)")
+        self.wvals: Dict[str, str] = {}
+        self.wmask: Dict[str, str] = {}
+        for name in lowerer.writes:
+            dtype = "np.int64" if lowerer.arrays[name].elem == "integer" else "np.float64"
+            self.wvals[name] = self._fresh("w", f"np.zeros(n, dtype={dtype})")
+            if lowerer.write_conditional[name]:
+                self.wmask[name] = self._fresh("u", "np.zeros(n, dtype=np.bool_)")
+        self.rvals = {name: self._fresh("r", f"np.full(n, {self._bind(_IDENTITY[op])})")
+                      for name, op in lowerer.reductions.items()}
+
+    def kernel(self) -> Callable:
+        low = self.low
+        self._block(low.stmt.body, "m0", True, 3)
+        tail: List[str] = []
+        for name, (a, b) in low.writes.items():
+            if name in self.wmask:
+                w, u = self.wvals[name], self.wmask[name]
+                old = self._operand(low.affine_reads[(name, a, b)])
+                tail += [f"if not {u}.all():", f"    {w} = np.where({u}, {w}, {old})"]
+        results = [*self.wvals.items(), *self.rvals.items()]
+        if len(results) == 1 and not self.rvals:
+            tail.append(f"return {results[0][1]}")
+        else:
+            items = ", ".join(f"{self._bind(name)}: {var}" for name, var in results)
+            tail.append(f"return {{{items}}}")
+        params = ", ".join(f"a{k}" for k in range(len(self.args)))
+        text = "\n".join([
+            f"def make({params}):",
+            "    def kernel(iters, ops):",
+            "        n = iters.size",
+            *("        " + line for line in self.pre),
+            "        if n:",
+            "            m0 = np.ones(n, dtype=np.bool_)",
+            *self.body,
+            *("        " + line for line in tail),
+            "    return kernel",
+            "",
+        ])
+        return _kernel_factory(text)(*self.args)
+
+    # --- names ------------------------------------------------------------
+
+    def _bind(self, value: object) -> str:
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
+
+    def _fresh(self, prefix: str, init: Optional[str] = None) -> str:
+        self.count += 1
+        name = f"{prefix}{self.count}"
+        if init is not None:
+            self.pre.append(f"{name} = {init}")
+        return name
+
+    def _declare(self, kali_name: str, kind: str, init: str) -> None:
+        self.scope[kali_name] = (self._fresh("v", init), kind)
+
+    def _operand(self, key: str, indirect: bool = False) -> str:
+        var = self.operands.get(key)
+        if var is None:
+            var = self.operands[key] = self._fresh(
+                "p", f"ops[{self._bind(key)}]" + (".values" if indirect else ""))
+        return var
+
+    # --- statements -------------------------------------------------------
+
+    def _line(self, depth: int, text: str) -> None:
+        self.body.append("    " * depth + text)
+
+    @staticmethod
+    def _under(mask: str, full: bool, cond: str) -> str:
+        """``mask & cond``; just ``cond`` when ``mask`` is all true."""
+        return cond if full else f"({mask} & {cond})"
+
+    def _block(self, stmts: List[ast.Stmt], mask: str, full: bool, depth: int) -> None:
+        if not stmts:
+            self._line(depth, "pass")
+        for s in stmts:
+            if isinstance(s, ast.IfStmt):
+                self._if(s, mask, full, depth)
+            elif isinstance(s, ast.ForStmt):
+                self._for(s, mask, full, depth)
+            elif id(s) in self.low.reduction_stmts:
+                self._fold(s, mask, full, depth)
+            else:
+                self._assign(s, mask, depth)
+
+    def _assign(self, s: ast.Assign, mask: str, depth: int) -> None:
+        value, kind = self._expr(s.value)
+        if kind != _VEC:
+            value = f"_vec({value}, n)"
+        if isinstance(s.target, ast.Name):
+            var, kind = self.scope[s.target.ident]
+            old = var if kind == _VEC else f"_vec({var}, n)"
+            self._line(depth, f"{var} = np.where({mask}, {value}, {old})")
+            return
+        w = self.wvals[s.target.base]
+        self._line(depth, f"{w} = np.where({mask}, {value}, {w})")
+        u = self.wmask.get(s.target.base)
+        if u is not None:
+            self._line(depth, f"{u} = {u} | {mask}")
+
+    def _fold(self, s: ast.Assign, mask: str, full: bool, depth: int) -> None:
+        name, contrib = self.low.reduction_stmts[id(s)]
+        c, kind = self._expr(contrib)
+        t = self._fresh("t")
+        self._line(depth, f"{t} = np.asarray({c}, dtype=np.float64)" if kind == _VEC
+                   else f"{t} = _fvec({c}, n)")
+        r, op = self.rvals[name], self.low.reductions[name]
+        if op == "sum":
+            self._line(depth, f"{r} = np.where({mask}, {r} + {t}, {r})")
+        else:
+            better = self._under(mask, full, f"({t} {'>' if op == 'max' else '<'} {r})")
+            self._line(depth, f"{r} = np.where({better}, {t}, {r})")
+
+    def _if(self, s: ast.IfStmt, mask: str, full: bool, depth: int) -> None:
+        c, kind = self._expr(s.cond)
+        t = self._fresh("t")
+        self._line(depth, f"{t} = np.asarray({c}, dtype=np.bool_)" if kind == _VEC
+                   else f"{t} = _bvec({c}, n)")
+        branches = [(s.then_body, t)] + ([(s.else_body, f"~{t}")] if s.else_body else [])
+        for body, cond in branches:
+            m = self._fresh("m")
+            self._line(depth, f"{m} = {self._under(mask, full, cond)}")
+            self._line(depth, f"if {m}.any():")
+            self._block(body, m, False, depth + 1)
+
+    def _for(self, s: ast.ForStmt, mask: str, full: bool, depth: int) -> None:
+        lo, _ = self._expr(s.lo)
+        hi, _ = self._expr(s.hi)
+        t_lo, t_hi, t_max, var, m = (self._fresh(p) for p in "tttvm")
+        self._line(depth, f"{t_lo}, {t_hi}, {t_max} = _bounds({lo}, {hi}, n, "
+                          f"{self._bind(s.line)})")
+        assigned = any(isinstance(x, ast.Assign) and isinstance(x.target, ast.Name)
+                       and x.target.ident == s.var for x in ast.walk_stmts(s.body))
+        self.scope[s.var] = (var, _ANY if assigned else _INT)
+        self._line(depth, f"for {var} in range({t_lo}, {t_max} + 1):")
+        self._line(depth + 1, f"{m} = {self._under(mask, full, f'({var} <= {t_hi})')}")
+        if full:  # some lane has the largest bound, so every j is live
+            self._block(s.body, m, False, depth + 1)
+        else:
+            self._line(depth + 1, f"if {m}.any():")
+            self._block(s.body, m, False, depth + 2)
+        del self.scope[s.var]
+
+    # --- expressions ------------------------------------------------------
+
+    def _expr(self, e: ast.Expr) -> Tuple[str, str]:
+        """``(text, kind)`` of one expression."""
+        if isinstance(e, (ast.NumLit, ast.BoolLit)):
+            v = e.value
+            if type(v) in (int, bool) or (type(v) is float and math.isfinite(v)):
+                return f"({v!r})", _INT if type(v) is int else _ANY
+            return self._bind(v), _ANY
+        if isinstance(e, ast.Name):
+            if e.ident in self.scope:
+                return self.scope[e.ident]
+            if e.ident not in self.low.scalars:
+                raise self.low._err(f"{e.ident!r} has no value in a forall body", e.line)
+            v = self.low.scalars[e.ident]
+            return self._bind(v), _INT if type(v) is int else _ANY
+        if isinstance(e, ast.Index):
+            return self._fetch(e)
+        if isinstance(e, ast.UnOp):
+            x, kind = self._expr(e.operand)
+            if e.op == "not":
+                return f"np.logical_not({x})", _VEC if kind == _VEC else _ANY
+            return f"(-{x})", kind
+        if isinstance(e, ast.BinOp):
+            (left, lk), (right, rk) = self._expr(e.left), self._expr(e.right)
+            if _VEC in (lk, rk):
+                kind = _VEC
+            elif lk == rk == _INT and e.op in ("+", "-", "*", "div", "mod"):
+                kind = _INT
+            else:
+                kind = _ANY
+            if e.op in ("and", "or"):
+                return f"_{e.op}({left}, {right})", kind
+            return f"({left} {_OPS[e.op][0]} {right})", kind
+        if isinstance(e, ast.Call):
+            args = [self._expr(a) for a in e.args]
+            if any(k == _VEC for _, k in args):
+                kind = _VEC
+            else:
+                kind = args[0][1] if e.func == "abs" else _ANY
+            return f"{_BUILTINS[e.func][0]}({', '.join(t for t, _ in args)})", kind
+        raise self.low._err("string literals are not allowed in forall bodies", e.line)
+
+    def _fetch(self, node: ast.Index) -> Tuple[str, str]:
+        plan = self.low.read_plans[id(node)]
+        if plan.kind == "replicated":
+            data = self._bind(self.low.local_data[node.base])
+            subs, vec = [], False
+            for sub, lb in zip(node.subs, self.low.arrays[node.base].lower_bounds):
+                x, kind = self._expr(sub)
+                subs.append(f"_ix({x}) - {self._bind(lb)}")
+                vec = vec or kind == _VEC
+            return f"{data}[({', '.join(subs)},)]", _VEC if vec else _ANY
+        if plan.kind == "affine":
+            return self._operand(plan.key), _VEC
+        rows = self._operand(plan.key, indirect=plan.kind == "indirect")
+        if plan.col_expr is None:  # 1-d indirection table
+            return f"{rows}[:, 0]", _VEC
+        col, kind = self._expr(plan.col_expr)
+        lb = self._bind(plan.col_lb)
+        if kind == _INT:
+            return f"{rows}[:, {col} - {lb}]", _VEC
+        return f"_col({rows}, _ix({col}) - {lb}, n)", _VEC
 
 
 def _eval_const(expr: ast.Expr, scalars: Dict[str, object], line: int) -> int:

@@ -32,7 +32,7 @@ primary.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import KaliSyntaxError
 from repro.lang import ast

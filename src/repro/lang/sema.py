@@ -19,7 +19,7 @@ they are evaluated at program instantiation, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import KaliSemanticError
 from repro.lang import ast
@@ -340,6 +340,14 @@ class Analyzer:
                     raise KaliSemanticError(
                         f"array {node.base!r} has rank {arr.rank}, got "
                         f"{len(node.subs)} subscripts",
+                        node.line,
+                    )
+            elif isinstance(node, ast.Call):
+                want = 2 if node.func in ("min", "max") else 1
+                if len(node.args) != want:
+                    raise KaliSemanticError(
+                        f"{node.func}() takes {want} argument(s), got "
+                        f"{len(node.args)}",
                         node.line,
                     )
 

@@ -35,6 +35,7 @@ from repro.comm.collectives import allreduce
 from repro.core.forall import AffineRead, Forall, IndirectOperand
 from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank, Recv, Send
+from repro.runtime.inspector import statically_local
 from repro.runtime.schedule import (
     ArraySchedule,
     BatchPlan,
@@ -84,30 +85,39 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
-                   schedule: CommSchedule, iters: np.ndarray) -> BatchPlan:
+                   schedule: CommSchedule, iters: np.ndarray,
+                   aligned: List[bool]) -> BatchPlan:
     # A read-only view: the kernel is handed these iters on every
     # execution, while the schedule's own array stays as it was.
     batch = BatchPlan(iters=_frozen(iters.view()))
     if iters.size == 0:
         return batch
-    for read in forall.reads:
-        if isinstance(read, AffineRead):
-            elems, counts, live = read.fn(iters), None, None
+    for read, local_only in zip(forall.reads, aligned):
+        counts = live = None
+        if local_only:
+            # Aligned with the on clause: every executed row is local, so
+            # its offset is the answer (the inspector skips these too).
+            pos = np.asarray(env[read.array].to_local_rows(read.fn(iters)),
+                             dtype=np.int64)
+            n_local, n_remote = pos.size, 0
         else:
-            rows = env[read.table].get_rows(iters) + read.offset
-            if rows.ndim == 1:
-                rows = rows[:, None]
-            width = rows.shape[1]
-            if read.count is not None:
-                counts = env[read.count].get_rows(iters).astype(np.int64)
+            if isinstance(read, AffineRead):
+                elems = read.fn(iters)
             else:
-                counts = np.full(iters.shape, width, dtype=np.int64)
-            live = _frozen(np.arange(width)[None, :] < counts[:, None])
-            counts = _frozen(counts)
-            elems = np.where(live, rows, 0)  # dead slots may hold garbage
-        pos, n_local, n_remote = _positions(
-            env[read.array], schedule.arrays[read.array], elems,
-            True if live is None else live)
+                rows = env[read.table].get_rows(iters) + read.offset
+                if rows.ndim == 1:
+                    rows = rows[:, None]
+                width = rows.shape[1]
+                if read.count is not None:
+                    counts = env[read.count].get_rows(iters).astype(np.int64)
+                else:
+                    counts = np.full(iters.shape, width, dtype=np.int64)
+                live = _frozen(np.arange(width)[None, :] < counts[:, None])
+                counts = _frozen(counts)
+                elems = np.where(live, rows, 0)  # dead slots may hold garbage
+            pos, n_local, n_remote = _positions(
+                env[read.array], schedule.arrays[read.array], elems,
+                True if live is None else live)
         batch.gathers.append((_frozen(pos), counts, live))
         batch.n_local += n_local
         batch.n_remote += n_remote
@@ -162,13 +172,15 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                     "contiguous in the receive buffer"
                 )
             recv_at[name][q] = (n_rows + recs[0].buffer_start, count)
-    local = _compile_batch(forall, env, schedule, schedule.exec_local)
+    aligned = [statically_local(read, forall, env) for read in forall.reads]
+    local = _compile_batch(forall, env, schedule, schedule.exec_local, aligned)
     if local.n_remote:
         raise InspectorError(
             f"{forall.label}: schedule marked iterations local but "
             f"{local.n_remote} references resolve remotely (stale schedule?)"
         )
-    nonlocal_ = _compile_batch(forall, env, schedule, schedule.exec_nonlocal)
+    nonlocal_ = _compile_batch(forall, env, schedule, schedule.exec_nonlocal,
+                               aligned)
     # A workspace only where data lands past the local rows: a receive
     # buffer, or a gather that addresses the zero row.
     landing = {name for name, asched in schedule.arrays.items()

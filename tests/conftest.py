@@ -5,8 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.lang.interp import CompiledKali
 from repro.machine.cost import IDEAL, IPSC2, NCUBE7
 from repro.meshes.regular import five_point_grid
+from tests import kali_goldens
+
+
+@pytest.fixture(autouse=True)
+def _kali_goldens(monkeypatch):
+    """Hold every pinned Kali run to its golden outcome (see
+    ``tests/kali_goldens.py``)."""
+    monkeypatch.setattr(CompiledKali, "run", kali_goldens.checked(CompiledKali.run))
 
 
 @pytest.fixture

@@ -890,6 +890,103 @@ def test_trace_events_are_unchanged(layout):
     assert _trace_digest(prog.run(3).engine.trace) == TRACE_GOLDEN[layout]
 
 
+# --- aligned affine reads skip the owner search -------------------------------
+
+
+def _mixed_reads(n=32, p=4):
+    """A loop on ``C[i]`` reading ``A[i]`` (aligned), ``A[i+1]`` (another
+    map) and ``B[i]`` (same map, cyclic instead of block): only the first
+    is local by construction."""
+    ctx = KaliContext(p, machine=IDEAL)
+    rng = np.random.default_rng(12)
+    a, b = rng.random(n), rng.random(n)
+    ctx.array("A", n, dist=[Block()]).set(a)
+    ctx.array("B", n, dist=[Cyclic()]).set(b)
+    ctx.array("C", n, dist=[Block()]).set(np.zeros(n))
+    loop = Forall(index_range=(0, n - 2), on=OnOwner("C"),
+                  reads=[AffineRead("A", Affine(1, 0), name="here"),
+                         AffineRead("A", Affine(1, 1), name="next"),
+                         AffineRead("B", Affine(1, 0), name="other")],
+                  writes=[AffineWrite("C")],
+                  kernel=lambda i, o: o["here"] + o["next"] + o["other"],
+                  label="mixed")
+
+    def run():
+        def program(kr):
+            yield from kr.forall(loop)
+
+        ctx.run(program)
+        expected = np.zeros(n)
+        expected[:-1] = a[:-1] + a[1:] + b[:-1]
+        np.testing.assert_array_equal(ctx.arrays["C"].data, expected)
+
+    return run
+
+
+def _jacobi_run(layout):
+    mesh, rcb = _rcb_grid(12, 12, 4)
+    dist = {"block": Block(), "cyclic": Cyclic(), "rcb": rcb}[layout]
+    init = np.random.default_rng(13).random(mesh.n)
+    prog = build_jacobi(mesh, 4, dist=dist, initial=init)
+
+    def run():
+        prog.run(2)
+        np.testing.assert_allclose(prog.solution, _reference(mesh, init, 2))
+
+    return run
+
+
+def _plan_bytes(plan):
+    """Every array and count of a plan, as comparable plain data."""
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    out = [plan.max_ranges, plan.workspaces]
+    for batch in (plan.local, plan.nonlocal_):
+        out += [raw(batch.iters), batch.n_local, batch.n_remote, batch.n_indirect]
+        out += [tuple(raw(a) for a in gather) for gather in batch.gathers]
+        out += [raw(t) for t in batch.targets]
+    for grouping in (*plan.sends, *plan.recvs):
+        out += [(q, tag, {k: raw(v) if isinstance(v, np.ndarray) else v
+                          for k, v in items.items()})
+                for q, tag, items in grouping]
+    return out
+
+
+@pytest.mark.parametrize("case", ["block", "cyclic", "rcb", "misaligned"])
+def test_aligned_reads_compile_the_same_plan_without_the_owner_search(
+        monkeypatch, case):
+    """``compile_plan`` resolves a read that ``statically_local`` proves
+    local from its local offsets alone; the plan is byte-identical to the
+    one the owner search and translation table produce."""
+    run = _mixed_reads() if case == "misaligned" else _jacobi_run(case)
+    compile_plan, positions = executor.compile_plan, executor._positions
+    compiled, searched = [], []
+
+    def compile_spy(forall, env, schedule):
+        plan = compile_plan(forall, env, schedule)
+        compiled.append((forall, env, schedule, plan))
+        return plan
+
+    def positions_spy(arr, asched, elems, live):
+        searched.append(arr.name)
+        return positions(arr, asched, elems, live)
+
+    monkeypatch.setattr(executor, "compile_plan", compile_spy)
+    monkeypatch.setattr(executor, "_positions", positions_spy)
+    run()
+    assert compiled
+    with_shortcut = len(searched)
+    del searched[:]
+    monkeypatch.setattr(executor, "statically_local", lambda *args: False)
+    for forall, env, schedule, plan in compiled:
+        assert _plan_bytes(compile_plan(forall, env, schedule)) == _plan_bytes(plan)
+    assert 0 < with_shortcut < len(searched)
+    if case == "misaligned":            # A[i+1] and B[i] still search
+        assert set(searched) == {"A", "B"}
+        assert with_shortcut * 3 == len(searched) * 2
+
+
 if __name__ == "__main__":      # re-record GOLDEN: PYTHONPATH=<tree>/src:. python <this file>
     for _case in sorted(PINNED_CASES):
         for _combine in (True, False):

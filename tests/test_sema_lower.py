@@ -129,6 +129,11 @@ class TestSemaStatements:
     def test_for_var_scoped(self):
         check("for j in 1..3 do x := x + 1.0; end;")
 
+    @pytest.mark.parametrize("call", ["max(x)", "min(x, x, x)", "abs(x, x)", "sqrt(x, 2.0)"])
+    def test_builtin_arity(self, call):
+        with pytest.raises(KaliSemanticError, match="argument"):
+            check(f"x := {call};")
+
 
 class TestAffineExtraction:
     def _expr(self, text):

@@ -19,7 +19,11 @@ Four promises under test:
   messages — that is the whole point.)
 """
 
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +34,11 @@ from tests.differential import (
     assert_counters_identical,
 )
 from repro.apps.jacobi import build_jacobi
+from repro.arrays.darray import DistributedArray
+from repro.lang import compile_kali
 from repro.meshes.regular import five_point_grid
 from repro.runtime.schedule import CommSchedule
+from repro.serve import diskcache
 from repro.serve.diskcache import (
     SCHEDCACHE_FORMAT,
     DiskScheduleCache,
@@ -42,11 +49,19 @@ from repro.serve.pool import RankPool
 pytestmark = pytest.mark.timeout(180)
 
 
+def _scatter(darr, rank):
+    """``rank``'s piece as a context with a disk tier scatters it: with
+    the global content tag stamped."""
+    local = darr.scatter(rank)
+    local.content_tag = darr.content_fingerprint()
+    return local
+
+
 def _jacobi_env(nprocs=4, rank=0, rows=8, cols=8, seed=3):
     mesh = five_point_grid(rows, cols)
     init = np.random.default_rng(seed).random(mesh.n)
     prog = build_jacobi(mesh, nprocs, initial=init)
-    env = {name: darr.scatter(rank) for name, darr in prog.ctx.arrays.items()}
+    env = {name: _scatter(darr, rank) for name, darr in prog.ctx.arrays.items()}
     return prog, env
 
 
@@ -77,7 +92,7 @@ class TestContentKey:
         edited = adj.data.copy()
         edited[0, 0] = (edited[0, 0] + 1) % edited.max()
         adj.set(edited)
-        env["adj"] = adj.scatter(0)
+        env["adj"] = _scatter(adj, 0)
         assert schedule_content_key(prog.relax_loop, env) != k1
 
     def test_count_bytes_perturb_key(self):
@@ -87,7 +102,7 @@ class TestContentKey:
         edited = count.data.copy()
         edited[0] = max(0, edited[0] - 1)
         count.set(edited)
-        env["count"] = count.scatter(0)
+        env["count"] = _scatter(count, 0)
         assert schedule_content_key(prog.relax_loop, env) != k1
 
     def test_local_only_edit_does_not_perturb_key(self):
@@ -296,6 +311,66 @@ class TestTwoTierIntegration:
         res = prog.run(2)
         assert res.engine.counter_sum("schedule_cache_disk_hits") == 0
         assert res.engine.counter_sum("schedule_cache_disk_stores") == 0
+
+
+#: a Kali forall that needs the inspector (an indirect read) and whose
+#: label carries a scalar fingerprint (its bound ``n``)
+KALI_GATHER = """
+processors Procs : array[1..P] with P in 1..8;
+const n : integer;
+var x, y : array[1..n] of real dist by [ block ] on Procs;
+    t    : array[1..n] of integer dist by [ block ] on Procs;
+forall i in 1..n on y[i].loc do y[i] := x[t[i]]; end;
+"""
+
+
+def _kali_gather(cache_dir=None, n=16):
+    perm = (np.arange(n) * 5) % n + 1          # 1-based, across blocks
+    res = compile_kali(KALI_GATHER).run(
+        nprocs=4, consts={"n": n}, inputs={"x": np.arange(1.0, n + 1), "t": perm},
+        schedule_cache_dir=None if cache_dir is None else str(cache_dir))
+    np.testing.assert_array_equal(res.arrays["y"], perm.astype(float))
+    return res.timing.engine
+
+
+class TestKaliDiskTier:
+    def test_only_a_disk_tier_fingerprints_content(self, tmp_path, monkeypatch):
+        calls = []
+        original = DistributedArray.content_fingerprint
+
+        def counting(darr):
+            calls.append(darr.name)
+            return original(darr)
+
+        monkeypatch.setattr(DistributedArray, "content_fingerprint", counting)
+        _kali_gather()
+        _build(None).run(2)
+        assert calls == []
+        _kali_gather(tmp_path)
+        assert sorted(set(calls)) == ["t", "x", "y"]
+
+    def test_second_job_hits(self, tmp_path, monkeypatch):
+        assert _kali_gather(tmp_path).counter_sum("inspector_runs") == 4
+        monkeypatch.setattr(diskcache, "_SHARED", {})   # a new process: no memo
+        warm = _kali_gather(tmp_path)
+        assert warm.counter_sum("inspector_runs") == 0
+        assert warm.counter_sum("schedule_cache_disk_hits") == 4
+
+    def test_a_restart_with_another_hash_seed_hits(self, tmp_path):
+        """Forall labels go into the disk-cache key, so they must not
+        depend on the process's string-hash salt."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        script = ("import sys; from tests.test_serve_cache import _kali_gather; "
+                  "print(_kali_gather(sys.argv[1]).counter_sum('inspector_runs'))")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+            out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                                 cwd=root, env=env, capture_output=True,
+                                 text=True, check=True)
+            runs.append(int(out.stdout.split()[-1]))
+        assert runs == [4, 0]
 
 
 class TestServedDifferential:

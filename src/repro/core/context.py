@@ -65,7 +65,6 @@ class KaliRank:
         translation: str = "ranges",
         combine_messages: bool = True,
         schedule_cache_dir: Optional[str] = None,
-        disk_cache_bytes: int = 256 * 1024 * 1024,
     ):
         if translation not in ("ranges", "enumerated"):
             raise KaliError(f"unknown translation kind {translation!r}")
@@ -79,8 +78,7 @@ class KaliRank:
             # Shared per (dir, rank) within the process: a pool worker
             # builds a KaliRank per job, and the shared store's memo is
             # what makes repeat disk hits cost two stats, not a load.
-            disk = shared_disk_cache(schedule_cache_dir, rank.id,
-                                     max_bytes=disk_cache_bytes)
+            disk = shared_disk_cache(schedule_cache_dir, rank.id)
         self.cache = ScheduleCache(enabled=cache_enabled, disk=disk,
                                    translation=translation)
         self.force_strategy = force_strategy
@@ -318,7 +316,6 @@ class KaliContext:
         mp_timeout: float = 120.0,
         pool=None,
         schedule_cache_dir: Optional[str] = None,
-        disk_cache_bytes: int = 256 * 1024 * 1024,
         tune=None,
         shm: Optional[bool] = None,
         shm_threshold: Optional[int] = None,
@@ -356,7 +353,6 @@ class KaliContext:
         self.pool = pool
         #: optional directory of the persistent schedule-cache tier
         self.schedule_cache_dir = schedule_cache_dir
-        self.disk_cache_bytes = disk_cache_bytes
         self.machine = machine
         if topology is None:
             topology = (
@@ -480,7 +476,6 @@ class KaliContext:
         translation = self.translation
         combine_messages = self.combine_messages
         schedule_cache_dir = self.schedule_cache_dir
-        disk_cache_bytes = self.disk_cache_bytes
         arrays = self.arrays
         sim = self.backend == "sim"
 
@@ -499,7 +494,6 @@ class KaliContext:
                 translation=translation,
                 combine_messages=combine_messages,
                 schedule_cache_dir=schedule_cache_dir,
-                disk_cache_bytes=disk_cache_bytes,
             )
             if sim:
                 kranks[rank.id] = kr

@@ -32,26 +32,21 @@ The key is the SHA-256 of a canonical encoding of exactly that:
 * the translation kind (``ranges`` vs ``enumerated`` tables are different
   artifacts).
 
-Failure semantics
------------------
-Loads are corruption-tolerant: a truncated, garbled, or wrong-format
-entry counts as a miss, is deleted, and the caller re-inspects — the
-cache can never poison a result, only fail to accelerate one.  Stores
-are atomic (temp file + ``os.replace``), so concurrent rank processes
-sharing one directory at worst both write the same bytes.  Eviction is
-LRU by file mtime (hits ``utime`` their entry), size-capped by
-``max_bytes``.
+Storage
+-------
+A capped :class:`~repro.util.store.EntryStore` (its module docstring
+states the stamp, memo, atomic-store and eviction rules).  A bad entry
+is a miss and the caller re-inspects: the cache can never poison a
+result, only fail to accelerate one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
 import struct
-import tempfile
-from collections import OrderedDict
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.arrays.localview import LocalArray
@@ -63,16 +58,12 @@ from repro.core.forall import (
     OnProcessor,
 )
 from repro.runtime.schedule import CommSchedule
+from repro.util.store import EntryStore, _hash_update_str
 
 SCHEDCACHE_FORMAT = "repro-schedcache-v1"
 
-_ENTRY_SUFFIX = ".sched"
-
-
-def _hash_update_str(h, s: str) -> None:
-    b = s.encode()
-    h.update(struct.pack("<q", len(b)))
-    h.update(b)
+#: size cap of a schedule-cache directory; LRU by mtime beyond it
+DISK_CACHE_BYTES = 256 * 1024 * 1024
 
 
 def _static_digest(forall: Forall) -> "hashlib._Hash":
@@ -174,8 +165,10 @@ def schedule_content_key(
     return h.hexdigest()
 
 
-class DiskScheduleCache:
-    """One directory of content-addressed schedule entries.
+class DiskScheduleCache(EntryStore):
+    """One directory of content-addressed schedule entries: pickled
+    ``{"format", "key", "schedule"}`` documents in a size-capped
+    :class:`~repro.util.store.EntryStore`.
 
     Many rank processes (and many servers) may share a directory; keys
     embed the rank id, so entries never collide across ranks.  All
@@ -183,178 +176,31 @@ class DiskScheduleCache:
     them into engine ``Count`` events (see ``ScheduleCache.take_counts``).
     """
 
-    #: loaded-schedule memo entries kept per instance (LRU)
-    MEMO_CAP = 128
-
-    def __init__(self, path, max_bytes: int = 256 * 1024 * 1024):
-        self.dir = Path(path)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.corrupt = 0
-        # key -> ((mtime_ns, size), schedule): repeat hits skip the
-        # unpickle but never trust stale bytes — the stamp is checked
-        # against the file on every load, so an on-disk rewrite (another
-        # process storing, a corruption) forces the real load path.
-        self._memo: "OrderedDict[str, Tuple[Tuple[int, int], CommSchedule]]" = (
-            OrderedDict()
+    def __init__(self, path, max_bytes: int = DISK_CACHE_BYTES):
+        super().__init__(
+            path, SCHEDCACHE_FORMAT, ".sched",
+            dumps=functools.partial(pickle.dumps,
+                                    protocol=pickle.HIGHEST_PROTOCOL),
+            loads=pickle.loads,
+            valid=lambda doc: isinstance(doc.get("schedule"), CommSchedule),
+            max_bytes=max_bytes,
         )
 
-    # --- paths -----------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}{_ENTRY_SUFFIX}"
-
-    @staticmethod
-    def _stamp(path: Path) -> Optional[Tuple[int, int]]:
-        try:
-            st = path.stat()
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    def _remember(self, key: str, path: Path, schedule: CommSchedule) -> None:
-        stamp = self._stamp(path)
-        if stamp is None:
-            self._memo.pop(key, None)
-            return
-        self._memo[key] = (stamp, schedule)
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.MEMO_CAP:
-            self._memo.popitem(last=False)
-
-    def entries(self):
-        return sorted(self.dir.glob(f"*{_ENTRY_SUFFIX}"))
-
-    def total_bytes(self) -> int:
-        total = 0
-        for p in self.entries():
-            try:
-                total += p.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    # --- load / store ----------------------------------------------------
-
     def load(self, key: str) -> Optional[CommSchedule]:
-        """The schedule stored under ``key``, or None.  Anything
-        unreadable — truncated write, garbage, foreign format — is
-        deleted and counted as ``corrupt`` (plus a miss)."""
-        path = self._path(key)
-        memo = self._memo.get(key)
-        if memo is not None:
-            stamp, sched = memo
-            if self._stamp(path) == stamp:
-                self.hits += 1
-                try:
-                    os.utime(path)  # LRU touch
-                except OSError:
-                    pass
-                self._remember(key, path, sched)  # re-stamp after utime
-                return sched
-            self._memo.pop(key, None)  # file changed under us: real load
-        try:
-            with open(path, "rb") as fh:
-                doc = pickle.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.corrupt += 1
-            self.misses += 1
-            self._unlink(path)
-            return None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != SCHEDCACHE_FORMAT
-            or doc.get("key") != key
-            or not isinstance(doc.get("schedule"), CommSchedule)
-        ):
-            self.corrupt += 1
-            self.misses += 1
-            self._unlink(path)
-            return None
-        self.hits += 1
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-        self._remember(key, path, doc["schedule"])
-        return doc["schedule"]
+        """The schedule stored under ``key``, or None."""
+        doc = super().load(key)
+        return None if doc is None else doc["schedule"]
 
-    def store(self, key: str, schedule: CommSchedule) -> None:
+    def store(self, key: str, schedule: CommSchedule) -> bool:
         """Atomically persist ``schedule`` under ``key``, then evict
         oldest entries until the directory fits ``max_bytes``."""
-        doc = {"format": SCHEDCACHE_FORMAT, "key": key, "schedule": schedule}
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=self.dir)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(doc, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            self._unlink(Path(tmp))
-            raise
-        self.stores += 1
-        self._remember(key, self._path(key), schedule)
-        self._evict_to_cap()
-
-    def _evict_to_cap(self) -> None:
-        total = self.total_bytes()
-        if total <= self.max_bytes:
-            return
-        aged = []
-        for p in self.entries():
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            aged.append((st.st_mtime, st.st_size, p))
-        aged.sort()
-        for _mtime, size, p in aged:
-            if total <= self.max_bytes:
-                break
-            if self._unlink(p):
-                total -= size
-                self.evictions += 1
-
-    @staticmethod
-    def _unlink(path: Path) -> bool:
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
-    # --- reporting -------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "entries": len(self.entries()),
-            "bytes": self.total_bytes(),
-        }
-
-    def __repr__(self) -> str:
-        return (f"DiskScheduleCache({str(self.dir)!r}, "
-                f"entries={len(self.entries())}, hits={self.hits}, "
-                f"misses={self.misses})")
+        return super().store(key, {"schedule": schedule})
 
 
-_SHARED: Dict[Tuple[str, int, int], DiskScheduleCache] = {}
+_SHARED: Dict[Tuple[str, int], DiskScheduleCache] = {}
 
 
-def shared_disk_cache(path, rank: int,
-                      max_bytes: int = 256 * 1024 * 1024) -> DiskScheduleCache:
+def shared_disk_cache(path, rank: int) -> DiskScheduleCache:
     """The process-wide :class:`DiskScheduleCache` for ``(path, rank)``.
 
     A warm pool worker builds a fresh ``KaliRank`` per job; reusing one
@@ -366,9 +212,8 @@ def shared_disk_cache(path, rank: int,
     counters and break sim/mp differential exactness.  Callers that need
     an unshared view (tests, ``stat`` reporting) construct
     :class:`DiskScheduleCache` directly."""
-    cache_key = (os.path.abspath(str(path)), int(rank), int(max_bytes))
+    cache_key = (os.path.abspath(str(path)), int(rank))
     inst = _SHARED.get(cache_key)
     if inst is None:
-        inst = _SHARED[cache_key] = DiskScheduleCache(path,
-                                                      max_bytes=max_bytes)
+        inst = _SHARED[cache_key] = DiskScheduleCache(path)
     return inst

@@ -10,9 +10,10 @@ the first time — hash-distributed key batches instead of mesh halos:
   shards, backends, and retries.
 * ``dht_lookup`` — build-or-reuse that table, then run batched lookups.
   The built table is cached **on the shard** keyed by its build
-  fingerprint; because the router sends identical specs to the same
-  shard, the second identical job finds the table warm
-  (``table_reused``) and pays for lookups only.
+  fingerprint, in an LRU of ``TABLE_CACHE_CAP`` tables so a long-running
+  server does not keep every spec it ever saw; because the router sends
+  identical specs to the same shard, the second identical job finds the
+  table warm (``table_reused``) and pays for lookups only.
 * ``queue_stream`` — stream pushes/pops through a DQueue and verify the
   global FIFO order against a sequential reference, in-job.
 * ``dht_wordcount`` — the end-to-end example: token counts accumulated
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from repro.machine.stats import RunResult
 from repro.structs.dhash import DHash
 from repro.structs.dqueue import DQueue
 from repro.structs.hashing import key_of_text
+from repro.util.store import LRU
+
+#: built tables a shard keeps warm for ``dht_lookup`` (LRU by last use)
+TABLE_CACHE_CAP = 8
 
 
 def _sha(*arrays: np.ndarray) -> str:
@@ -95,10 +100,9 @@ def run_dht_build(shard, spec: Dict[str, Any]) -> Tuple[RunResult, Dict]:
 
 def run_dht_lookup(shard, spec: Dict[str, Any]) -> Tuple[RunResult, Dict]:
     fingerprint = _table_fingerprint(shard, spec)
-    cache: Optional[Dict[str, DHash]] = getattr(shard, "structs_tables", None)
+    cache = getattr(shard, "structs_tables", None)
     if cache is None:
-        cache = {}
-        shard.structs_tables = cache
+        cache = shard.structs_tables = LRU(TABLE_CACHE_CAP)
     table = cache.get(fingerprint)
     reused = table is not None
     build_summary: Dict[str, Any] = {}

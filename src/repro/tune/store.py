@@ -28,39 +28,22 @@ The fingerprint is taken from the declarations *as submitted*, before
 any learned layout is applied — that ordering (memoize, then apply) is
 what makes job 2 hash to job 1's key.
 
-Failure semantics match the schedule cache: corrupt or foreign entries
-load as a miss and are deleted; stores are atomic (temp + ``os.replace``).
-
-Concurrent writers
-------------------
-Two writers can race on the same fingerprint file: a shard storing back
-a layout its run just learned, and the autopilot hot-swapping a plan it
-promoted through A/B.  Plain ``os.replace`` makes that a silent
-last-writer-wins.  The store therefore follows the schedule disk cache's
-rename-and-stat-validate discipline:
-
-* every load returns (and memoizes) the entry's **stamp** — the
-  ``(mtime_ns, size, inode)`` triple of the file that produced it;
-* ``store(..., expect=stamp)`` is a compare-and-swap: the replace only
-  happens while the on-disk stamp still matches what the writer read,
-  otherwise the write is dropped and counted in ``races`` (the caller
-  re-reads and re-decides);
-* after the rename the store re-stats the path and checks the inode is
-  its own — if another writer replaced it in the same instant, the memo
-  is not poisoned with the losing document.
+Storage and concurrent writers
+------------------------------
+An uncapped :class:`~repro.util.store.EntryStore` (its module docstring
+states the stamp, memo, atomic-store and compare-and-swap rules).  Two
+writers can race on one fingerprint file — a shard storing back a
+layout its run just learned, and the autopilot hot-swapping a plan it
+promoted through A/B — so the autopilot stores with ``expect=stamp``:
+a lost race is re-read and re-decided, never silently clobbered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
-import threading
-from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -71,16 +54,9 @@ from repro.distributions.custom import Custom
 from repro.distributions.cyclic import Cyclic
 from repro.distributions.multidim import ArrayDistribution
 from repro.distributions.replicated import Replicated
+from repro.util.store import EntryStore, _hash_update_str
 
 TUNEPLAN_FORMAT = "repro-tuneplan-v1"
-
-_ENTRY_SUFFIX = ".tuneplan"
-
-
-def _hash_update_str(h, s: str) -> None:
-    b = s.encode()
-    h.update(struct.pack("<q", len(b)))
-    h.update(b)
 
 
 def context_fingerprint(ctx) -> str:
@@ -168,180 +144,20 @@ def apply_plan(ctx, plan: Dict) -> List[str]:
 # --- the store -------------------------------------------------------------
 
 
-Stamp = Tuple[int, int, int]
-
-_UNSET = object()
-
-
-class PlanStore:
-    """One directory of content-addressed tune-plan entries (JSON).
+class PlanStore(EntryStore):
+    """One directory of content-addressed tune-plan entries: JSON
+    documents in an uncapped :class:`~repro.util.store.EntryStore`.
 
     Entries are small (an owner map at most), human-inspectable, and
-    shared freely between processes — stores are atomic and loads are
-    corruption-tolerant.  Writers that can *disagree* (a shard's
-    store-back vs. the autopilot's promotion) coordinate through
-    stamped compare-and-swap stores (see module docstring).
+    shared freely between processes.  Writers that can *disagree* (a
+    shard's store-back vs. the autopilot's promotion) coordinate through
+    the store's stamped compare-and-swap (see module docstring).
     """
 
-    MEMO_CAP = 64
-
     def __init__(self, path):
-        self.dir = Path(path)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-        self.races = 0
-        self._memo: "OrderedDict[str, Tuple[Stamp, Dict]]" = OrderedDict()
-        self._memo_lock = threading.Lock()
-
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}{_ENTRY_SUFFIX}"
-
-    def entries(self) -> List[Path]:
-        return sorted(self.dir.glob(f"*{_ENTRY_SUFFIX}"))
-
-    @staticmethod
-    def _stamp(path: Path) -> Optional[Stamp]:
-        """Identity of the entry currently at ``path`` (None = absent)."""
-        try:
-            st = path.stat()
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size, st.st_ino)
-
-    def _remember(self, key: str, stamp: Optional[Stamp],
-                  doc: Dict) -> None:
-        if stamp is None:
-            return
-        with self._memo_lock:
-            self._memo[key] = (stamp, doc)
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.MEMO_CAP:
-                self._memo.popitem(last=False)
-
-    def _forget(self, key: str) -> None:
-        with self._memo_lock:
-            self._memo.pop(key, None)
-
-    def load(self, key: str) -> Optional[Dict]:
-        """The plan stored under ``key``, or None.  Unreadable or
-        foreign-format entries are deleted and count as a miss."""
-        doc, _ = self.load_stamped(key)
-        return doc
-
-    def load_stamped(self, key: str) -> Tuple[Optional[Dict], Optional[Stamp]]:
-        """Like :meth:`load`, but also return the entry's stamp.
-
-        The stamp is what :meth:`store` CASes against; ``(None, None)``
-        means no (valid) entry.  A memoized document is only trusted
-        while a fresh stat still matches its stamp — an out-of-band
-        rewrite drops the memo and falls through to a real read.
-        """
-        path = self._path(key)
-        with self._memo_lock:
-            memo = self._memo.get(key)
-        if memo is not None:
-            stamp, doc = memo
-            if self._stamp(path) == stamp:
-                self.hits += 1
-                with self._memo_lock:
-                    if key in self._memo:
-                        self._memo.move_to_end(key)
-                return doc, stamp
-            self._forget(key)
-        stamp = self._stamp(path)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None, None
-        except (OSError, ValueError):
-            self.corrupt += 1
-            self.misses += 1
-            self._unlink(path)
-            return None, None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != TUNEPLAN_FORMAT
-            or doc.get("key") != key
-            or not isinstance(doc.get("layout"), dict)
-        ):
-            self.corrupt += 1
-            self.misses += 1
-            self._unlink(path)
-            return None, None
-        self.hits += 1
-        self._remember(key, stamp, doc)
-        return doc, stamp
-
-    def store(self, key: str, plan: Dict, expect=_UNSET) -> bool:
-        """Atomically persist ``plan`` under ``key``; True if it landed.
-
-        Without ``expect`` this is the plain last-writer-wins store.
-        With ``expect`` it is a compare-and-swap: the write only happens
-        while the on-disk stamp still equals ``expect`` (``None`` =
-        "the entry must not exist yet").  A lost CAS is counted in
-        ``races`` and returns False — the caller re-loads and
-        re-decides.  After the rename the path is re-statted; if
-        another writer overtook us in that same instant, their entry
-        stands and ours is not memoized.
-        """
-        doc = dict(plan)
-        doc["format"] = TUNEPLAN_FORMAT
-        doc["key"] = key
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=self.dir)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            if expect is not _UNSET and self._stamp(path) != expect:
-                self._unlink(Path(tmp))
-                self.races += 1
-                self._forget(key)
-                return False
-            our_ino = os.stat(tmp).st_ino
-            os.replace(tmp, path)
-        except BaseException:
-            self._unlink(Path(tmp))
-            raise
-        self.stores += 1
-        landed = self._stamp(path)
-        if landed is not None and landed[2] == our_ino:
-            self._remember(key, landed, doc)
-        else:
-            # Overtaken between rename and stat: the other writer's
-            # entry is the durable one, so leave the memo honest.
-            self.races += 1
-            self._forget(key)
-        return True
-
-    def discard(self, key: str) -> bool:
-        """Remove the entry under ``key`` (rollback to "never learned");
-        True when something was deleted."""
-        self._forget(key)
-        return self._unlink(self._path(key))
-
-    @staticmethod
-    def _unlink(path: Path) -> bool:
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "races": self.races,
-            "entries": len(self.entries()),
-        }
-
-    def __repr__(self) -> str:
-        return (f"PlanStore({str(self.dir)!r}, entries={len(self.entries())}, "
-                f"hits={self.hits}, misses={self.misses})")
+        super().__init__(
+            path, TUNEPLAN_FORMAT, ".tuneplan",
+            dumps=lambda doc: json.dumps(doc).encode(),
+            loads=json.loads,
+            valid=lambda doc: isinstance(doc.get("layout"), dict),
+        )

@@ -1,4 +1,5 @@
-"""Small self-contained utilities: integer set algebra, Gray codes, formatting."""
+"""Small self-contained utilities: integer set algebra, Gray codes,
+formatting, and the content-addressed entry store (``util.store``)."""
 
 from repro.util.intsets import IntervalSet
 from repro.util.sections import Section

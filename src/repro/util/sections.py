@@ -14,7 +14,7 @@ enumerating elements.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class Section:
         if lo > hi:
             return Section.empty()
         # Smallest member of the solution class that is >= lo.
-        first = sol + ((lo - sol + lcm - 1) // lcm) * lcm if sol < lo else sol - ((sol - lo) // lcm) * lcm
+        first = lo + (sol - lo) % lcm
         if first > hi:
             return Section.empty()
         return Section(first, hi, lcm)
@@ -164,9 +164,7 @@ class Section:
         if ilo > ihi:
             return Section.empty()
         # First i >= ilo congruent to i0 mod step_i.
-        first = i0 + ((ilo - i0 + step_i - 1) // step_i) * step_i if i0 < ilo else i0 - ((i0 - ilo) // step_i) * step_i
-        while first < ilo:
-            first += step_i
+        first = ilo + (i0 - ilo) % step_i
         if first > ihi:
             return Section.empty()
         return Section(first, ihi, step_i)

@@ -237,6 +237,100 @@ class TestDiskCache:
         with pytest.raises(ValueError):
             DiskScheduleCache(tmp_path, max_bytes=0)
 
+    def test_same_size_rewrite_within_one_mtime_tick_is_seen(self, tmp_path):
+        # Another writer replaces a memoised entry with one of the same
+        # size and the same mtime: only the inode tells them apart.
+        cache = DiskScheduleCache(tmp_path)
+        key = "s" * 64
+        cache.store(key, _dummy_schedule(label="A"))
+        assert cache.load(key).label == "A"              # memoised
+        path = cache._path(key)
+        before = os.stat(path)
+        DiskScheduleCache(tmp_path).store(key, _dummy_schedule(label="B"))
+        assert os.stat(path).st_size == before.st_size
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert cache.load(key).label == "B"
+
+    def test_threads_share_one_cache(self, tmp_path):
+        import threading
+
+        cache = DiskScheduleCache(tmp_path)
+        key = "h" * 64
+        cache.store(key, _dummy_schedule(label="seed"))
+        threads_n, rounds = 4, 40
+        errors = []
+
+        def hammer(i):
+            try:
+                for j in range(rounds):
+                    cache.store(key, _dummy_schedule(label=f"t{i}-{j:02d}"))
+                    assert isinstance(cache.load(key), CommSchedule)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # No lost counter updates, no torn entries, and the memo agrees
+        # with what a fresh reader finds on disk.
+        assert cache.stores == 1 + threads_n * rounds
+        assert cache.hits == threads_n * rounds
+        assert cache.misses == 0 and cache.corrupt == 0
+        final = cache.load(key).label
+        assert final.startswith("t")
+        assert DiskScheduleCache(tmp_path).load(key).label == final
+
+    def test_memoised_hit_costs_no_unpickle(self, tmp_path, monkeypatch):
+        # The warm pool and serve paths take this branch on every forall.
+        calls = {"unpickle": 0, "stat": 0, "utime": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pickle, "load", counting("unpickle", pickle.load))
+        monkeypatch.setattr(pickle, "loads",
+                            counting("unpickle", pickle.loads))
+        key = "m" * 64
+        DiskScheduleCache(tmp_path).store(key, _dummy_schedule())
+        cache = DiskScheduleCache(tmp_path)
+        assert cache.load(key) is not None       # real load, then memoised
+        assert calls["unpickle"] == 1
+        calls["unpickle"] = 0
+        monkeypatch.setattr(os, "stat", counting("stat", os.stat))
+        monkeypatch.setattr(os, "utime", counting("utime", os.utime))
+        assert cache.load(key) is not None
+        assert cache.hits == 2
+        assert calls["unpickle"] == 0
+        assert calls["stat"] <= 2 and calls["utime"] <= 1
+
+    def test_earlier_release_entry_loads(self, tmp_path):
+        # A repro-schedcache-v1 entry in the shape every earlier release
+        # wrote: one pickled {"format", "key", "schedule"} dict.
+        key, renamed = "g" * 64, "r" * 64
+        doc = {"format": SCHEDCACHE_FORMAT, "key": key,
+               "schedule": _dummy_schedule(label="golden")}
+        raw = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+        (tmp_path / f"{key}.sched").write_bytes(raw)
+        (tmp_path / f"{renamed}.sched").write_bytes(raw)
+        cache = DiskScheduleCache(tmp_path)
+        assert cache.load(key).label == "golden"
+        assert cache.load(renamed) is None          # its key says otherwise
+        assert cache.corrupt == 1
+        assert not (tmp_path / f"{renamed}.sched").exists()
+
 
 def _build(cache_dir=None, backend="sim", pool=None, seed=11):
     mesh = five_point_grid(10, 10)

@@ -84,6 +84,29 @@ class TestDhtLookupWarmPath:
         _, second = run_dht_lookup(shard, spec)
         assert second["table_reused"] is True
 
+    def test_shard_table_cache_is_a_capped_lru(self):
+        from types import SimpleNamespace
+
+        from repro.machine.cost import NCUBE7
+        from repro.structs.jobs import TABLE_CACHE_CAP, run_dht_lookup
+
+        # No structs_tables attribute yet, like the benchmark's sim shard.
+        shard = SimpleNamespace(nranks=2, machine=NCUBE7, pool=None)
+        specs = [{"n": 16, "nbuckets": 5, "seed": s, "lookups": 8}
+                 for s in range(TABLE_CACHE_CAP + 1)]
+        prints = [run_dht_lookup(shard, spec)[1]["table_fingerprint"]
+                  for spec in specs]
+        cache = shard.structs_tables
+        assert len(cache) == TABLE_CACHE_CAP
+        assert prints[0] not in cache                  # oldest evicted
+        assert all(fp in cache for fp in prints[1:])
+        result, again = run_dht_lookup(shard, specs[1])
+        assert again["table_reused"] is True
+        assert result.counter_sum("inspector_runs") == 0
+        # The repeat refreshed specs[1]; the next build evicts specs[2].
+        assert run_dht_lookup(shard, specs[0])[1]["table_reused"] is False
+        assert prints[1] in cache and prints[2] not in cache
+
     def test_different_specs_get_different_tables(self):
         with JobServer(2) as server:
             a = server.submit("dht_lookup", {"n": 60, "seed": 1}) \

@@ -347,7 +347,25 @@ class TestPlanStore:
         assert loaded["layout"]["kind"] == "block"
         assert loaded["meta"] == {"moves": 1}
         assert store.stats() == {"hits": 1, "misses": 0, "stores": 1,
-                                 "corrupt": 0, "races": 0, "entries": 1}
+                                 "evictions": 0, "corrupt": 0, "races": 0,
+                                 "entries": 1, "bytes": store.total_bytes()}
+
+    def test_earlier_release_entry_loads_and_bytes_are_unchanged(self, tmp_path):
+        # A repro-tuneplan-v1 entry byte for byte as earlier releases
+        # wrote it; a copy under another name is a renamed file.
+        text = ('{"format": "repro-tuneplan-v1", "key": "k1", "arrays": ["a"],'
+                ' "layout": {"kind": "block", "param": null, "name": "block",'
+                ' "owners": []}, "meta": {"moves": 1}}')
+        (tmp_path / "k1.tuneplan").write_text(text)
+        (tmp_path / "k2.tuneplan").write_text(text)
+        store = PlanStore(tmp_path)
+        assert store.load("k1") == json.loads(text)
+        assert store.load("k2") is None
+        assert store.corrupt == 1
+        fresh = PlanStore(tmp_path / "fresh")
+        fresh.store("k1", plan_from_layouts(["a"], self.LAYOUT, key="k1",
+                                            meta={"moves": 1}))
+        assert (tmp_path / "fresh" / "k1.tuneplan").read_text() == text
 
     def test_missing_corrupt_and_foreign_entries_miss(self, tmp_path):
         store = PlanStore(tmp_path)

@@ -21,18 +21,15 @@ pointers instead of copying, an edge the Kali version cannot express.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import KaliError
 from repro.machine.api import Compute, Count, Rank, Recv, Send
 from repro.machine.cost import MachineModel
-from repro.machine.engine import Engine
+from repro.machine.launch import default_topology, launch
 from repro.machine.stats import RunResult
-from repro.machine.topology import FullyConnected, Hypercube
-from repro.meshes.regular import MeshArrays, five_point_grid
-from repro.util.gray import is_power_of_two
 
 _TAG_UP = 11
 _TAG_DOWN = 12
@@ -156,9 +153,8 @@ def handcoded_jacobi(
             yield Count("handcoded_sweeps", 1)
         return a
 
-    topology = Hypercube(nprocs) if is_power_of_two(nprocs) else FullyConnected(nprocs)
-    engine = Engine(machine, topology=topology)
-    result = engine.run(rank_prog)
+    result = launch(rank_prog, machine=machine,
+                    topology=default_topology(nprocs), nranks=nprocs)
     for r, block in enumerate(result.values):
         solution[r * my_rows : (r + 1) * my_rows] = block
     return HandCodedResult(engine=result, solution=solution.ravel())

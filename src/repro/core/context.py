@@ -35,17 +35,16 @@ from repro.comm import collectives
 from repro.core.forall import Forall
 from repro.distributions.base import DimDistribution
 from repro.distributions.procs import ProcessorArray
-from repro.errors import ForallError, KaliError
+from repro.errors import KaliError
 from repro.machine.api import Compute, Count as ApiCount, Rank
 from repro.machine.cost import MachineModel, NCUBE7
-from repro.machine.engine import Engine
+from repro.machine.launch import check_backend, default_topology, launch
 from repro.machine.stats import RunResult
-from repro.machine.topology import FullyConnected, Hypercube, Topology
+from repro.machine.topology import Topology
 from repro.runtime.cache import ScheduleCache
 from repro.runtime.executor import run_executor
 from repro.runtime.inspector import run_inspector
 from repro.runtime.redistribute import redistribute as _redistribute
-from repro.util.gray import is_power_of_two
 
 
 class KaliRank:
@@ -325,23 +324,8 @@ class KaliContext:
             raise KaliError(
                 f"processor array of {self.procs.size} != nprocs {nprocs}"
             )
-        if backend not in ("sim", "mp"):
-            raise KaliError(
-                f"unknown backend {backend!r} (expected 'sim' or 'mp')"
-            )
-        if pool is not None:
-            if pool.nranks != nprocs:
-                raise KaliError(
-                    f"pool has {pool.nranks} ranks but context wants "
-                    f"{nprocs} — pools serve one world size"
-                )
-            backend = "mp"  # pooled execution is real-process execution
-        if backend == "mp" and faults is not None:
-            raise KaliError(
-                "fault plans need the deterministic virtual-time engine; "
-                "backend='mp' cannot replay them — use backend='sim'"
-            )
-        self.backend = backend
+        self.backend = check_backend(backend, nprocs, pool=pool, faults=faults,
+                                     error=KaliError, owner="context")
         self.mp_timeout = mp_timeout
         #: shared-memory data plane (mp backend only, docs/dataplane.md):
         #: None = on unless REPRO_SHM=0.  A pooled context uses the
@@ -354,11 +338,7 @@ class KaliContext:
         #: optional directory of the persistent schedule-cache tier
         self.schedule_cache_dir = schedule_cache_dir
         self.machine = machine
-        if topology is None:
-            topology = (
-                Hypercube(nprocs) if is_power_of_two(nprocs) else FullyConnected(nprocs)
-            )
-        self.topology = topology
+        self.topology = topology or default_topology(nprocs)
         self.cache_enabled = cache_enabled
         self.force_strategy = force_strategy
         self.translation = translation
@@ -508,24 +488,11 @@ class KaliContext:
             # crosses the process boundary on the mp backend.
             return _RankOutcome.of(kr, result)
 
-        if sim:
-            engine = Engine(self.machine, topology=self.topology,
-                            nranks=self.procs.size, trace=self.trace,
-                            faults=self.faults)
-            engine_result = engine.run(rank_main)
-        elif self.pool is not None:
-            engine_result = self.pool.run(
-                rank_main, self.machine, topology=self.topology,
-                trace=self.trace, timeout=self.mp_timeout,
-            )
-        else:
-            from repro.machine.mp import MpEngine
-
-            engine = MpEngine(self.machine, topology=self.topology,
-                              nranks=self.procs.size, trace=self.trace,
-                              timeout=self.mp_timeout, shm=self.shm,
-                              shm_threshold=self.shm_threshold)
-            engine_result = engine.run(rank_main)
+        engine_result = launch(
+            rank_main, machine=self.machine, topology=self.topology,
+            nranks=self.procs.size, backend=self.backend, pool=self.pool,
+            trace=self.trace, faults=self.faults, timeout=self.mp_timeout,
+            shm=self.shm, shm_threshold=self.shm_threshold)
         outcomes: List[_RankOutcome] = list(engine_result.values)
 
         # Gather per-rank pieces back into the driver-side global arrays.

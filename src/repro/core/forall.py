@@ -25,11 +25,10 @@ to it (:mod:`repro.lang.lower`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.darray import DistributedArray
 from repro.errors import ForallError
 
 

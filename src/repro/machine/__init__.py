@@ -8,7 +8,9 @@ with a deterministic discrete-event SPMD simulator:
 * :mod:`repro.machine.engine`   — the event-driven engine running one Python
   generator per rank under virtual time,
 * :mod:`repro.machine.api`      — the rank-side facade (ops to ``yield``),
-* :mod:`repro.machine.stats`    — per-rank phase timers and counters.
+* :mod:`repro.machine.stats`    — per-rank phase timers and counters,
+* :mod:`repro.machine.launch`   — the one place a driver picks its engine
+  (simulator, fork-per-run processes, or a warm pool).
 
 Rank programs are ordinary generator functions: they ``yield`` communication
 and compute *ops* and the engine advances per-rank virtual clocks according

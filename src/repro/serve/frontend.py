@@ -15,8 +15,8 @@ A thread per connection, blocked for the full wall time of every
   ``asyncio.to_thread`` — the loop keeps serving other clients while
   one connection waits for the fleet to go idle.
 * everything else (``ping``, ``stat``, ``metrics``, ``scale``,
-  ``stop``) is fast and handled inline via
-  :meth:`JobServer.handle_request`, the protocol's one definition.
+  ``autopilot``, ``stop``) is fast and handled inline via
+  :meth:`JobServer.handle_request`.
 
 The wire protocol: one JSON object per line in, one per
 line out, ``{"ok": false, "shed": true, ...}`` for admission rejections,

@@ -34,10 +34,11 @@ Serving-layer failure semantics (see docs/serving.md):
   seeded worker kills.
 
 The wire protocol is JSON-lines over a unix socket — ``ping``,
-``submit``, ``stat``, ``drain``, ``scale``, ``stop`` — answered by
-:meth:`JobServer.handle_request`; the asyncio front end in
-:mod:`repro.serve.frontend` multiplexes every connection onto it and is
-what ``python -m repro.serve start`` runs.
+``submit``, ``stat``, ``drain``, ``scale``, ``stop`` — served by the
+asyncio front end in :mod:`repro.serve.frontend`, which is what
+``python -m repro.serve start`` runs.  The front answers ``submit`` and
+``drain`` itself, because both wait; :meth:`JobServer.handle_request`
+answers the rest.
 """
 
 from __future__ import annotations
@@ -1016,37 +1017,18 @@ class JobServer:
     # --- the wire protocol -----------------------------------------------
 
     def handle_request(self, req: Dict) -> Dict:
-        """One protocol request → one reply dict (``submit`` with ``wait``
-        blocks, so the asyncio front runs it on a worker thread)."""
+        """One protocol request → one reply dict, for every command that
+        does not wait: ``submit`` and ``drain`` are answered by the
+        asyncio front (:mod:`repro.serve.frontend`), which awaits them
+        without holding the event loop."""
         cmd = req.get("cmd")
         if cmd == "ping":
             return {"ok": True, "pid": os.getpid(), "nranks": self.nranks,
                     "shards": len(self.shards)}
-        if cmd == "submit":
-            if "kind" not in req:
-                return UnknownJobKindError(None).reply()
-            try:
-                future = self.submit(
-                    req["kind"], req.get("spec"),
-                    priority=int(req.get("priority", 0)),
-                    tenant=req.get("tenant", DEFAULT_TENANT),
-                )
-            except UnknownJobKindError as exc:
-                return exc.reply()
-            except ShedError as shed:
-                return {"ok": False, "shed": True, "error": str(shed),
-                        **shed.details}
-            if not req.get("wait", True):
-                return {"ok": True, "queued": True}
-            record = future.result(timeout=req.get("timeout"))
-            return {"ok": bool(record.get("ok")), "job": record}
         if cmd == "stat":
             return {"ok": True, "stat": self.stat()}
         if cmd == "metrics":
             return {"ok": True, "metrics": self.fleet_registry().as_dict()}
-        if cmd == "drain":
-            done = self.drain(timeout=req.get("timeout"))
-            return {"ok": True, "jobs_done": done}
         if cmd == "scale":
             n = int(req["shards"])
             if n < 1:

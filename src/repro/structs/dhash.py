@@ -27,7 +27,8 @@ Layout (owner-computes, paper §2.2 vocabulary):
 * a key's bucket is ``mix64(key) % nbuckets`` — computable by any rank
   with no communication (:mod:`repro.structs.hashing`).
 
-Batching protocol (two combining hops per op):
+Batching protocol (one owner round trip per op,
+:func:`owner_round_trip`, which DQueue shares):
 
 1. the driver splits the batch into even contiguous slices, one per
    rank, and ships slice + local store as ``rank.arg``;
@@ -70,8 +71,9 @@ from repro.comm.collectives import allreduce
 from repro.errors import KaliError
 from repro.machine.api import Compute, Count, Rank
 from repro.machine.cost import MachineModel, NCUBE7
+from repro.machine.launch import check_backend, default_topology, launch
 from repro.machine.stats import RankStats, RunResult
-from repro.machine.topology import FullyConnected, Hypercube, Topology
+from repro.machine.topology import Topology
 from repro.structs.exchange import combining_route, element_route, group_by_dest
 from repro.structs.hashing import (
     bucket_dist,
@@ -79,7 +81,6 @@ from repro.structs.hashing import (
     grow_buckets,
     normalize_buckets,
 )
-from repro.util.gray import is_power_of_two
 
 
 class StructsError(KaliError):
@@ -390,15 +391,65 @@ def _merge_replies(spec: _OpSpec, delivered: Dict[int, Dict[str, np.ndarray]],
     result = np.zeros(len(spec.keys), dtype=np.float64)
     base = int(spec.pos[0]) if len(spec.pos) else 0
     for src in sorted(delivered):
-        for packet in _as_packet_list(delivered[src]):
-            local = np.asarray(packet["pos"], dtype=np.int64) - base
-            found[local] = packet["found"]
-            result[local] = packet["result"]
+        packet = delivered[src]
+        local = np.asarray(packet["pos"], dtype=np.int64) - base
+        found[local] = packet["found"]
+        result[local] = packet["result"]
     return found, result
 
 
-def _as_packet_list(value) -> List[Dict[str, np.ndarray]]:
-    return value if isinstance(value, list) else [value]
+def _elements(owners, arrays: Dict[str, np.ndarray]) -> List[Tuple[int, Dict]]:
+    """One ``(dest, one-element packet)`` per element, in input order."""
+    return [(int(dest), {name: arr[i:i + 1] for name, arr in arrays.items()})
+            for i, dest in enumerate(owners)]
+
+
+def owner_round_trip(rank: Rank, owners: np.ndarray,
+                     request: Dict[str, np.ndarray], apply=None,
+                     combine: bool = True, rounds: int = 0,
+                     phase: str = "structs", tag: int = 0):
+    """The structures' one data motion (paper §3.3): requests are routed
+    to their owners, and owners answer (collective).
+
+    Element ``i`` of the parallel arrays in ``request`` goes to rank
+    ``owners[i]``; each owner runs ``apply({source: packet})``, a
+    generator returning ``{source: reply packet}``, and the replies go
+    back.  Returns ``{owner: reply packet}`` — or, with ``apply`` None,
+    the one-way trip's ``{source: packet}`` as delivered.  A packet
+    keeps its elements in input order.
+
+    ``combine=True`` sends one packet per destination, each hop one
+    combining exchange.  ``combine=False`` is the naive baseline the G1
+    bench measures against: one lock-step exchange per element, with
+    ``rounds`` (the global max slice length) bounding the request hop.
+    The hops take tags from ``tag`` up; a second trip in the same run
+    passes a ``tag`` clear of the first's.
+    """
+    yield Compute(rank.machine.copy_elem * len(owners), phase=phase)
+    if combine:
+        delivered = yield from combining_route(
+            rank, group_by_dest(owners, request), tag=tag, phase=phase)
+    else:
+        delivered = yield from element_route(
+            rank, _elements(owners, request), rounds, tag=tag + 16,
+            phase=phase)
+    if apply is None:
+        return delivered
+    replies = yield from apply(delivered)
+    if combine:
+        returned = yield from combining_route(rank, replies, tag=tag + 4,
+                                              phase=phase)
+        return returned
+    items: List[Tuple[int, Dict]] = []
+    for src, packet in sorted(replies.items()):
+        items += _elements([src] * len(next(iter(packet.values()))), packet)
+    # A hot owner may hold more replies than its request slice was long,
+    # so the lock-step bound is the global max reply count.
+    reply_rounds = yield from allreduce(rank, len(items), op=max,
+                                        tag=tag + 0x200, phase=phase)
+    returned = yield from element_route(rank, items, reply_rounds,
+                                        tag=tag + 16 + 2 * rounds, phase=phase)
+    return returned
 
 
 def _maybe_rebalance(rank: Rank, spec: _OpSpec, store: LocalStore,
@@ -463,12 +514,9 @@ def _maybe_rebalance(rank: Rank, spec: _OpSpec, store: LocalStore,
     yield Count("structs_rehashed_keys", rehashed)
     yield Count("structs_migrated_keys", int(np.count_nonzero(leaving)))
     yield Count("structs_rebalances", 1)
-    packets = group_by_dest(owners[leaving], {
-        "keys": keys[leaving], "vals": vals[leaving],
-    })
-    yield Compute(m.copy_elem * int(np.count_nonzero(leaving)), phase=phase)
-    delivered = yield from combining_route(rank, packets, tag=tag + 1,
-                                           phase=phase)
+    delivered = yield from owner_round_trip(
+        rank, owners[leaving], {"keys": keys[leaving], "vals": vals[leaving]},
+        phase=phase, tag=tag + 1)
     # Deterministic rebuild: retained entries first (original iteration
     # order), then arrivals sorted by source rank, in packet order.
     keep_keys = [keys[staying]]
@@ -491,7 +539,6 @@ def _dhash_op_program(rank: Rank):
     spec: _OpSpec = rank.arg
     store = spec.store
     phase = "structs"
-    m = rank.machine
     nbuckets = spec.nbuckets
     yield Count("structs_batches", 1)
     yield Count("structs_items", len(spec.keys))
@@ -506,44 +553,14 @@ def _dhash_op_program(rank: Rank):
     buckets = bucket_of(spec.keys, nbuckets)
     owners = np.asarray(bucket_dist(nbuckets, rank.size).owner(buckets),
                         dtype=np.int64)
-    arrays = {"keys": spec.keys, "pos": spec.pos}
+    request = {"keys": spec.keys, "pos": spec.pos}
     if spec.vals is not None:
-        arrays["vals"] = spec.vals
-    yield Compute(m.copy_elem * len(spec.keys), phase=phase)
-
-    if spec.combine:
-        packets = group_by_dest(owners, arrays)
-        delivered = yield from combining_route(rank, packets, tag=0,
-                                               phase=phase)
-        replies = yield from _apply_packets(rank, spec.op, store, nbuckets,
-                                            delivered, phase)
-        returned = yield from combining_route(rank, replies, tag=4,
-                                              phase=phase)
-    else:
-        items = []
-        for i in range(len(spec.keys)):
-            packet = {name: arr[i:i + 1] for name, arr in arrays.items()}
-            items.append((int(owners[i]), packet))
-        delivered = yield from element_route(rank, items, spec.rounds, tag=16,
-                                             phase=phase)
-        merged = {src: {name: np.concatenate([p[name] for p in parts])
-                        for name in parts[0]}
-                  for src, parts in delivered.items()}
-        replies = yield from _apply_packets(rank, spec.op, store, nbuckets,
-                                            merged, phase)
-        reply_items = [
-            (src, {name: arr[i:i + 1] for name, arr in packet.items()})
-            for src, packet in sorted(replies.items())
-            for i in range(len(packet["pos"]))
-        ]
-        # A hot owner may hold more replies than its request slice was
-        # long, so the lock-step bound is the global max reply count.
-        reply_rounds = yield from allreduce(
-            rank, len(reply_items), op=max, tag=0x200, phase=phase)
-        returned = yield from element_route(
-            rank, reply_items, reply_rounds, tag=16 + 2 * spec.rounds,
-            phase=phase)
-
+        request["vals"] = spec.vals
+    returned = yield from owner_round_trip(
+        rank, owners, request,
+        lambda delivered: _apply_packets(rank, spec.op, store, nbuckets,
+                                         delivered, phase),
+        spec.combine, spec.rounds, phase)
     found, result = _merge_replies(spec, returned)
 
     info: Dict[str, Any] = {}
@@ -598,21 +615,11 @@ class _StructBase:
                  pool=None, mp_timeout: float = 120.0):
         if nranks < 1:
             raise StructsError(f"nranks must be >= 1, got {nranks}")
-        if backend not in ("sim", "mp"):
-            raise StructsError(
-                f"unknown backend {backend!r} (expected 'sim' or 'mp')")
-        if pool is not None:
-            if pool.nranks != nranks:
-                raise StructsError(
-                    f"pool has {pool.nranks} ranks but structure wants "
-                    f"{nranks}")
-            backend = "mp"
+        self.backend = check_backend(backend, nranks, pool=pool,
+                                     error=StructsError, owner="structure")
         self.nranks = nranks
         self.machine = machine
-        self.topology = topology or (
-            Hypercube(nranks) if is_power_of_two(nranks)
-            else FullyConnected(nranks))
-        self.backend = backend
+        self.topology = topology or default_topology(nranks)
         self.pool = pool
         self.mp_timeout = mp_timeout
         #: engine results of every op, in issue order (merge_results folds
@@ -620,22 +627,9 @@ class _StructBase:
         self.op_results: List[RunResult] = []
 
     def _run(self, program, args) -> RunResult:
-        if self.pool is not None:
-            result = self.pool.run(program, self.machine,
-                                   topology=self.topology, args=args,
-                                   timeout=self.mp_timeout)
-        elif self.backend == "mp":
-            from repro.machine.mp import MpEngine
-
-            engine = MpEngine(self.machine, topology=self.topology,
-                              nranks=self.nranks, timeout=self.mp_timeout)
-            result = engine.run(program, args=args)
-        else:
-            from repro.machine.engine import Engine
-
-            engine = Engine(self.machine, topology=self.topology,
-                            nranks=self.nranks)
-            result = engine.run(program, args=args)
+        result = launch(program, machine=self.machine, topology=self.topology,
+                        nranks=self.nranks, backend=self.backend,
+                        pool=self.pool, args=args, timeout=self.mp_timeout)
         self.op_results.append(result)
         return result
 

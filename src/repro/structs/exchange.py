@@ -1,9 +1,10 @@
 """One combining exchange for batched structure ops.
 
-Every batched op in :mod:`repro.structs` moves data in exactly two
-collective hops — requests to owners, replies to requesters — and each
-hop is **one** combining exchange: a rank sends at most one (merged)
-message per stage regardless of how many keys it is routing.  On
+Every batched op in :mod:`repro.structs` moves data in the owner round
+trip of :func:`repro.structs.dhash.owner_round_trip` — requests to
+owners, replies to requesters — and each hop is **one** combining
+exchange: a rank sends at most one (merged) message per stage
+regardless of how many keys it is routing.  On
 power-of-two worlds that is Fox's crystal router
 (:func:`repro.comm.crystal.crystal_route`, ``log2 P`` stages); elsewhere
 it falls back to the pairwise personalised all-to-all.
@@ -24,6 +25,8 @@ down a pipe.
 from __future__ import annotations
 
 from typing import Any, Dict
+
+import numpy as np
 
 from repro.comm.collectives import alltoall
 from repro.comm.crystal import crystal_route
@@ -60,32 +63,22 @@ def element_route(rank: Rank, outgoing_items, rounds: int, tag: int,
     ``outgoing_items`` is a list of ``(dest, packet)`` — this rank's
     slice of the batch, one entry per element.  All ranks loop in
     lock-step for ``rounds`` iterations (the global max slice length,
-    ragged slices padded with empty exchanges), so the op stays
-    collective and deterministic.  Returns ``{source: [packet, ...]}``
-    in arrival order.  Exists to be measured against — the G1 bench
-    gates the combining path at >= 3x this one.
+    ragged slices padded with empty exchanges), each a
+    :func:`combining_route` of at most one packet, so the op stays
+    collective and deterministic.  Returns ``{source: packet}``, a
+    source's elements concatenated in arrival order.  Exists to be
+    measured against — the G1 bench gates the combining path at >= 3x
+    this one.
     """
-    delivered: Dict[int, list] = {}
+    arrived: Dict[int, list] = {}
     for i in range(rounds):
-        single = {}
-        if i < len(outgoing_items):
-            dest, packet = outgoing_items[i]
-            single[dest] = packet
-        yield Count("structs_exchanges", 1)
-        if is_power_of_two(rank.size):
-            got = yield from crystal_route(
-                rank, single, tag=tag + i, phase=phase, charge_combine=False,
-            )
-        else:
-            payloads: list = [None] * rank.size
-            for dest, packet in single.items():
-                payloads[dest] = packet
-            arrived = yield from alltoall(rank, payloads, tag=tag + i,
-                                          phase=phase)
-            got = {src: p for src, p in enumerate(arrived) if p is not None}
+        got = yield from combining_route(rank, dict(outgoing_items[i:i + 1]),
+                                         tag=tag + i, phase=phase)
         for src, packet in got.items():
-            delivered.setdefault(src, []).append(packet)
-    return delivered
+            arrived.setdefault(src, []).append(packet)
+    return {src: {name: np.concatenate([p[name] for p in parts])
+                  for name in parts[0]}
+            for src, parts in arrived.items()}
 
 
 def group_by_dest(owners, arrays: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
@@ -95,8 +88,6 @@ def group_by_dest(owners, arrays: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
     keeps its elements in input order (stable sort), which the owner
     side relies on for deterministic apply order.
     """
-    import numpy as np
-
     owners = np.asarray(owners)
     if owners.size == 0:
         return {}

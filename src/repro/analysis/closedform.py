@@ -27,6 +27,7 @@ from repro.arrays.localview import LocalArray
 from repro.core.forall import Affine, AffineRead, Forall, OnOwner
 from repro.errors import AnalysisError
 from repro.machine.api import Rank
+from repro.runtime.inspector import statically_local
 from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce_ranges
 from repro.util.sections import Section
 
@@ -119,9 +120,16 @@ def build_closed_form_schedule(
             )
         return mask
 
+    # A read on the on clause's own map and layout is local for every
+    # executed iteration: its ref(p) ⊇ exec(p), and for q ≠ p its image
+    # f(f⁻¹(local(p))) ∩ local(q) is empty — nothing to intersect.
+    aligned = [statically_local(read, forall, env) for read in forall.reads]
+
     # ref(p) per read, and the local/nonlocal iteration split.
     local_iter_mask = np.ones(exec_arr.shape, dtype=bool)
-    for read in forall.reads:
+    for read, local_only in zip(forall.reads, aligned):
+        if local_only:
+            continue
         arr = env[read.array]
         ref_secs = [
             ls.affine_preimage(read.fn.a, read.fn.b)
@@ -139,8 +147,13 @@ def build_closed_form_schedule(
 
     for name in sorted({r.array for r in forall.reads}):
         arr = env[name]
-        reads_of = [r for r in forall.reads if r.array == name]
+        reads_of = [r for r, local_only in zip(forall.reads, aligned)
+                    if r.array == name and not local_only]
         asched = ArraySchedule(array=name)
+        schedule.arrays[name] = asched
+        if not reads_of:
+            asched.finalize()       # empty in/out sets, by construction
+            continue
 
         # in(me, q): elements of remote processors q that my iterations read.
         in_offsets: Dict[int, List[np.ndarray]] = {}
@@ -182,7 +195,6 @@ def build_closed_form_schedule(
             q: np.concatenate(chunks) for q, chunks in out_offsets.items()
         }
         asched.out_records = coalesce_ranges(merged_out, me, incoming=False)
-        schedule.arrays[name] = asched
 
     # Affine loops have no data-dependent communication (empty data-version
     # map), but layout changes still invalidate them.

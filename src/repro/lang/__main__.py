@@ -87,11 +87,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.emit:
-        print(unparse(parse(source)), end="")
-        return 0
-
     try:
+        if args.emit:
+            print(unparse(parse(source)), end="")
+            return 0
         program = compile_kali(source)
         result = program.run(
             nprocs=args.nprocs,

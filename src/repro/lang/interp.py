@@ -4,8 +4,9 @@ A compiled program runs as one SPMD launch on the simulated machine:
 every rank interprets the *same* sequential statements over replicated
 scalar state (the classic SPMD discipline for non-parallel code), and
 ``forall`` statements are lowered to the Forall IR (once per parameter
-fingerprint) and dispatched through the same inspector/executor runtime
-as the embedded Python API — one runtime, two front ends.
+fingerprint, shared by the ranks) and dispatched through the same
+inspector/executor runtime as the embedded Python API — one runtime, two
+front ends.
 
 Global-name-space element access works in sequential code too (the
 paper's titular promise of "direct access to remote parts of data
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.comm.collectives import bcast
 from repro.core.context import KaliContext, KaliRank, KaliRunResult
+from repro.core.forall import Forall
 from repro.distributions.base import DimDistribution
 from repro.distributions.block import Block
 from repro.distributions.block_cyclic import BlockCyclic
@@ -41,7 +43,7 @@ from repro.distributions.cyclic import Cyclic
 from repro.distributions.replicated import Replicated
 from repro.errors import KaliRuntimeError, KaliSemanticError
 from repro.lang import ast
-from repro.lang.lower import ArrayInfo, forall_fingerprint, lower_forall
+from repro.lang.lower import ArrayInfo, fingerprint_names, lower_forall, rank_forall
 from repro.lang.parser import parse
 from repro.lang.sema import SymbolTable, analyze
 from repro.machine.cost import MachineModel, NCUBE7
@@ -238,6 +240,12 @@ class _Interpreter:
         self.consts = consts
         #: print() lines from rank 0, returned as part of its rank value
         self.output: List[str] = []
+        #: lowered IR per (statement, scalar fingerprint), for every rank
+        #: this process runs: the analysis depends only on the AST, the
+        #: symbol table and the (replicated) scalars
+        self.lowered: Dict[Tuple, Forall] = {}
+        #: per statement, the scalars its fingerprint reads
+        self._fingerprint_names: Dict[int, Tuple[str, ...]] = {}
 
     # --- rank program --------------------------------------------------------
 
@@ -250,7 +258,8 @@ class _Interpreter:
                     False if sym.kind == "boolean"
                     else (0 if sym.kind == "integer" else 0.0)
                 )
-        lowered_cache: Dict[Tuple, object] = {}
+        #: this rank's view of ``self.lowered`` (its own replicated data)
+        lowered_cache: Dict[Tuple, Forall] = {}
 
         yield from self._exec_block(
             self.compiled.program.stmts, kr, scalars, lowered_cache
@@ -320,23 +329,31 @@ class _Interpreter:
             raise KaliRuntimeError(f"unknown statement {s!r}")
 
     def _exec_forall(self, s: ast.ForallStmt, kr, scalars, lowered_cache) -> Generator:
-        fp = forall_fingerprint(s, self.compiled.table, scalars)
+        names = self._fingerprint_names.get(id(s))
+        if names is None:
+            names = self._fingerprint_names[id(s)] = fingerprint_names(
+                s, self.compiled.table)
+        fp = tuple((n, scalars.get(n)) for n in names)
         key = (id(s), fp)
         ir = lowered_cache.get(key)
         if ir is None:
-            # The label is hashed into disk-cache keys, so it must not
-            # depend on the process (``hash`` of strings is salted).
-            digest = hashlib.blake2b(repr(fp).encode(), digest_size=8).hexdigest()
-            label = f"forall@L{s.line}" + (f"/{digest}" if fp else "")
             replicated_data = {
                 name: kr.env[name].data
                 for name, info in self.arrays.items()
                 if not info.distributed
             }
-            ir = lower_forall(
-                s, self.compiled.table, self.arrays, scalars,
-                replicated_data, label,
-            )
+            shared = self.lowered.get(key)
+            if shared is not None:
+                ir = rank_forall(shared, replicated_data)
+            else:
+                # The label is hashed into disk-cache keys, so it must not
+                # depend on the process (``hash`` of strings is salted).
+                digest = hashlib.blake2b(repr(fp).encode(), digest_size=8).hexdigest()
+                label = f"forall@L{s.line}" + (f"/{digest}" if fp else "")
+                ir = self.lowered[key] = lower_forall(
+                    s, self.compiled.table, self.arrays, scalars,
+                    replicated_data, label,
+                )
             lowered_cache[key] = ir
         reduced = yield from kr.forall(ir)
         # Fold reduction results into the replicated scalars:

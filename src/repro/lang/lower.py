@@ -49,7 +49,9 @@ lower bound that differs between iterations is a ``KaliSemanticError``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import inspect
 import math
 import operator
 from dataclasses import dataclass
@@ -163,6 +165,13 @@ def forall_fingerprint(stmt: ast.ForallStmt, table: SymbolTable,
     executions, bounds or affine coefficients may differ and the loop is
     re-lowered (getting a fresh schedule-cache identity as well).
     """
+    return tuple((n, scalars.get(n)) for n in fingerprint_names(stmt, table))
+
+
+def fingerprint_names(stmt: ast.ForallStmt, table: SymbolTable) -> Tuple[str, ...]:
+    """The scalars :func:`forall_fingerprint` reads, sorted: a function
+    of the AST and the symbol table alone, so computed once per
+    statement."""
     names: Set[str] = set()
     names |= free_scalars(stmt.lo, table)
     names |= free_scalars(stmt.hi, table)
@@ -185,7 +194,7 @@ def forall_fingerprint(stmt: ast.ForallStmt, table: SymbolTable,
         elif isinstance(s, ast.ForStmt):
             names |= free_scalars(s.lo, table)
             names |= free_scalars(s.hi, table)
-    return tuple(sorted((n, scalars.get(n)) for n in names))
+    return tuple(sorted(names))
 
 
 # --- the lowerer ----------------------------------------------------------------
@@ -648,6 +657,45 @@ _RUNTIME = {"np": np, "_vec": _vec, "_fvec": _fvec, "_bvec": _bvec, "_ix": _ix,
             "_float": _float, "_trunc": _trunc}
 
 
+class Kernel:
+    """A generated kernel: ``make`` of its text applied to the bound
+    arguments, called as ``kernel(iters, ops)``.
+
+    ``replicated`` names the argument slots holding the lowering rank's
+    copy of a replicated array; :meth:`rebound` makes the same kernel
+    over another rank's copies, analysing and compiling nothing again.
+    """
+
+    __slots__ = ("make", "args", "replicated", "_fn")
+
+    def __init__(self, make: Callable, args, replicated: Tuple[Tuple[int, str], ...]):
+        self.make, self.args, self.replicated = make, tuple(args), replicated
+        self._fn = make(*self.args)
+
+    def __call__(self, iters, ops):
+        return self._fn(iters, ops)
+
+    def rebound(self, local_data: Dict[str, np.ndarray]) -> "Kernel":
+        args = list(self.args)
+        for slot, name in self.replicated:
+            args[slot] = local_data[name]
+        return Kernel(self.make, args, self.replicated)
+
+
+def rank_forall(forall: Forall, local_data: Dict[str, np.ndarray]) -> Forall:
+    """``forall``, lowered on another rank, for this one: the same IR,
+    with its kernel made over this rank's replicated arrays
+    (``local_data``); a forall that reads none is shared as it is.
+
+    Ranks must not share replicated data: sequential code writes each
+    rank's copy when that rank gets there, and ranks run ahead of each
+    other between collectives."""
+    kernel = inspect.unwrap(forall.kernel)      # under any call wrapper
+    if not kernel.replicated:
+        return forall
+    return dataclasses.replace(forall, kernel=kernel.rebound(local_data))
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel_factory(text: str) -> Callable:
     """The ``make`` function of one kernel text, compiled once per process."""
@@ -698,6 +746,8 @@ class _KernelEmitter:
     def __init__(self, lowerer: ForallLowerer, delta: int):
         self.low = lowerer
         self.args: List[object] = []
+        #: (argument slot, array name) of each replicated array bound
+        self.replicated: List[Tuple[int, str]] = []
         self.pre: List[str] = []      # before ``if n:``, at depth 2
         self.body: List[str] = []
         self.count = 0
@@ -719,7 +769,7 @@ class _KernelEmitter:
         self.rvals = {name: self._fresh("r", f"np.full(n, {self._bind(_IDENTITY[op])})")
                       for name, op in lowerer.reductions.items()}
 
-    def kernel(self) -> Callable:
+    def kernel(self) -> Kernel:
         low = self.low
         self._block(low.stmt.body, "m0", True, 3)
         tail: List[str] = []
@@ -747,7 +797,7 @@ class _KernelEmitter:
             "    return kernel",
             "",
         ])
-        return _kernel_factory(text)(*self.args)
+        return Kernel(_kernel_factory(text), self.args, tuple(self.replicated))
 
     # --- names ------------------------------------------------------------
 
@@ -900,6 +950,7 @@ class _KernelEmitter:
         plan = self.low.read_plans[id(node)]
         if plan.kind == "replicated":
             data = self._bind(self.low.local_data[node.base])
+            self.replicated.append((len(self.args) - 1, node.base))
             subs, vec = [], False
             for sub, lb in zip(node.subs, self.low.arrays[node.base].lower_bounds):
                 x, kind = self._expr(sub)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.errors import CommunicationError
 
 ANY_SOURCE = -1
@@ -46,10 +48,25 @@ def payload_nbytes(payload: Any) -> int:
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, (tuple, list)):
-        return sum(payload_nbytes(p) for p in payload)
+        return sum(map(_item_nbytes, payload))
     if isinstance(payload, dict):
-        return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items())
+        return (sum(map(_item_nbytes, payload.keys()))
+                + sum(map(_item_nbytes, payload.values())))
     return 64  # conservative default for opaque objects
+
+
+def _item_nbytes(item: Any) -> int:
+    """``payload_nbytes`` of a container item, the common leaves first:
+    crystal packets are lists of ``(name, low, high)``, structure
+    packets dicts of arrays keyed by name."""
+    kind = type(item)
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return 64
+    if kind is np.ndarray:
+        return item.nbytes
+    return payload_nbytes(item)
 
 
 class Op:

@@ -26,16 +26,16 @@ implementation, searches included.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arrays.localview import LocalArray
 from repro.comm.collectives import allreduce
-from repro.core.forall import AffineRead, Forall, IndirectOperand
+from repro.core.forall import Forall, IndirectOperand
 from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank, Recv, Send
-from repro.runtime.inspector import statically_local
+from repro.runtime.inspector import RefClass, classify, statically_local
 from repro.runtime.schedule import (
     ArraySchedule,
     BatchPlan,
@@ -50,31 +50,23 @@ PHASE = "executor"
 _EXEC_TAG_BASE = 1 << 16
 
 
-def _dim0_coord(local: LocalArray) -> int:
-    dist = local.dist
-    pdim = dist.proc_dim_of[0]
-    if pdim is None:
-        return 0
-    return dist.procs.coords_of(local.rank)[pdim]
+def _positions(arr: LocalArray, asched: ArraySchedule, ref: RefClass):
+    """Workspace positions of the references ``ref`` classifies (dead
+    slots → the zero row) plus the local / remote live-reference counts.
 
-
-def _positions(arr: LocalArray, asched: ArraySchedule, elems: np.ndarray, live):
-    """Workspace positions of ``arr``'s global rows ``elems`` (dead slots
-    → the zero row) plus the local / remote live-reference counts.
-
-    Remote rows go through the translation table here, once: a miss
-    raises at compile time, and the virtual clock still charges the
-    per-reference O(log r) search on every execution."""
+    The owners come with ``ref``; remote rows go through the translation
+    table here, once: a miss raises at compile time, and the virtual
+    clock still charges the per-reference O(log r) search on every
+    execution."""
     n_rows = arr.data.shape[0]
     dim0 = arr.dist.dims[0]
-    owners = np.asarray(dim0.owner(elems))
-    mine = owners == _dim0_coord(arr)
-    local, remote = mine & live, ~mine & live
+    elems, remote = ref.elems, ref.remote
+    local = ~remote if ref.live is None else ref.live & ~remote
     pos = np.full(elems.shape, n_rows + asched.buffer_len, dtype=np.int64)
     pos[local] = dim0.to_local(elems[local])
     if remote.any():
         offs = np.asarray(dim0.to_local(elems[remote]))
-        pos[remote] = n_rows + asched.translation.lookup(owners[remote], offs)
+        pos[remote] = n_rows + asched.translation.lookup(ref.owners[remote], offs)
     return pos, int(local.sum()), int(remote.sum())
 
 
@@ -86,39 +78,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
                    schedule: CommSchedule, iters: np.ndarray,
-                   aligned: List[bool]) -> BatchPlan:
+                   refs: List[Optional[RefClass]],
+                   aligned_writes: List[bool]) -> BatchPlan:
     # A read-only view: the kernel is handed these iters on every
     # execution, while the schedule's own array stays as it was.
     batch = BatchPlan(iters=_frozen(iters.view()))
     if iters.size == 0:
         return batch
-    for read, local_only in zip(forall.reads, aligned):
+    on_rows = None
+    if any(ref is None for ref in refs) or any(aligned_writes):
+        # Every reference on the on clause's own map and layout (the
+        # reads the classification skipped, the aligned writes) is local
+        # at the same offsets: one vector, shared by all of them.
+        on_rows = _frozen(np.asarray(
+            env[forall.on.array].to_local_rows(forall.on.fn(iters)), dtype=np.int64))
+    for read, ref in zip(forall.reads, refs):
         counts = live = None
-        if local_only:
-            # Aligned with the on clause: every executed row is local, so
-            # its offset is the answer (the inspector skips these too).
-            pos = np.asarray(env[read.array].to_local_rows(read.fn(iters)),
-                             dtype=np.int64)
-            n_local, n_remote = pos.size, 0
+        if ref is None:
+            pos, n_local, n_remote = on_rows, on_rows.size, 0
         else:
-            if isinstance(read, AffineRead):
-                elems = read.fn(iters)
-            else:
-                rows = env[read.table].get_rows(iters) + read.offset
-                if rows.ndim == 1:
-                    rows = rows[:, None]
-                width = rows.shape[1]
-                if read.count is not None:
-                    counts = env[read.count].get_rows(iters).astype(np.int64)
-                else:
-                    counts = np.full(iters.shape, width, dtype=np.int64)
-                live = _frozen(np.arange(width)[None, :] < counts[:, None])
-                counts = _frozen(counts)
-                elems = np.where(live, rows, 0)  # dead slots may hold garbage
             pos, n_local, n_remote = _positions(
-                env[read.array], schedule.arrays[read.array], elems,
-                True if live is None else live)
-        batch.gathers.append((_frozen(pos), counts, live))
+                env[read.array], schedule.arrays[read.array], ref)
+            pos = _frozen(pos)
+            if ref.live is not None:
+                counts, live = _frozen(ref.counts), _frozen(ref.live)
+        batch.gathers.append((pos, counts, live))
         batch.n_local += n_local
         batch.n_remote += n_remote
         if counts is not None:
@@ -126,9 +110,23 @@ def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
             # charged against (one multiply-add per mesh edge in the Jacobi
             # kernel, not per auxiliary coefficient read).
             batch.n_indirect += n_local + n_remote
-    batch.targets = [_frozen(env[w.array].to_local_rows(w.fn(iters)))
-                     for w in forall.writes]
+    batch.targets = [on_rows if aligned
+                     else _frozen(env[w.array].to_local_rows(w.fn(iters)))
+                     for w, aligned in zip(forall.writes, aligned_writes)]
     return batch
+
+
+def _batch_refs(forall: Forall, env: Dict[str, LocalArray],
+                schedule: CommSchedule) -> List[List[Optional[RefClass]]]:
+    """The classified references of ``exec_local`` and ``exec_nonlocal``:
+    sliced out of the inspector's classification when the schedule
+    carries one (which this consumes), else classified here."""
+    handed, schedule.classification = schedule.classification, None
+    if handed is None:
+        return [classify(forall, env, iters).refs if iters.size else []
+                for iters in (schedule.exec_local, schedule.exec_nonlocal)]
+    return [[None if ref is None else ref.take(rows) for ref in handed.refs]
+            for rows in (~handed.any_remote, handed.any_remote)]
 
 
 def _messages(per_array: Dict[str, Dict[int, object]], combine: bool) -> List[Message]:
@@ -148,10 +146,12 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                  schedule: CommSchedule) -> ExecPlan:
     """Flatten ``schedule`` into the index vectors an execution needs.
 
-    All of the executor's index arithmetic lives here (and in the two
-    helpers above): owner / local-offset lookups, translation-table
-    searches and range-record walks happen once per schedule, not once
-    per sweep.
+    All of the executor's index arithmetic lives here (and in the
+    helpers above): local-offset lookups, translation-table searches and
+    range-record walks happen once per schedule, not once per sweep.
+    The owners of the references come with the inspector's
+    classification; only a schedule without one (disk-loaded or closed
+    form) has ``classify`` run here.
     """
     send_idx: Dict[str, Dict[int, np.ndarray]] = {}
     recv_at: Dict[str, Dict[int, Tuple[int, int]]] = {}
@@ -172,15 +172,17 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                     "contiguous in the receive buffer"
                 )
             recv_at[name][q] = (n_rows + recs[0].buffer_start, count)
-    aligned = [statically_local(read, forall, env) for read in forall.reads]
-    local = _compile_batch(forall, env, schedule, schedule.exec_local, aligned)
+    local_refs, nonlocal_refs = _batch_refs(forall, env, schedule)
+    aligned_writes = [statically_local(w, forall, env) for w in forall.writes]
+    local = _compile_batch(forall, env, schedule, schedule.exec_local,
+                           local_refs, aligned_writes)
     if local.n_remote:
         raise InspectorError(
             f"{forall.label}: schedule marked iterations local but "
             f"{local.n_remote} references resolve remotely (stale schedule?)"
         )
     nonlocal_ = _compile_batch(forall, env, schedule, schedule.exec_nonlocal,
-                               aligned)
+                               nonlocal_refs, aligned_writes)
     # A workspace only where data lands past the local rows: a receive
     # buffer, or a gather that addresses the zero row.
     landing = {name for name, asched in schedule.arrays.items()

@@ -16,12 +16,15 @@ run.  Mirroring the paper's Figure 6 ``first_time`` block, the inspector:
 
 Host-side the classification is vectorised NumPy; the *virtual time*
 charged follows the paper's per-reference model, so simulated inspector
-cost is faithful to the 1990 implementation, not to NumPy.
+cost is faithful to the 1990 implementation, not to NumPy.  Step 2 is
+:func:`classify`, and its result rides on the schedule to the executor's
+``compile_plan``, which needs the same owners and so never recomputes
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from repro.comm.crystal import crystal_route
 from repro.core.forall import (
     Affine,
     AffineRead,
+    AffineWrite,
     Forall,
     IndirectRead,
     OnOwner,
@@ -74,8 +78,9 @@ def compute_exec(forall: Forall, rank: Rank, env: Dict[str, LocalArray]) -> np.n
     return iters[(iters >= lo) & (iters <= hi)]
 
 
-def statically_local(read, forall: Forall, env: Dict[str, LocalArray]) -> bool:
-    """True when ``read`` can never touch remote data, by construction.
+def statically_local(ref, forall: Forall, env: Dict[str, LocalArray]) -> bool:
+    """True when ``ref`` (a read or a write) can never touch remote data,
+    by construction.
 
     An affine reference ``B[g(i)]`` in a loop ``on A[f(i)].loc`` with
     ``g == f`` and B laid out identically to A is local for every
@@ -84,14 +89,16 @@ def statically_local(read, forall: Forall, env: Dict[str, LocalArray]) -> bool:
     inspector checks only the ``adj[i,j]`` references, not ``coef[i,j]``
     or ``count[i]``.  Skipping the check here both matches that code and
     keeps the charged inspector cost proportional to the references that
-    actually need checking.
+    actually need checking.  Every such reference of one batch has the
+    same local offsets, ``to_local_rows(f(iters))`` on A.
     """
-    if not isinstance(read, AffineRead) or not isinstance(forall.on, OnOwner):
+    if (not isinstance(ref, (AffineRead, AffineWrite))
+            or not isinstance(forall.on, OnOwner)):
         return False
-    if read.fn != forall.on.fn:
+    if ref.fn != forall.on.fn:
         return False
     target = env.get(forall.on.array)
-    arr = env.get(read.array)
+    arr = env.get(ref.array)
     if target is None or arr is None:
         return False
     return (
@@ -116,25 +123,41 @@ def _require_1d_proc_grid(local: LocalArray) -> None:
         )
 
 
-def _classify_affine(
-    read: AffineRead, iters: np.ndarray, env: Dict[str, LocalArray], me_coord: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Return (elements, owners, nonlocal_mask, checks) for an affine read."""
-    arr = env[read.array]
-    elems = read.fn(iters)
-    dim0 = arr.dist.dims[0]
-    owners = np.asarray(dim0.owner(elems))
-    nonlocal_mask = owners != me_coord
-    return elems, owners, nonlocal_mask, int(iters.size)
+class RefClass(NamedTuple):
+    """One read's references from a batch of iterations, classified.
+
+    ``elems`` are the global rows referenced (per iteration, and for an
+    indirect read per slot, dead slots clamped to row 0), ``owners``
+    their home processors and ``remote`` the live references homed
+    elsewhere.  An indirect read also carries ``live``, the mask
+    ``arange(width) < counts``, and ``counts``, the live width per
+    iteration; both are None for an affine read."""
+
+    elems: np.ndarray
+    owners: np.ndarray
+    remote: np.ndarray
+    live: Optional[np.ndarray]
+    counts: Optional[np.ndarray]
+
+    def take(self, rows: np.ndarray) -> "RefClass":
+        """The same classification for the iterations ``rows`` selects."""
+        return RefClass(*(None if a is None else a[rows] for a in self))
 
 
-def _classify_indirect(
-    read: IndirectRead, iters: np.ndarray, env: Dict[str, LocalArray], rank: Rank
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Return (elements_2d, owners_2d, live_mask_2d, nonlocal_mask_2d, checks).
+class Classification(NamedTuple):
+    """:func:`classify`'s result for a batch of iterations."""
 
-    ``elements_2d[k, j] = table[iters[k], j]`` with dead columns masked out.
-    """
+    #: per read of the forall: its RefClass, or None for a read that
+    #: ``statically_local`` proves local (nothing was computed for it)
+    refs: List[Optional[RefClass]]
+    #: per iteration: does any reference of it live elsewhere?
+    any_remote: np.ndarray
+
+
+def _indirect_elems(read: IndirectRead, iters: np.ndarray,
+                    env: Dict[str, LocalArray]):
+    """``(elems, live, counts)`` of ``read`` over ``iters``:
+    ``elems[k, j] = table[iters[k], j]`` with dead slots clamped to 0."""
     target = env[read.array]
     table = env[read.table]
     if target.data.ndim != 1:
@@ -151,20 +174,66 @@ def _classify_indirect(
         rows = rows[:, None]
     width = rows.shape[1]
     if read.count is not None:
-        counts = env[read.count]
-        if not np.all(counts.owns(iters)):
+        count = env[read.count]
+        if not np.all(count.owns(iters)):
             raise InspectorError(f"count array {read.count!r} is not aligned")
-        live_width = counts.get_rows(iters).astype(np.int64)
-        live = np.arange(width)[None, :] < live_width[:, None]
+        counts = count.get_rows(iters).astype(np.int64)
     else:
-        live = np.ones(rows.shape, dtype=bool)
-    me_coord = _dim0_proc_coord(target)
-    dim0 = target.dist.dims[0]
+        counts = np.full(iters.shape, width, dtype=np.int64)
+    live = np.arange(width)[None, :] < counts[:, None]
     # Dead slots may hold garbage indices; clamp before owner lookup.
-    safe = np.where(live, rows, 0)
-    owners = np.asarray(dim0.owner(safe))
-    nonlocal_mask = (owners != me_coord) & live
-    return safe, owners, live, nonlocal_mask, int(live.sum())
+    return np.where(live, rows, 0), live, counts
+
+
+def classify(forall: Forall, env: Dict[str, LocalArray],
+             iters: np.ndarray) -> Classification:
+    """The owner of every reference the iterations ``iters`` make.
+
+    One function, two callers: the inspector classifies ``exec(p)`` and
+    leaves the result on its schedule, where ``compile_plan`` takes it;
+    ``compile_plan`` calls this itself only for a schedule that arrives
+    without one (loaded from the disk tier, or built in closed form).
+    """
+    refs: List[Optional[RefClass]] = []
+    any_remote = np.zeros(iters.shape, dtype=bool)
+    for read in forall.reads:
+        if statically_local(read, forall, env):
+            refs.append(None)
+            continue
+        arr = env[read.array]
+        if isinstance(read, AffineRead):
+            elems, live, counts = read.fn(iters), None, None
+        elif isinstance(read, IndirectRead):
+            elems, live, counts = _indirect_elems(read, iters, env)
+        else:
+            raise InspectorError(f"unknown read descriptor {read!r}")
+        owners = np.asarray(arr.dist.dims[0].owner(elems))
+        remote = owners != _dim0_proc_coord(arr)
+        if live is None:
+            any_remote |= remote
+        else:
+            remote &= live
+            any_remote |= remote.any(axis=1)
+        refs.append(RefClass(elems, owners, remote, live, counts))
+    return Classification(refs, any_remote)
+
+
+def _check_range(forall: Forall, read, arr: LocalArray, ref: RefClass) -> None:
+    elems = ref.elems if ref.live is None else ref.elems[ref.live]
+    if not elems.size:
+        return
+    lo_e, hi_e = int(elems.min()), int(elems.max())
+    if lo_e >= 0 and hi_e < arr.dist.shape[0]:
+        return
+    if ref.live is None:
+        raise InspectorError(
+            f"{forall.label}: reference {read.operand_name()} "
+            f"subscript out of range [{lo_e}, {hi_e}]"
+        )
+    raise InspectorError(
+        f"{forall.label}: indirection {read.operand_name()} "
+        f"points outside the array ([{lo_e}, {hi_e}])"
+    )
 
 
 def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
@@ -179,52 +248,24 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
         _require_1d_proc_grid(env[name])
 
     exec_iters = compute_exec(forall, rank, env)
+    classification = classify(forall, env, exec_iters)
 
     total_checks = 0
-    any_nonlocal = np.zeros(exec_iters.shape, dtype=bool)
     # per-array: list of global element indices found nonlocal
     nonlocal_elems: Dict[str, List[np.ndarray]] = {}
-
-    for read in forall.reads:
-        arr = env[read.array]
-        me_coord = _dim0_proc_coord(arr)
-        if statically_local(read, forall, env):
-            nonlocal_elems.setdefault(read.array, [])
+    for read, ref in zip(forall.reads, classification.refs):
+        pieces = nonlocal_elems.setdefault(read.array, [])
+        if ref is None:
             continue
-        if isinstance(read, AffineRead):
-            elems, owners, nl_mask, checks = _classify_affine(
-                read, exec_iters, env, me_coord
-            )
-            if elems.size:
-                lo_e, hi_e = int(elems.min()), int(elems.max())
-                if lo_e < 0 or hi_e >= arr.dist.shape[0]:
-                    raise InspectorError(
-                        f"{forall.label}: reference {read.operand_name()} "
-                        f"subscript out of range [{lo_e}, {hi_e}]"
-                    )
-            any_nonlocal |= nl_mask
-            nonlocal_elems.setdefault(read.array, []).append(elems[nl_mask])
-            total_checks += checks
-        elif isinstance(read, IndirectRead):
-            elems2d, owners2d, live, nl_mask2d, checks = _classify_indirect(
-                read, exec_iters, env, rank
-            )
-            live_elems = elems2d[live]
-            if live_elems.size:
-                lo_e, hi_e = int(live_elems.min()), int(live_elems.max())
-                if lo_e < 0 or hi_e >= env[read.array].dist.shape[0]:
-                    raise InspectorError(
-                        f"{forall.label}: indirection {read.operand_name()} "
-                        f"points outside the array ([{lo_e}, {hi_e}])"
-                    )
-            any_nonlocal |= nl_mask2d.any(axis=1)
-            nonlocal_elems.setdefault(read.array, []).append(elems2d[nl_mask2d])
-            total_checks += checks
-        else:
-            raise InspectorError(f"unknown read descriptor {read!r}")
+        _check_range(forall, read, env[read.array], ref)
+        pieces.append(ref.elems[ref.remote])
+        total_checks += int(exec_iters.size if ref.live is None else ref.live.sum())
 
-    # Verify the owner-computes discipline for writes (once, at inspection).
+    # Verify the owner-computes discipline for writes (once, at inspection);
+    # a write on the on clause's own map and layout is local by construction.
     for w in forall.writes:
+        if statically_local(w, forall, env):
+            continue
         arr = env[w.array]
         me_coord = _dim0_proc_coord(arr)
         targets = w.fn(exec_iters)
@@ -241,8 +282,8 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
                     "on clause with the write target)"
                 )
 
-    exec_local = exec_iters[~any_nonlocal]
-    exec_nonlocal = exec_iters[any_nonlocal]
+    exec_local = exec_iters[~classification.any_remote]
+    exec_nonlocal = exec_iters[classification.any_remote]
 
     # Charge the classification sweep (Figure 6's first loop) plus the
     # sorted-array insertions for elements found nonlocal (§3.3 notes the
@@ -266,6 +307,7 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
         rank=rank.id,
         exec_local=exec_local,
         exec_nonlocal=exec_nonlocal,
+        classification=classification,
     )
     request_payload: Dict[int, List[Tuple[str, int, int]]] = {}
     for name in sorted({r.array for r in forall.reads}):

@@ -75,10 +75,9 @@ def coalesce_ranges(
         if offs.size == 0:
             continue
         breaks = np.nonzero(np.diff(offs) > 1)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [offs.size - 1]))
-        for s, e in zip(starts, ends):
-            low, high = int(offs[s]), int(offs[e])
+        lows = offs[np.concatenate(([0], breaks + 1))].tolist()
+        highs = offs[np.concatenate((breaks, [offs.size - 1]))].tolist()
+        for low, high in zip(lows, highs):
             if incoming:
                 rec = RangeRecord(from_proc=q, to_proc=me, low=low, high=high,
                                   buffer_start=buf)
@@ -211,7 +210,12 @@ class CommSchedule:
       inspection time (cache invalidation key),
     * ``plan``: the compiled :class:`ExecPlan` — derived state, set by
       the executor on first execution and never pickled, so it lives and
-      dies with this object in whichever cache tier holds it.
+      dies with this object in whichever cache tier holds it,
+    * ``classification``: the inspector's
+      :class:`~repro.runtime.inspector.Classification` of ``exec(p)``,
+      handed to ``compile_plan``, which consumes and clears it so that
+      nothing derived from one job's env outlives that job.  Transient
+      like ``plan``: never pickled, never compared.
     """
 
     label: str
@@ -227,10 +231,12 @@ class CommSchedule:
     built_by: str = "inspector"  # or "compile-time"
     translation_kind: str = "ranges"  # or "enumerated"
     plan: Optional[ExecPlan] = field(default=None, repr=False, compare=False)
+    classification: Any = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("plan", None)
+        state.pop("classification", None)
         return state
 
     def enumerate_translations(self) -> None:

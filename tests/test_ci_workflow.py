@@ -43,7 +43,7 @@ def test_smoke_is_one_matrix_over_the_subsystems(workflow):
     entries = smoke["strategy"]["matrix"]["include"]
     names = [e["name"] for e in entries]
     assert names == ["mp", "serve", "serve-chaos", "shm", "structs",
-                     "autopilot", "tune", "obs", "faults"]
+                     "autopilot", "tune", "lang", "obs", "faults"]
     for entry in entries:
         assert set(entry) <= {"name", "pip", "run", "artifact"}
         assert {"name", "pip", "run"} <= set(entry)

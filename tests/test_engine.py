@@ -378,6 +378,16 @@ class TestPayloadSizing:
         assert payload_nbytes([1, 2.0]) == 16
         assert payload_nbytes({"k": 1}) == 64 + 8
 
+    def test_nested_leaves(self):
+        """Every leaf kind under lists, tuples and dicts, as crystal
+        packets and redistribute bundles nest them."""
+        payload = [("adj", 3, 7),                                   # 64 + 8 + 8
+                   [True, None, b"abcd", 2.5, np.zeros(3, np.int16)],  # 1+0+4+8+6
+                   {"x": (1, "s")},                                 # 64 + 8 + 64
+                   (np.float64(1.0), False, 7)]                     # 8 + 1 + 8
+        assert payload_nbytes(payload) == 80 + 19 + 136 + 17
+        assert payload_nbytes(("s",)) == payload_nbytes("s") == 64
+
     def test_explicit_nbytes_override(self):
         s = Send(dest=0, payload=np.zeros(100), nbytes=4)
         assert s.wire_size() == 4

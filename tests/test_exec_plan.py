@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.apps.cg import CGSolver, dense_matrix
+from repro.analysis.planner import Strategy
 from repro.apps.jacobi import build_jacobi
 from repro.core import context
 from repro.core.context import KaliContext, KaliRank
@@ -32,7 +33,7 @@ from repro.machine.api import Count, Send
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.meshes.partition import coordinate_bisection
 from repro.meshes.regular import five_point_grid, reference_sweep
-from repro.runtime import executor
+from repro.runtime import executor, inspector
 from repro.runtime.schedule import ArraySchedule, RangeRecord
 from repro.runtime.translation import EnumeratedTable, TranslationTable
 from repro.serve import diskcache
@@ -893,11 +894,11 @@ def test_trace_events_are_unchanged(layout):
 # --- aligned affine reads skip the owner search -------------------------------
 
 
-def _mixed_reads(n=32, p=4):
+def _mixed_reads(n=32, p=4, **options):
     """A loop on ``C[i]`` reading ``A[i]`` (aligned), ``A[i+1]`` (another
     map) and ``B[i]`` (same map, cyclic instead of block): only the first
     is local by construction."""
-    ctx = KaliContext(p, machine=IDEAL)
+    ctx = KaliContext(p, machine=IDEAL, **options)
     rng = np.random.default_rng(12)
     a, b = rng.random(n), rng.random(n)
     ctx.array("A", n, dist=[Block()]).set(a)
@@ -923,11 +924,11 @@ def _mixed_reads(n=32, p=4):
     return run
 
 
-def _jacobi_run(layout):
+def _jacobi_run(layout, **options):
     mesh, rcb = _rcb_grid(12, 12, 4)
     dist = {"block": Block(), "cyclic": Cyclic(), "rcb": rcb}[layout]
     init = np.random.default_rng(13).random(mesh.n)
-    prog = build_jacobi(mesh, 4, dist=dist, initial=init)
+    prog = build_jacobi(mesh, 4, dist=dist, initial=init, **options)
 
     def run():
         prog.run(2)
@@ -968,9 +969,9 @@ def test_aligned_reads_compile_the_same_plan_without_the_owner_search(
         compiled.append((forall, env, schedule, plan))
         return plan
 
-    def positions_spy(arr, asched, elems, live):
+    def positions_spy(arr, asched, ref):
         searched.append(arr.name)
-        return positions(arr, asched, elems, live)
+        return positions(arr, asched, ref)
 
     monkeypatch.setattr(executor, "compile_plan", compile_spy)
     monkeypatch.setattr(executor, "_positions", positions_spy)
@@ -978,6 +979,8 @@ def test_aligned_reads_compile_the_same_plan_without_the_owner_search(
     assert compiled
     with_shortcut = len(searched)
     del searched[:]
+    # Both places the proof is used: classify (reads), compile_plan (writes).
+    monkeypatch.setattr(inspector, "statically_local", lambda *args: False)
     monkeypatch.setattr(executor, "statically_local", lambda *args: False)
     for forall, env, schedule, plan in compiled:
         assert _plan_bytes(compile_plan(forall, env, schedule)) == _plan_bytes(plan)
@@ -985,6 +988,55 @@ def test_aligned_reads_compile_the_same_plan_without_the_owner_search(
     if case == "misaligned":            # A[i+1] and B[i] still search
         assert set(searched) == {"A", "B"}
         assert with_shortcut * 3 == len(searched) * 2
+
+
+# --- the inspector's classification reaches compile_plan ----------------------
+
+
+@pytest.mark.parametrize("translation", ["ranges", "enumerated"])
+@pytest.mark.parametrize("case", ["block", "cyclic", "rcb", "misaligned"])
+def test_handed_classification_compiles_the_plan_a_pickled_schedule_does(
+        monkeypatch, case, translation):
+    """A schedule that arrives with the inspector's classification and the
+    same schedule round-tripped through pickle (no classification: the
+    disk tier's case) compile byte-identical plans."""
+    run = (_mixed_reads(translation=translation, force_strategy=Strategy.RUNTIME)
+           if case == "misaligned" else _jacobi_run(case, translation=translation))
+    compile_plan = executor.compile_plan
+    compiled = []
+
+    def compile_spy(forall, env, schedule):
+        clone = pickle.loads(pickle.dumps(schedule))
+        handed = schedule.classification is not None
+        plan = compile_plan(forall, env, schedule)
+        compiled.append((forall, env, clone, handed, plan))
+        return plan
+
+    monkeypatch.setattr(executor, "compile_plan", compile_spy)
+    run()
+    handed = [c for c in compiled if c[3]]
+    # Jacobi's relax loop is inspected on all 4 ranks, and so is its copy
+    # loop under RCB (no closed form); the misaligned loop is by force.
+    assert len(handed) == (8 if case == "rcb" else 4)
+    for forall, env, clone, _handed, plan in compiled:
+        assert clone.classification is None and clone.plan is None
+        assert _plan_bytes(compile_plan(forall, env, clone)) == _plan_bytes(plan)
+
+
+def test_classification_is_dropped_by_the_first_execution(monkeypatch):
+    seen = []
+    compile_plan = executor.compile_plan
+
+    def compile_spy(forall, env, schedule):
+        seen.append((schedule, schedule.classification is not None))
+        return compile_plan(forall, env, schedule)
+
+    monkeypatch.setattr(executor, "compile_plan", compile_spy)
+    _jacobi_run("rcb")()
+    assert sum(handed for _schedule, handed in seen) == 8
+    for schedule, _handed in seen:
+        assert schedule.classification is None
+        assert schedule.plan is not None
 
 
 if __name__ == "__main__":      # re-record GOLDEN: PYTHONPATH=<tree>/src:. python <this file>

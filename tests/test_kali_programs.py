@@ -337,3 +337,52 @@ class TestRunConfiguration:
         """
         res = run(src, nprocs=4)
         assert res.scalars["procs_used"] == 4
+
+
+REPLICATED_BETWEEN_FORALLS = """
+processors Procs : array[1..P] with P in 1..8;
+const n : integer := 16;
+var A : array[1..n] of real dist by [ block ] on Procs;
+    R : array[1..3] of real;
+var k : integer;
+for k in 1..3 do
+    forall i in 1..n on A[i].loc do
+        A[i] := A[i] * 2.0 + R[k];
+    end;
+    R[k] := R[k] + 100.0;
+end;
+"""
+
+
+def test_ranks_share_the_lowering_but_not_replicated_data(monkeypatch):
+    """The forall is lowered once per (statement, fingerprint) for all
+    ranks, yet each rank's kernel reads its own copy of R.  A rank runs
+    ahead to the sequential ``R[k] := ...`` before the others reach the
+    forall (nothing synchronises them), so a kernel reading the lowering
+    rank's R would see the new value."""
+    from repro.lang import interp
+
+    lower_forall = interp.lower_forall
+    lowered = []
+
+    def counting(stmt, *args):
+        lowered.append((id(stmt), args[-1]))
+        return lower_forall(stmt, *args)
+
+    monkeypatch.setattr(interp, "lower_forall", counting)
+    a0 = np.linspace(-1.0, 1.0, 16)
+    r0 = np.array([0.5, 0.25, 0.125])
+    prog = compile_kali(REPLICATED_BETWEEN_FORALLS)
+    results = {}
+    for p in (1, 4):
+        del lowered[:]
+        results[p] = prog.run(nprocs=p, machine=IDEAL, inputs={"A": a0, "R": r0})
+        # k is in the fingerprint: one lowering per k, never one per rank
+        assert len(lowered) == len(set(lowered)) == 3
+    expected = a0
+    for k in range(3):
+        expected = expected * 2.0 + r0[k]
+    for result in results.values():
+        np.testing.assert_array_equal(result.arrays["A"], expected)
+        np.testing.assert_array_equal(result.arrays["R"], r0 + 100.0)
+    assert results[4].arrays["A"].tobytes() == results[1].arrays["A"].tobytes()

@@ -1,12 +1,16 @@
 """Tests for the Kali lexer and parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KaliSyntaxError
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
 from repro.lang.tokens import TokenType as T
+from tests.lexer_reference import reference_tokenize
+from tests.test_unparse import kali_programs
 
 
 def types(source):
@@ -74,6 +78,44 @@ class TestLexer:
         end;
         """
         assert tokenize(src)[-1].type is T.EOF
+
+    def test_real_literal_at_end_of_input(self):
+        toks = tokenize("x := 1.5")
+        assert [t.type for t in toks] == [T.IDENT, T.ASSIGN, T.REAL, T.EOF]
+        assert toks[2].value == 1.5
+        assert (toks[3].line, toks[3].column) == (1, 9)
+
+    @pytest.mark.parametrize("source, column", [("x := 1.5e", 10),
+                                                ("x := 1.5e+", 11)])
+    def test_exponent_cut_off_by_end_of_input(self, source, column):
+        with pytest.raises(KaliSyntaxError) as info:
+            tokenize(source)
+        assert str(info.value) == (
+            f"malformed real exponent (line 1, column {column})")
+
+
+# --- the regex lexer against the character-walking one it replaced ----------
+
+
+def _lexed(lex, source):
+    """Every token field, or the error text with its position."""
+    try:
+        return [(t.type, t.text, t.line, t.column, t.value) for t in lex(source)]
+    except KaliSyntaxError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kali_programs())
+def test_generated_programs_lex_as_before(src):
+    assert _lexed(tokenize, src) == _lexed(reference_tokenize, src)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='aZ_9 0.eE+-:=<>"\n\t\r;,()[]*/?é½', max_size=30))
+def test_character_soup_lexes_or_fails_as_before(src):
+    """Errors included: the text and the line/column of every message."""
+    assert _lexed(tokenize, src) == _lexed(reference_tokenize, src)
 
 
 class TestParserDeclarations:

@@ -226,3 +226,62 @@ def test_indirect_duality_and_oracle(n, p, dist, seed):
             outs = [(r.low, r.high)
                     for r in schedules[q].arrays["A"].ranges_for_peer_out(me)]
             assert ins == outs
+
+
+@pytest.mark.parametrize("fmap", [(1, 0), (1, 2), (2, 1), (-1, 36)])
+@pytest.mark.parametrize("dist", ["block", "cyclic", "bc2", "bc3"])
+@pytest.mark.parametrize("p", [3, 4, 8])
+def test_aligned_arrays_skip_the_closed_form_sweep(monkeypatch, p, dist, fmap):
+    """Every read on the on clause's own map and layout: the closed form
+    emits empty in/out sets without the P-way intersection, and the
+    schedule is the one the full sweep builds."""
+    from repro.analysis import closedform
+    from repro.machine.api import Rank
+
+    n = 37
+    mk = {"block": Block, "cyclic": Cyclic, "bc2": lambda: BlockCyclic(2),
+          "bc3": lambda: BlockCyclic(3)}[dist]
+    ctx = KaliContext(p, machine=IDEAL)
+    ctx.array("A", n, dist=[mk()]).set(np.arange(float(n)))
+    ctx.array("B", n, dist=[mk()]).set(np.zeros(n))
+    loop = Forall(
+        index_range=_legal_range(n, [fmap]),
+        on=OnOwner("B", Affine(*fmap)),
+        reads=[AffineRead("A", Affine(*fmap), name="a"),
+               AffineRead("B", Affine(*fmap), name="b")],
+        writes=[AffineWrite("B", Affine(*fmap))],
+        kernel=lambda iters, ops: ops["a"] + ops["b"],
+        label=f"aligned-{dist}-{p}-{fmap}",
+    )
+    exec_sections = closedform._exec_sections
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exec_sections(*args)
+
+    monkeypatch.setattr(closedform, "_exec_sections", counting)
+
+    def build():
+        del calls[:]
+        return [closedform.build_closed_form_schedule(
+                    Rank(r, p, IDEAL, None), loop,
+                    {name: arr.scatter(r) for name, arr in ctx.arrays.items()})
+                for r in range(p)]
+
+    fast = build()
+    assert len(calls) == p                  # exec(me) only
+    monkeypatch.setattr(closedform, "statically_local", lambda *args: False)
+    swept = build()
+    # per rank: exec(me), then exec(q) for every q ≠ me, once per array
+    assert len(calls) == p * (1 + 2 * (p - 1))
+    for f, s in zip(fast, swept):
+        assert f.describe() == s.describe()
+        np.testing.assert_array_equal(f.exec_local, s.exec_local)
+        np.testing.assert_array_equal(f.exec_nonlocal, s.exec_nonlocal)
+        assert f.dist_versions == s.dist_versions
+        for name in ("A", "B"):
+            fa, sa = f.arrays[name], s.arrays[name]
+            assert (fa.in_records, fa.out_records, fa.buffer_len) \
+                == (sa.in_records, sa.out_records, sa.buffer_len) == ([], [], 0)
+            assert fa.translation.num_ranges == sa.translation.num_ranges == 0

@@ -32,7 +32,7 @@ from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coa
 from repro.util.sections import Section
 
 
-def _local_sections(arr: LocalArray, proc: int) -> List[Section]:
+def _sections_of(arr: LocalArray, proc: int) -> List[Section]:
     secs = arr.dist.dims[0].analysis_sections(proc)
     if secs is None:
         raise AnalysisError(
@@ -42,23 +42,33 @@ def _local_sections(arr: LocalArray, proc: int) -> List[Section]:
     return [s for s in secs if s]
 
 
+def _preimage(sec: Section, g: Affine, lo: int, hi: int) -> Section:
+    """``{i in [lo, hi] : g(i) in sec}`` — a section; under a constant
+    map it is every iteration or none."""
+    if g.a == 0:
+        return Section(lo, hi) if g.b in sec else Section.empty()
+    return sec.affine_preimage(g.a, g.b).clip(lo, hi)
+
+
 def _exec_sections(forall: Forall, arr_on: LocalArray, proc: int) -> List[Section]:
     """``exec(p)`` as a union of sections (one per local section of the
     on-clause target; block-cyclic contributes one per owned block)."""
     lo, hi = forall.index_range
-    f: Affine = forall.on.fn
     out = []
-    for sec in _local_sections(arr_on, proc):
-        pre = sec.affine_preimage(f.a, f.b).clip(lo, hi)
+    for sec in _sections_of(arr_on, proc):
+        pre = _preimage(sec, forall.on.fn, lo, hi)
         if pre:
             out.append(pre)
     return out
 
 
 def _image(sec: Section, g: Affine) -> Section:
-    """Image of a section under an affine map (stays a section)."""
+    """Image of a section under an affine map (stays a section; a
+    constant map sends every member to the one point ``b``)."""
     if not sec:
         return Section.empty()
+    if g.a == 0:
+        return Section.point(g.b)
     if g.a > 0:
         return Section(g(sec.lo), g(sec.hi), g.a * sec.step)
     return Section(g(sec.hi), g(sec.lo), -g.a * sec.step)
@@ -100,7 +110,7 @@ def build_closed_form_schedule(
                 )
     for w in forall.writes:
         arr = env[w.array]
-        w_secs = _local_sections(arr, me)
+        w_secs = _sections_of(arr, me)
         for es in exec_me:
             img = _image(es, w.fn)
             covered = sum(len(img.intersect(wl)) for wl in w_secs)
@@ -132,8 +142,8 @@ def build_closed_form_schedule(
             continue
         arr = env[read.array]
         ref_secs = [
-            ls.affine_preimage(read.fn.a, read.fn.b)
-            for ls in _local_sections(arr, me)
+            _preimage(ls, read.fn, *forall.index_range)
+            for ls in _sections_of(arr, me)
         ]
         local_iter_mask &= _in_sections(exec_arr, [s for s in ref_secs if s])
 
@@ -160,7 +170,7 @@ def build_closed_form_schedule(
         for q in range(P):
             if q == me:
                 continue
-            for loc_q in _local_sections(arr, q):
+            for loc_q in _sections_of(arr, q):
                 for read in reads_of:
                     for es in exec_me:
                         need = _image(es, read.fn).intersect(loc_q)
@@ -176,7 +186,7 @@ def build_closed_form_schedule(
         asched.finalize()
 
         # out(me, q) = in(q, me): what each q's iterations need from me.
-        loc_me_secs = _local_sections(arr, me)
+        loc_me_secs = _sections_of(arr, me)
         out_offsets: Dict[int, List[np.ndarray]] = {}
         for q in range(P):
             if q == me:

@@ -60,6 +60,9 @@ class OnOwner(OnClause):
     def __post_init__(self):
         if not isinstance(self.fn, Affine):
             raise ForallError("OnOwner.fn must be an Affine map")
+        if self.fn.a == 0:
+            raise ForallError(
+                "on-clause subscript must be affine in the forall index")
 
 
 @dataclass(frozen=True)

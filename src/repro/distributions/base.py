@@ -2,10 +2,15 @@
 
 A dimension distribution realises the paper's ``local`` function restricted
 to one axis: it answers *who owns global index i* (``owner``), *what does
-processor p hold* (``local_indices`` / ``local_set``), and translates
-between global indices and local storage offsets.  All index-mapping
-methods accept NumPy arrays and apply element-wise — the inspector relies
-on vectorised owner lookups (guide: avoid per-element Python loops).
+processor p hold* (``local_indices``), and translates between global
+indices and local storage offsets.  All index-mapping methods accept NumPy
+arrays and apply element-wise — the inspector relies on vectorised owner
+lookups (guide: avoid per-element Python loops).
+
+Closed-form analysis (§3.2) asks a distribution exactly two more things:
+``local(p)`` as strided sections (``analysis_sections``) and whether to
+use them (``supports_closed_form``).  A distribution with no section form
+answers ``None`` / ``False``.
 
 Distributions are created unbound (``Block()``) as in a Kali ``dist``
 clause, then bound to a concrete ``(extent, nprocs)`` pair when the data
@@ -14,12 +19,11 @@ array is created.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.errors import DistributionError
-from repro.util.intsets import IntervalSet
 from repro.util.sections import Section
 
 IndexLike = Union[int, np.ndarray]
@@ -95,24 +99,6 @@ class DimDistribution:
         """Sorted global indices stored on ``proc``."""
         raise NotImplementedError
 
-    def local_set(self, proc: int) -> IntervalSet:
-        """``local(p)`` as an exact :class:`IntervalSet` (for analysis)."""
-        return IntervalSet.from_indices(self.local_indices(proc))
-
-    def local_section(self, proc: int) -> Optional[Section]:
-        """``local(p)`` as a single strided section, when it is one.
-
-        Block and cyclic distributions always qualify; returns ``None``
-        otherwise, in which case compile-time analysis falls back to the
-        run-time inspector.
-        """
-        return None
-
-    def max_local_count(self) -> int:
-        """Largest per-processor allocation (for buffer sizing)."""
-        self._require_bound()
-        return max(self.local_count(p) for p in range(self.nprocs))
-
     # --- infrastructure ------------------------------------------------------
 
     def same_layout(self, other: "DimDistribution") -> bool:
@@ -132,31 +118,17 @@ class DimDistribution:
         """Subclass hook: extra parameters that affect placement."""
         return ()
 
-    def is_regular(self) -> bool:
-        """True when closed-form compile-time analysis is supported."""
-        return False
-
-    def has_section_form(self) -> bool:
-        """True when every ``local(p)`` is a single strided section.
-        Must agree with :meth:`local_section`."""
-        return False
-
-    def analysis_sections(self, proc: int):
-        """``local(p)`` as a list of strided sections for closed-form
-        analysis, or None when no such decomposition is available.
-
-        Single-section distributions return ``[local_section(p)]``;
-        block-cyclic returns one section per owned block.
-        """
-        sec = self.local_section(proc)
-        return None if sec is None else [sec]
+    def analysis_sections(self, proc: int) -> Optional[List[Section]]:
+        """``local(p)`` as a list of disjoint strided sections for
+        closed-form analysis, or None when no such decomposition exists."""
+        return None
 
     def supports_closed_form(self) -> bool:
         """True when compile-time analysis should be attempted: the
-        distribution is regular and its ``analysis_sections`` are few
-        enough that evaluating the closed forms is cheaper than running
-        the inspector (the §3.2 compile-time/run-time judgement call)."""
-        return self.is_regular() and self.has_section_form()
+        ``analysis_sections`` exist and are few enough that evaluating the
+        closed forms is cheaper than running the inspector (the §3.2
+        compile-time/run-time judgement call)."""
+        return False
 
     def check_disjoint_cover(self) -> None:
         """Verify the paper's §2.2 convention: the ``local(p)`` sets are

@@ -11,12 +11,11 @@ block.  This is the distribution used throughout the paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 import numpy as np
 
 from repro.distributions.base import DimDistribution, IndexLike
-from repro.util.intsets import IntervalSet
 from repro.util.sections import Section
 
 
@@ -68,18 +67,10 @@ class Block(DimDistribution):
         lo, hi = self._bounds(proc)
         return np.arange(lo, max(lo, hi), dtype=np.int64)
 
-    def local_set(self, proc: int) -> IntervalSet:
+    def analysis_sections(self, proc: int) -> List[Section]:
         self._require_bound()
         lo, hi = self._bounds(proc)
-        return IntervalSet.range(lo, hi - 1) if hi > lo else IntervalSet.empty()
+        return [Section(lo, hi - 1)]
 
-    def local_section(self, proc: int) -> Optional[Section]:
-        self._require_bound()
-        lo, hi = self._bounds(proc)
-        return Section(lo, hi - 1) if hi > lo else Section.empty()
-
-    def is_regular(self) -> bool:
-        return True
-
-    def has_section_form(self) -> bool:
+    def supports_closed_form(self) -> bool:
         return True

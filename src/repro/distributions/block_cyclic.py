@@ -10,13 +10,12 @@ blocks contiguously in block order.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 import numpy as np
 
 from repro.distributions.base import DimDistribution, IndexLike
 from repro.errors import DistributionError
-from repro.util.intsets import IntervalSet
 from repro.util.sections import Section
 
 
@@ -83,35 +82,11 @@ class BlockCyclic(DimDistribution):
             return np.empty(0, dtype=np.int64)
         return np.concatenate(chunks)
 
-    def local_set(self, proc: int) -> IntervalSet:
-        self._require_bound()
-        b, p = self.block_size, self.nprocs
-        pieces = []
-        start = proc * b
-        while start < self.extent:
-            pieces.append((start, min(start + b, self.extent) - 1))
-            start += p * b
-        return IntervalSet(pieces)
-
-    def local_section(self, proc: int) -> Optional[Section]:
-        # A union of blocks is not a single arithmetic progression unless
-        # the block size is 1 (cyclic) or there is at most one block.
-        self._require_bound()
-        if self.block_size == 1:
-            if proc >= self.extent:
-                return Section.empty()
-            return Section(proc, self.extent - 1, self.nprocs)
-        s = self.local_set(proc)
-        if s.num_ranges() <= 1:
-            ivals = s.intervals
-            return Section(ivals[0][0], ivals[0][1]) if ivals else Section.empty()
-        return None
-
     #: analysis stays closed-form while each processor owns at most this
     #: many blocks; beyond that the run-time inspector is cheaper.
     MAX_ANALYSIS_SECTIONS = 16
 
-    def analysis_sections(self, proc: int):
+    def analysis_sections(self, proc: int) -> List[Section]:
         self._require_bound()
         b, p = self.block_size, self.nprocs
         out = []
@@ -127,14 +102,3 @@ class BlockCyclic(DimDistribution):
         nblocks = -(-self.extent // self.block_size) if self.extent else 0
         per_proc = -(-nblocks // self.nprocs) if nblocks else 0
         return per_proc <= self.MAX_ANALYSIS_SECTIONS
-
-    def is_regular(self) -> bool:
-        return True
-
-    def has_section_form(self) -> bool:
-        # Single-section local sets only when dealing degenerates to
-        # cyclic (b == 1) or each processor holds at most one block.
-        if self.block_size == 1:
-            return True
-        nblocks = -(-self.extent // self.block_size) if self.extent else 0
-        return nblocks <= self.nprocs

@@ -11,14 +11,12 @@ so every later translation is a single table lookup.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.distributions.base import DimDistribution, IndexLike
 from repro.errors import DistributionError
-from repro.util.intsets import IntervalSet
-from repro.util.sections import Section
 
 
 class Custom(DimDistribution):
@@ -81,13 +79,3 @@ class Custom(DimDistribution):
     def local_indices(self, proc: int) -> np.ndarray:
         self._require_bound()
         return self._locals[proc]
-
-    def local_set(self, proc: int) -> IntervalSet:
-        self._require_bound()
-        return IntervalSet.from_indices(self._locals[proc])
-
-    def local_section(self, proc: int) -> Optional[Section]:
-        return None
-
-    def is_regular(self) -> bool:
-        return False

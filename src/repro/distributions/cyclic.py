@@ -11,12 +11,11 @@ offset ``i // P`` on processor ``i % P``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 import numpy as np
 
 from repro.distributions.base import DimDistribution, IndexLike
-from repro.util.intsets import IntervalSet
 from repro.util.sections import Section
 
 
@@ -52,17 +51,9 @@ class Cyclic(DimDistribution):
         self._require_bound()
         return np.arange(proc, self.extent, self.nprocs, dtype=np.int64)
 
-    def local_set(self, proc: int) -> IntervalSet:
-        return self.local_section(proc).to_interval_set()
-
-    def local_section(self, proc: int) -> Optional[Section]:
+    def analysis_sections(self, proc: int) -> List[Section]:
         self._require_bound()
-        if proc >= self.extent:
-            return Section.empty()
-        return Section(proc, self.extent - 1, self.nprocs)
+        return [Section(proc, self.extent - 1, self.nprocs)]
 
-    def is_regular(self) -> bool:
-        return True
-
-    def has_section_form(self) -> bool:
+    def supports_closed_form(self) -> bool:
         return True

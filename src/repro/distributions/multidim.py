@@ -100,11 +100,6 @@ class ArrayDistribution:
             rank = rank * self.procs.extent(pdim) + dim.owner(np.asarray(comp))
         return int(rank) if scalar else rank
 
-    def owner_flat(self, flat_index: IndexLike) -> IndexLike:
-        """Rank owning flattened (row-major) global index/indices."""
-        comps = np.unravel_index(np.asarray(flat_index), self.shape)
-        return self.owner(tuple(comps))
-
     # --- local storage ----------------------------------------------------------
 
     def local_shape(self, rank: int) -> Tuple[int, ...]:
@@ -126,51 +121,6 @@ class ArrayDistribution:
         """Per-dimension local offsets of global ``index`` on its owner."""
         comps = self._as_tuple(index)
         return tuple(dim.to_local(np.asarray(c)) for c, dim in zip(comps, self.dims))
-
-    def to_local_flat(self, flat_index: IndexLike, rank: Optional[int] = None) -> IndexLike:
-        """Flattened local offset of flattened global index on its owner.
-
-        ``rank`` is accepted for interface symmetry; the offset does not
-        depend on it because each dimension packs its local elements
-        independently of the owner.
-        """
-        comps = np.unravel_index(np.asarray(flat_index), self.shape)
-        local = self.to_local(tuple(comps))
-        shapes = self._local_shape_for(comps)
-        flat = np.zeros(np.asarray(flat_index).shape, dtype=np.int64)
-        for loc, extent in zip(local, shapes):
-            flat = flat * extent + loc
-        return flat if isinstance(flat_index, np.ndarray) else int(flat)
-
-    def _local_shape_for(self, comps) -> Tuple[int, ...]:
-        """Local extents used for flattening.  Requires dimensionwise-uniform
-        local extents (true for block/cyclic padded allocation); for exact
-        packing the 1-d case is always safe."""
-        out = []
-        for dim, pdim in zip(self.dims, self.proc_dim_of):
-            if pdim is None:
-                out.append(dim.extent)
-            else:
-                out.append(dim.max_local_count())
-        return tuple(out)
-
-    def allocation_shape(self, rank: int) -> Tuple[int, ...]:
-        """Uniform per-rank allocation: max local count per dimension.
-
-        Using the max (rather than the exact local shape) keeps
-        global-to-local flattening rank-independent, at the cost of a few
-        padding elements on edge processors — the standard trick in
-        HPF-era runtimes.
-        """
-        return self._local_shape_for(None)
-
-    def local_to_global(self, rank: int, offsets: Tuple[IndexLike, ...]) -> Tuple[IndexLike, ...]:
-        coords = self.procs.coords_of(rank)
-        out = []
-        for off, dim, pdim in zip(offsets, self.dims, self.proc_dim_of):
-            p = 0 if pdim is None else coords[pdim]
-            out.append(dim.to_global(p, off))
-        return tuple(out)
 
     def global_indices_of(self, rank: int) -> np.ndarray:
         """All flattened global indices stored on ``rank`` (sorted)."""

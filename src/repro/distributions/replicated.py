@@ -14,12 +14,11 @@ a replicated dimension.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 import numpy as np
 
 from repro.distributions.base import DimDistribution, IndexLike
-from repro.util.intsets import IntervalSet
 from repro.util.sections import Section
 
 
@@ -53,22 +52,11 @@ class Replicated(DimDistribution):
         self._require_bound()
         return np.arange(self.extent, dtype=np.int64)
 
-    def local_set(self, proc: int) -> IntervalSet:
+    def analysis_sections(self, proc: int) -> List[Section]:
         self._require_bound()
-        if self.extent == 0:
-            return IntervalSet.empty()
-        return IntervalSet.range(0, self.extent - 1)
+        return [Section(0, self.extent - 1)]
 
-    def local_section(self, proc: int) -> Optional[Section]:
-        self._require_bound()
-        if self.extent == 0:
-            return Section.empty()
-        return Section(0, self.extent - 1)
-
-    def is_regular(self) -> bool:
-        return True
-
-    def has_section_form(self) -> bool:
+    def supports_closed_form(self) -> bool:
         return True
 
     def check_disjoint_cover(self) -> None:

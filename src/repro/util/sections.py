@@ -14,11 +14,9 @@ enumerating elements.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
-
-from repro.util.intsets import IntervalSet
 
 
 def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -171,23 +169,8 @@ class Section:
 
     # --- conversions ----------------------------------------------------------
 
-    def to_interval_set(self) -> IntervalSet:
-        """Exact :class:`IntervalSet` equivalent (contiguous runs merge)."""
-        if not self:
-            return IntervalSet.empty()
-        if self.step == 1:
-            return IntervalSet.range(self.lo, self.hi)
-        return IntervalSet((i, i) for i in self)
-
     def to_array(self) -> np.ndarray:
         if not self:
             return np.empty(0, dtype=np.int64)
         return np.arange(self.lo, self.hi + 1, self.step, dtype=np.int64)
 
-
-def union_to_interval_set(sections: List[Section]) -> IntervalSet:
-    """Union a list of sections into one :class:`IntervalSet`."""
-    out = IntervalSet.empty()
-    for s in sections:
-        out = out | s.to_interval_set()
-    return out

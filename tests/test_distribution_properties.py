@@ -12,9 +12,9 @@ must satisfy three contracts, exercised here over Hypothesis-drawn
 * **coverage** — ``local_indices(p)`` partitions ``[0, extent)``
   (disjoint + complete; replicated dims instead store everything
   everywhere), and ``analysis_sections(p)``, when offered, enumerates
-  exactly the owned indices.
-* **consistency** — ``local_count``, ``local_set`` and vectorised
-  ``owner`` all agree with ``local_indices``.
+  exactly the owned indices — always so when ``supports_closed_form()``.
+* **consistency** — ``local_count`` and vectorised ``owner`` agree with
+  ``local_indices``.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.distributions import (
     Cyclic,
     Replicated,
 )
-from repro.util.sections import union_to_interval_set
 
 extents = st.integers(1, 120)
 procs = st.integers(1, 9)
@@ -107,7 +106,7 @@ def test_local_indices_partition_the_dimension(dist):
 @settings(max_examples=150, deadline=None)
 @given(dist=bound_dists())
 def test_local_views_are_consistent(dist):
-    """local_count, local_set and owner() all agree with local_indices."""
+    """local_count and owner() agree with local_indices."""
     n, p = dist.extent, dist.nprocs
     idx = np.arange(n, dtype=np.int64)
     owners = np.asarray(dist.owner(idx))
@@ -115,20 +114,16 @@ def test_local_views_are_consistent(dist):
         mine = dist.local_indices(q)
         assert mine.size == dist.local_count(q)
         np.testing.assert_array_equal(mine, np.sort(mine))
-        np.testing.assert_array_equal(dist.local_set(q).to_array(), mine)
         if not isinstance(dist, Replicated):
             np.testing.assert_array_equal(mine, idx[owners == q])
-    assert dist.max_local_count() == max(
-        dist.local_count(q) for q in range(p)
-    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(dist=bound_dists())
 def test_analysis_sections_enumerate_exactly_owned_indices(dist):
     """When a distribution offers strided sections to the closed-form
-    analysis, they must enumerate exactly local(p) — no more, no less —
-    and has_section_form()/local_section() must tell the truth."""
+    analysis, they must enumerate exactly local(p) — no more, no less;
+    a distribution without them must not claim a closed form."""
     p = dist.nprocs
     for q in range(p):
         secs = dist.analysis_sections(q)
@@ -142,15 +137,6 @@ def test_analysis_sections_enumerate_exactly_owned_indices(dist):
         np.testing.assert_array_equal(enumerated, dist.local_indices(q))
         # sections are internally disjoint
         assert enumerated.size == np.unique(enumerated).size
-        np.testing.assert_array_equal(
-            union_to_interval_set(secs).to_array(), dist.local_indices(q)
-        )
-        if dist.has_section_form():
-            single = dist.local_section(q)
-            assert single is not None
-            np.testing.assert_array_equal(
-                single.to_array(), dist.local_indices(q)
-            )
 
 
 @settings(max_examples=80, deadline=None)

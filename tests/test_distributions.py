@@ -117,9 +117,8 @@ class TestBlock:
     def test_local_section_matches_indices(self):
         d = bound(Block(), 23, 5)
         for p in range(5):
-            np.testing.assert_array_equal(
-                d.local_section(p).to_array(), d.local_indices(p)
-            )
+            (sec,) = d.analysis_sections(p)
+            np.testing.assert_array_equal(sec.to_array(), d.local_indices(p))
 
 
 class TestCyclic:
@@ -182,10 +181,15 @@ class TestBlockCyclic:
             BlockCyclic(0)
 
     def test_section_form_detection(self):
-        assert bound(BlockCyclic(1), 100, 4).has_section_form()
-        assert not bound(BlockCyclic(3), 100, 4).has_section_form()
+        # one section per owned block: 34 blocks of 3 dealt over 4 procs
+        d = bound(BlockCyclic(3), 100, 4)
+        assert [len(d.analysis_sections(p)) for p in range(4)] == [9, 9, 8, 8]
+        assert d.supports_closed_form()
         # one block per proc -> single sections again
-        assert bound(BlockCyclic(32), 100, 4).has_section_form()
+        d = bound(BlockCyclic(32), 100, 4)
+        assert [len(d.analysis_sections(p)) for p in range(4)] == [1, 1, 1, 1]
+        # 25 blocks per proc is past the bound: the inspector is cheaper
+        assert not bound(BlockCyclic(1), 100, 4).supports_closed_form()
 
 
 class TestReplicated:
@@ -238,7 +242,9 @@ class TestCustom:
             bound(Custom([0, 5]), 2, 2)
 
     def test_not_regular(self):
-        assert not bound(Custom([0, 0]), 2, 1).is_regular()
+        d = bound(Custom([0, 0]), 2, 1)
+        assert d.analysis_sections(0) is None
+        assert not d.supports_closed_form()
 
 
 class TestBindingErrors:
@@ -333,17 +339,21 @@ def test_local_offsets_are_packed(name, mk, n, p):
 def test_local_set_matches_indices(name, mk, n, p):
     d = mk().bind(n, p)
     for proc in range(p):
-        assert set(d.local_set(proc)) == set(d.local_indices(proc).tolist())
+        members = [i for sec in d.analysis_sections(proc) for i in sec]
+        assert sorted(members) == d.local_indices(proc).tolist()
 
 
 @given(n=st.integers(1, 120), p=st.integers(1, 10), b=st.integers(1, 9))
 @settings(max_examples=40, deadline=None)
 def test_block_cyclic_section_consistency(n, p, b):
-    """When has_section_form() claims single sections, local_section must
-    agree with local_indices on every processor."""
+    """analysis_sections lists one contiguous section per owned block, in
+    storage order, and supports_closed_form() holds exactly while no
+    processor owns more than MAX_ANALYSIS_SECTIONS blocks."""
     d = BlockCyclic(b).bind(n, p)
-    if d.has_section_form():
-        for proc in range(p):
-            sec = d.local_section(proc)
-            assert sec is not None
-            np.testing.assert_array_equal(sec.to_array(), d.local_indices(proc))
+    per_proc = [d.analysis_sections(proc) for proc in range(p)]
+    for proc, secs in enumerate(per_proc):
+        assert all(sec.step == 1 and len(sec) <= b for sec in secs)
+        joined = [i for sec in secs for i in sec]
+        assert joined == d.local_indices(proc).tolist()
+    most = max(len(secs) for secs in per_proc)
+    assert d.supports_closed_form() == (most <= BlockCyclic.MAX_ANALYSIS_SECTIONS)

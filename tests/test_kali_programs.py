@@ -270,6 +270,24 @@ class TestLanguageFeatures:
         expected[1:-1] = (a[:-2] + a[2:]) / 2.0
         np.testing.assert_allclose(res.arrays["B"], expected)
 
+    @pytest.mark.parametrize("dist", ["block", "cyclic"])
+    def test_constant_read_subscript(self, dist):
+        """B[3] is one element every iteration reads: the closed form
+        sends it to every other rank, as the inspector would."""
+        src = HEADER + """
+        const n : integer := 16;
+        var A, B : array[1..n] of real dist by [ DIST ] on Procs;
+        forall i in 1..n on B[i].loc do
+            B[i] := float(i);
+        end;
+        forall i in 1..n on A[i].loc do
+            A[i] := B[3] + B[i];
+        end;
+        """.replace("DIST", dist)
+        res = run(src, nprocs=4)
+        np.testing.assert_allclose(res.arrays["A"], 3.0 + np.arange(1.0, 17.0))
+        assert set(res.timing.strategies().values()) == {"compile-time"}
+
     def test_integer_arrays_and_mod(self):
         src = HEADER + """
         const n : integer := 12;

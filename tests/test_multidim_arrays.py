@@ -64,12 +64,6 @@ class TestArrayDistribution:
         assert d.owner(3) == 0  # canonical owner
         assert d.local_shape(2) == (8,)
 
-    def test_owner_flat(self):
-        procs = ProcessorArray(2)
-        d = ArrayDistribution((4, 3), [Block(), Replicated()], procs)
-        # flat index 7 -> (2, 1) -> row 2 -> owner 1
-        assert d.owner_flat(7) == 1
-
     def test_global_indices_of(self):
         procs = ProcessorArray(2)
         d = ArrayDistribution(10, [Cyclic()], procs)

@@ -37,19 +37,28 @@ dist_strategies = st.sampled_from([
     ("custom", lambda n, p, rng: Custom(rng.integers(0, p, size=n))),
 ])
 
-affine_maps = st.tuples(st.sampled_from([1, -1, 2, 3]), st.integers(-3, 3))
+affine_maps = st.tuples(st.sampled_from([1, -1, 2, 3, 0]), st.integers(-3, 3))
 
 
 def _legal_range(n, fn_list):
-    """Largest iteration range keeping every a*i+b inside [0, n)."""
+    """Largest iteration range keeping every a*i+b inside [0, n).
+
+    A constant map (a = 0) is legal iff 0 <= b < n and bounds nothing;
+    when no map bounds the range it is [0, n)."""
     import math
 
     lo, hi = -10**9, 10**9
     for a, b in fn_list:
+        if a == 0:
+            if not 0 <= b < n:
+                return 1, 0
+            continue
         bound1 = (0 - b) / a
         bound2 = (n - 1 - b) / a
         lo = max(lo, math.ceil(min(bound1, bound2)))
         hi = min(hi, math.floor(max(bound1, bound2)))
+    if (lo, hi) == (-10**9, 10**9):
+        return 0, n - 1
     return lo, hi
 
 

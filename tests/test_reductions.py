@@ -120,6 +120,12 @@ class TestIRReductions:
                 kernel=lambda i, o: i,
             )
 
+    def test_constant_on_clause_rejected(self):
+        """``on A[k].loc`` names one owner for every iteration — not an
+        affine map of the forall index."""
+        with pytest.raises(ForallError, match="must be affine"):
+            OnOwner("A", Affine(0, 2))
+
     def test_reduction_charges_allreduce_messages(self):
         """The reduction communicates: message counts must reflect the
         recursive-doubling pattern."""

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.sections import Section, union_to_interval_set
-from repro.util.intsets import IntervalSet
+from repro.util.sections import Section
 
 
 class TestConstruction:
@@ -122,19 +121,8 @@ class TestTransforms:
 
 
 class TestConversions:
-    def test_to_interval_set_contiguous(self):
-        assert Section(2, 6).to_interval_set() == IntervalSet.range(2, 6)
-
-    def test_to_interval_set_strided(self):
-        s = Section(0, 6, 3).to_interval_set()
-        assert s.intervals == ((0, 0), (3, 3), (6, 6))
-
     def test_to_array(self):
         np.testing.assert_array_equal(Section(1, 9, 4).to_array(), [1, 5, 9])
-
-    def test_union_to_interval_set(self):
-        u = union_to_interval_set([Section(0, 2), Section(4, 6)])
-        assert u.intervals == ((0, 2), (4, 6))
 
 
 # --- property-based ----------------------------------------------------------
@@ -161,11 +149,6 @@ def test_preimage_matches_enumeration(s, a, b):
     expected = {i for i in window if a * i + b in s}
     got = {i for i in pre if -400 <= i < 400}
     assert got == expected
-
-
-@given(sections)
-def test_interval_set_roundtrip(s):
-    assert set(s.to_interval_set()) == set(s)
 
 
 @given(sections, st.integers(-50, 50))

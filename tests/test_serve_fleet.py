@@ -407,6 +407,40 @@ def test_autoscaler_hysteresis_with_fake_clock():
     server.close()
 
 
+def test_autoscaler_thread_scales_up_then_down():
+    """The live loop: ``start`` samples on its own thread, scales up on
+    a backlog, back down once the queues drain, and ``stop`` joins it.
+    Shards are never started, so the queued jobs stay queued."""
+    policy = AutoscalePolicy(min_shards=1, max_shards=2, high_depth=2,
+                             low_depth=0.5, up_after=0.0, down_after=0.0,
+                             cooldown=0.0, interval=0.01)
+    server = JobServer(1, shards=1, autoscale=policy)
+    scaler = server.autoscaler
+
+    def wait_for(predicate):
+        deadline = time.monotonic() + 30.0
+        while not predicate():
+            assert time.monotonic() < deadline, scaler.describe()
+            time.sleep(0.01)
+
+    try:
+        for i in range(4):
+            server.submit("jacobi", {"rows": 8, "seed": i})
+        scaler.start()
+        wait_for(lambda: len(server.shards) == 2)
+        for shard in list(server.shards):
+            shard.queue.drain_jobs()
+        wait_for(lambda: len(server.shards) == 1)
+        thread = scaler._thread
+        scaler.stop()
+        assert scaler._thread is None
+        assert not thread.is_alive()
+        actions = [e["action"] for e in scaler.describe()["events"]]
+        assert actions == ["up", "down"]
+    finally:
+        server.close()
+
+
 def test_autoscaler_band_is_quiet():
     """Depth between the watermarks must never trigger a change, no
     matter how long it persists — that is the hysteresis band."""

@@ -29,7 +29,7 @@ from repro.errors import AnalysisError
 from repro.machine.api import Rank
 from repro.runtime.inspector import statically_local
 from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce_ranges
-from repro.util.sections import Section
+from repro.util.sections import Section, unique_ints
 
 
 def _sections_of(arr: LocalArray, proc: int) -> List[Section]:
@@ -92,7 +92,7 @@ def build_closed_form_schedule(
 
     exec_me = _exec_sections(forall, on_arr, me)
     exec_arr = (
-        np.unique(np.concatenate([s.to_array() for s in exec_me]))
+        unique_ints(np.concatenate([s.to_array() for s in exec_me]))
         if exec_me
         else np.empty(0, dtype=np.int64)
     )

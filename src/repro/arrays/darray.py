@@ -3,10 +3,10 @@
 The simulation runs in one host process, so a :class:`DistributedArray`
 keeps a *global* backing NumPy array for initialisation and verification;
 ``scatter`` cuts per-rank local pieces when an SPMD program launches and
-``gather_from`` reassembles them afterwards.  On a real machine the global
-copy would not exist — nothing in the runtime reads it during simulated
-execution (ranks only touch their :class:`~repro.arrays.localview.LocalArray`
-pieces), which tests assert.
+``gather_from`` writes back the pieces that changed afterwards.  On a real
+machine the global copy would not exist — nothing in the runtime reads it
+during simulated execution (ranks only touch their
+:class:`~repro.arrays.localview.LocalArray` pieces), which tests assert.
 
 Arrays carry a *version* counter, bumped on every global write.  The
 schedule cache (paper §3.2: "computing the exec(p) and ref(p) sets only
@@ -99,11 +99,13 @@ class DistributedArray:
     def content_fingerprint(self) -> str:
         """SHA-256 of the *global* content (cached per version).
 
-        A context with a disk tier stamps it onto every scattered
-        :class:`LocalArray` (``content_tag``), so content-addressed
-        schedule keys hash what schedules actually depend on — the whole
-        array, identically on every rank — rather than the rank's local
-        piece.
+        The driver computes it before a run that needs it — to ship the
+        contents to a warm pool by digest, or for a disk tier — and the
+        memo travels with the array, so :meth:`scatter` stamps it onto
+        every piece (``content_tag``) and no rank hashes anything.
+        Content-addressed schedule keys thereby hash what schedules
+        depend on — the whole array, identically on every rank — rather
+        than the rank's local piece.
         """
         if self._fingerprint is None or self._fingerprint[0] != self._version:
             digest = hashlib.sha256(
@@ -112,56 +114,84 @@ class DistributedArray:
             self._fingerprint = (self._version, digest)
         return self._fingerprint[1]
 
-    def scatter(self, rank: int) -> LocalArray:
-        """Cut the local piece for ``rank`` (a copy — ranks own their data).
-        The piece carries no ``content_tag``; only the disk tier reads one."""
+    def __resident__(self):
+        """Pool shipping protocol (:mod:`repro.serve.shipping`): the
+        global contents and their digest.  Ranks that already hold the
+        contents receive only the digest."""
+        return self.content_fingerprint(), self._data
+
+    def _piece_index(self, rank: int):
+        """Index of ``rank``'s piece in the global array: basic slices
+        when every axis is one contiguous run, an open mesh otherwise."""
         dist = self.dist
-        if dist.ndim == 1:
-            idx = dist.global_indices_of(rank)
-            local = self._data[idx].copy()
-        else:
-            coords = dist.procs.coords_of(rank)
-            slicers = []
-            for dim, pdim in zip(dist.dims, dist.proc_dim_of):
-                p = 0 if pdim is None else coords[pdim]
-                slicers.append(dim.local_indices(p))
-            local = self._data[np.ix_(*slicers)].copy()
-        return LocalArray(self.name, rank, dist, local, version=self._version)
+        coords = dist.procs.coords_of(rank)
+        axes = [dim.local_indices(0 if pdim is None else coords[pdim])
+                for dim, pdim in zip(dist.dims, dist.proc_dim_of)]
+        if all(a.size and a[-1] - a[0] + 1 == a.size for a in axes):
+            return tuple(slice(int(a[0]), int(a[-1]) + 1) for a in axes)
+        return np.ix_(*axes)
+
+    def scatter(self, rank: int) -> LocalArray:
+        """Cut the local piece for ``rank`` (a copy — ranks own their
+        data), stamped with the content fingerprint if the driver has
+        computed it for this version."""
+        index = self._piece_index(rank)
+        piece = self._data[index]
+        if isinstance(index[0], slice):   # a view; fancy indexing copied
+            piece = piece.copy()
+        memo = self._fingerprint
+        tag = memo[1] if memo is not None and memo[0] == self._version else None
+        return LocalArray(self.name, rank, self.dist, piece,
+                          version=self._version, content_tag=tag)
 
     def scatter_all(self) -> List[LocalArray]:
         return [self.scatter(r) for r in range(self.dist.procs.size)]
 
-    def gather_from(self, locals_: Sequence[LocalArray]) -> None:
-        """Reassemble the global array from per-rank pieces (driver side).
+    def piece_changed(self, local: LocalArray) -> bool:
+        """False only while ``local`` holds, under this array's
+        distribution, exactly the bytes :meth:`scatter` cut for its rank —
+        the one case in which it need not come home."""
+        if local.dist is not self.dist:
+            return True
+        before = self._data[self._piece_index(local.rank)]
+        after = local.data
+        if before.shape != after.shape or before.dtype != after.dtype:
+            return True
+        size = before.dtype.itemsize
+        if size not in (1, 2, 4, 8):
+            return before.tobytes() != after.tobytes()
+        bits = np.dtype(f"u{size}")   # -0.0 and NaN payloads count
+        return not np.array_equal(before.view(bits), after.view(bits))
 
-        If the program redistributed the array, the pieces carry the new
-        layout; the driver adopts it so subsequent scatters match.
+    def gather_from(self, locals_: Sequence[Optional[LocalArray]]) -> None:
+        """Write per-rank pieces back into the global array (driver side).
+
+        ``None`` stands for a piece that did not change; when every piece
+        is None the array, and its version, stay as they were.  If the
+        program redistributed the array, every piece comes home with the
+        new layout and the driver adopts it so subsequent scatters match.
         """
-        if locals_ and locals_[0].dist is not self.dist:
-            self.dist = locals_[0].dist
         dist = self.dist
         if len(locals_) != dist.procs.size:
             raise DistributionError(
                 f"{self.name}: need {dist.procs.size} local pieces, got {len(locals_)}"
             )
+        present = [la for la in locals_ if la is not None]
+        if not present:
+            return
+        if len(present) == len(locals_) and present[0].dist is not dist:
+            self.dist = dist = present[0].dist
         if dist.fully_replicated:
-            # All copies are identical by construction; take rank 0's.
-            self._data[...] = locals_[0].data
+            # All copies are identical by construction; take the first.
+            self._data[...] = present[0].data
             self._version += 1
             return
         for rank, la in enumerate(locals_):
+            if la is None:
+                continue
             if la.rank != rank:
                 raise DistributionError(f"{self.name}: local pieces out of order")
-            if dist.ndim == 1:
-                idx = dist.global_indices_of(rank)
-                self._data[idx] = la.data
-            else:
-                coords = dist.procs.coords_of(rank)
-                slicers = []
-                for dim, pdim in zip(dist.dims, dist.proc_dim_of):
-                    p = 0 if pdim is None else coords[pdim]
-                    slicers.append(dim.local_indices(p))
-                self._data[np.ix_(*slicers)] = la.data
+            self._data[self._piece_index(rank)] = la.data
         self._version += 1
 
     # --- conveniences ------------------------------------------------------------

@@ -57,9 +57,11 @@ class LocalArray:
         #: fingerprint of the **global** array content at scatter time.
         #: Schedules are collective, so content-addressed cache keys must
         #: hash global content — hashing only the local piece would let
-        #: ranks disagree about a hit and diverge.  Stamped only by a
-        #: context with a disk tier, its one reader; None otherwise (and
-        #: after a redistribute), which disables the disk tier.
+        #: ranks disagree about a hit and diverge.  ``scatter`` stamps
+        #: the digest the driver computed before the run (for a disk
+        #: tier, its one reader, or to ship to a warm pool), so no rank
+        #: hashes.  None when the driver computed none, and after a
+        #: redistribute, which disables the disk tier.
         self.content_tag = content_tag
         self._global_rows: Optional[np.ndarray] = None
 

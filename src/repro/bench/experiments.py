@@ -706,6 +706,11 @@ def sharded_throughput(
 # --- shared-memory data plane (repro.machine.shm) ------------------------
 
 
+#: D1b's shm threshold, bytes: a 16x16 mesh on 4 ranks sends 128-byte
+#: halo rows and brings home 512-byte pieces, all below the default.
+JACOBI_LEG_SHM_THRESHOLD = 128
+
+
 def shm_dataplane(
     machine: MachineModel,
     sizes: Optional[List[int]] = None,
@@ -728,7 +733,9 @@ def shm_dataplane(
     A Jacobi differential leg then re-proves semantics: the shm run's
     solution must be bit-identical to the simulator's, and the traced
     comm matrix must reconcile exactly with per-rank byte counters —
-    transport changed, accounting didn't.
+    transport changed, accounting didn't.  The leg's threshold is low
+    enough that its halo rows and returned pieces ride the plane even on
+    the smallest mesh.
 
     Returns ``(rows, runs)``; ``runs`` holds the largest size's mp
     :class:`RunResult` under ``"pickle"`` / ``"shm"`` keys plus the
@@ -800,7 +807,7 @@ def shm_dataplane(
     sim_prog.run(sweeps=sweeps)
     mp_prog = build_jacobi(mesh, 4, machine=machine, initial=initial.copy(),
                            backend="mp", mp_timeout=mp_timeout, shm=True,
-                           trace=True)
+                           shm_threshold=JACOBI_LEG_SHM_THRESHOLD, trace=True)
     mp_res = mp_prog.run(sweeps=sweeps)
     identical = bool(np.array_equal(sim_prog.solution, mp_prog.solution))
     matrix = CommMatrix.from_trace(mp_res.engine.trace, nranks=4)

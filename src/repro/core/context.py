@@ -202,11 +202,13 @@ class _RankOutcome:
     """
 
     #: shm hoist protocol: on the mp backend the gathered result arrays
-    #: (each rank's whole env) ride the shared-memory data plane home
-    #: instead of being pickled through the control pipe.
+    #: ride the shared-memory data plane home instead of being pickled
+    #: through the control pipe.
     __shm_fields__ = ("value", "env")
 
     value: Any
+    #: the pieces that changed (:meth:`DistributedArray.piece_changed`);
+    #: the rest need not come home
     env: Dict[str, LocalArray]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -214,10 +216,11 @@ class _RankOutcome:
     strategies_used: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, kr: "KaliRank", value: Any) -> "_RankOutcome":
+    def of(cls, kr: "KaliRank", value: Any,
+           env: Dict[str, LocalArray]) -> "_RankOutcome":
         return cls(
             value=value,
-            env=kr.env,
+            env=env,
             cache_hits=kr.cache.hits,
             cache_misses=kr.cache.misses,
             cache_invalidations=kr.cache.invalidations,
@@ -358,10 +361,14 @@ class KaliContext:
     def __getstate__(self):
         """Programs shipped to pool workers often close over their context
         (solver objects keep a ``self.ctx``); the pool handle holds live
-        pipe :class:`Connection` objects that must never cross a pickle.
-        Workers only read declarations and knobs, so drop the pool."""
+        pipe :class:`Connection` objects and a plan store holds a lock,
+        neither of which may cross a pickle.  Workers only read
+        declarations and knobs and never tune, so drop both."""
         state = dict(self.__dict__)
         state["pool"] = None
+        state["_tune_store"] = None
+        if hasattr(self.tune, "load"):
+            state["tune"] = None
         return state
 
     # --- declarations ------------------------------------------------------
@@ -445,9 +452,9 @@ class KaliContext:
         foralls and collectives advance virtual time on the simulated
         machine — or real wall time when the context was built with
         ``backend="mp"``, which runs each rank on its own OS process.
-        Distributed array contents are scattered before the run and
-        gathered back afterwards, so driver-side code sees the updated
-        global arrays on either backend.
+        Distributed array contents are scattered before the run and the
+        pieces a rank changed are gathered back afterwards, so
+        driver-side code sees the updated global arrays on either backend.
         """
         self._maybe_apply_tune()
         kranks: List[Optional[KaliRank]] = [None] * self.procs.size
@@ -458,14 +465,15 @@ class KaliContext:
         schedule_cache_dir = self.schedule_cache_dir
         arrays = self.arrays
         sim = self.backend == "sim"
+        if schedule_cache_dir is not None:
+            # The disk tier's keys hash global content.  Hashed here, once
+            # per array; the memo stamps every scattered piece (and
+            # travels with the arrays to pool ranks).
+            for darr in arrays.values():
+                darr.content_fingerprint()
 
         def rank_main(rank: Rank):
             env = {name: darr.scatter(rank.id) for name, darr in arrays.items()}
-            if schedule_cache_dir is not None:
-                # The disk tier's keys hash global content; nothing else
-                # reads the tag, so only its runs pay for the hashing.
-                for name, local in env.items():
-                    local.content_tag = arrays[name].content_fingerprint()
             kr = KaliRank(
                 rank,
                 env,
@@ -486,7 +494,9 @@ class KaliContext:
             result = yield from gen
             # The outcome is the rank's return value: plain data that
             # crosses the process boundary on the mp backend.
-            return _RankOutcome.of(kr, result)
+            changed = {name: kr.env[name] for name, darr in arrays.items()
+                       if darr.piece_changed(kr.env[name])}
+            return _RankOutcome.of(kr, result, changed)
 
         engine_result = launch(
             rank_main, machine=self.machine, topology=self.topology,
@@ -495,8 +505,8 @@ class KaliContext:
             shm=self.shm, shm_threshold=self.shm_threshold)
         outcomes: List[_RankOutcome] = list(engine_result.values)
 
-        # Gather per-rank pieces back into the driver-side global arrays.
+        # Gather the changed pieces back into the driver-side arrays.
         for name, darr in self.arrays.items():
-            darr.gather_from([o.env[name] for o in outcomes])
+            darr.gather_from([o.env.get(name) for o in outcomes])
 
         return KaliRunResult(engine_result, kranks, outcomes)  # type: ignore[arg-type]

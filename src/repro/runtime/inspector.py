@@ -44,6 +44,7 @@ from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank
 from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce_ranges
 from repro.util.gray import is_power_of_two
+from repro.util.sections import unique_ints
 
 PHASE = "inspector"
 
@@ -315,7 +316,7 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
         me_coord = _dim0_proc_coord(arr)
         pieces = nonlocal_elems.get(name, [])
         elems = (
-            np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
+            unique_ints(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
         )
         asched = ArraySchedule(array=name)
         if elems.size:
@@ -323,7 +324,7 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
             owners = np.asarray(dim0.owner(elems))
             offsets = np.asarray(dim0.to_local(elems))
             peer_offsets = {
-                int(q): offsets[owners == q] for q in np.unique(owners)
+                int(q): offsets[owners == q] for q in unique_ints(owners)
             }
             # Owners are processor coords along proc dim 0 == ranks (1-d grid).
             asched.in_records = coalesce_ranges(peer_offsets, rank.id, incoming=True)

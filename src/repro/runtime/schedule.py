@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import InspectorError
 from repro.runtime.translation import EnumeratedTable, TranslationTable
+from repro.util.sections import unique_ints
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def coalesce_ranges(
     records: List[RangeRecord] = []
     buf = 0
     for q in sorted(peer_offsets):
-        offs = np.unique(np.asarray(peer_offsets[q], dtype=np.int64))
+        offs = unique_ints(peer_offsets[q])
         if offs.size == 0:
             continue
         breaks = np.nonzero(np.diff(offs) > 1)[0]

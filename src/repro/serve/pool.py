@@ -6,7 +6,8 @@ target workload — the *same* forall executed over and over — that bill
 dominates.  :class:`RankPool` keeps one persistent
 :class:`~repro.machine.mp.mesh.Mesh` — the supervisor ``MpEngine`` runs
 one-shot — and runs many successive jobs on it.  Each job's program is
-shipped (:mod:`repro.serve.shipping`) down the control pipes, and after
+shipped (:mod:`repro.serve.shipping`) down the control pipes — array
+contents the mesh's ranks already hold travel as a digest — and after
 every rank has reported the mesh's reset barrier discards the frames the
 job left in the pipes, so job N+1 cannot observe job N's messages and
 sees exactly the clean slate a fresh ``MpEngine.run`` provides.
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, List, Optional
+from collections import OrderedDict
+from typing import Any, Hashable, List, Optional
 
 from repro.errors import EngineError, PoolCrashError  # noqa: F401 - re-export
 from repro.machine.cost import MachineModel
@@ -79,11 +81,14 @@ class RankPool:
         self.timeout = timeout
         self.max_ops = max_ops
         self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
-        self.shm_ship_bytes = 0       # program payload bytes shipped via shm
+        self.ship_bytes = 0           # program payload bytes shipped
+        self.shm_ship_bytes = 0       # ... of which via shm
         self.shm_reclaimed_bytes = 0  # arena bytes rewound at reset barriers
         fork_context()  # fail at construction on hosts without fork
         self.name = f"pool-{next(RankPool._ids)}"
         self._mesh: Optional[Mesh] = None
+        #: the last job's :class:`~repro.serve.shipping.Shipment`
+        self.last_shipment: Optional[shipping.Shipment] = None
         self._mesh_jobs = 0       # jobs completed on the current mesh
         self.jobs_done = 0        # jobs completed over the pool's lifetime
         self.rebuilds = 0         # meshes rebuilt after a crash/failure
@@ -116,6 +121,9 @@ class RankPool:
             self._condemn()   # a rank died between jobs
         self._mesh = Mesh(self.nranks, self.name, self._shm,
                           decode=shipping.loads_via)
+        # What the new ranks hold (key -> nbytes, least recently used
+        # first): nothing yet.  Replaced with the mesh.
+        self._resident: "OrderedDict[Hashable, int]" = OrderedDict()
         self._mesh_jobs = 0
         self.meshes_built += 1
 
@@ -196,8 +204,14 @@ class RankPool:
         self.last_pool_reused = self._mesh_jobs > 0
         # Shipped schedules ride the data plane: serialize once, publish
         # one shared block every rank reads, send only the ref n times.
+        # Once the program has pickled, the shipment brings the resident
+        # record up to date; a job that then fails condemns the mesh, and
+        # the record with it.
+        shipment = self.last_shipment = shipping.Shipment(
+            program, self._resident)
         payload, shipped = shipping.dumps_via(
-            program, mesh.plane, range(self.nranks))
+            shipment, mesh.plane, range(self.nranks))
+        self.ship_bytes += shipped or len(payload)
         self.shm_ship_bytes += shipped
         job = Job(time.monotonic(), payload, machine, topology, args, trace,
                   self.max_ops)

@@ -446,6 +446,7 @@ class Shard:
             "batch_index": batch_index,
             "retries": job.retries,
         }
+        shipped_before = self.pool.ship_bytes
         try:
             result, summary = runner(self, job.spec)
         except PoolCrashError:
@@ -473,6 +474,9 @@ class Shard:
         # boundaries through the shm segments vs the control pipes.
         record["shm_bytes"] = result.counter_sum("shm_bytes_sent")
         record["pipe_bytes"] = result.counter_sum("pipe_bytes_sent")
+        # Program payload shipped to the ranks (arrays they hold travel
+        # as digests).
+        record["ship_bytes"] = self.pool.ship_bytes - shipped_before
         if server.metrics_dir:
             record["metrics_file"] = server._write_metrics(job, record,
                                                            result)

@@ -26,6 +26,15 @@ object) still pickle by reference — cheap, and robust to code that was
 already importable.  This is deliberately a minimal, same-interpreter
 shipping layer, not a general cloudpickle: it never crosses interpreter
 versions (marshal would break) and it does not ship module source.
+
+A pool job ships as a :class:`Shipment`: the program pickled against the
+mesh's resident record.  Objects that offer ``__resident__()``
+(a :class:`~repro.arrays.darray.DistributedArray`: its content digest and
+global contents) ship their contents once per mesh; the ranks keep them
+in :data:`RANK_TABLE` and every later job carries only the key.  The
+parent's record is the authority on what the ranks hold, chooses every
+eviction, and dies with its mesh, so a rank never has to guess
+(docs/dataplane.md, "Resident array contents").
 """
 
 from __future__ import annotations
@@ -35,13 +44,27 @@ import marshal
 import pickle
 import sys
 import types
-from typing import Any, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
 
 from repro.errors import KaliError
 
 
 class ShippingError(KaliError):
     """A program could not be shipped to (or rebuilt on) a pool worker."""
+
+
+class ResidentMiss(ShippingError):
+    """A job named resident contents its rank does not hold.  The parent's
+    record says the rank holds them, so the two disagree: the job fails,
+    which condemns the mesh, and the retry ships in full on a new one."""
+
+
+#: Upper bound on the array bytes one mesh's ranks keep resident between
+#: jobs (every rank holds every entry).  The parent evicts least recently
+#: used entries the current job does not use to stay under it, and ships
+#: contents that would not fit inline, uninstalled.
+RESIDENT_MAX_BYTES = 64 << 20
 
 
 #: sentinel for closure cells that are still empty (e.g. a not-yet-bound
@@ -111,6 +134,9 @@ def _fill_function(fn, state):
 class _ShippingPickler(pickle.Pickler):
     """Pickler that falls back to by-value shipping for local functions."""
 
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+
     def reducer_override(self, obj):
         if isinstance(obj, types.FunctionType):
             if _lookup_importable(obj.__module__, obj.__qualname__) is obj:
@@ -143,11 +169,32 @@ class _ShippingPickler(pickle.Pickler):
         return NotImplemented
 
 
-def dumps(obj: Any) -> bytes:
-    """Serialize ``obj`` (closures and lambdas included) for a pool worker."""
+class _ResidentPickler(_ShippingPickler):
+    """Pickles the contents of ``__resident__`` objects as a call that
+    resolves their key in :data:`RANK_TABLE`, placed by ``shipment``."""
+
+    def __init__(self, file, shipment: "Shipment"):
+        super().__init__(file)
+        self._shipment = shipment
+        self._keys: Dict[int, Hashable] = {}   # id(contents) -> key
+
+    def reducer_override(self, obj):
+        key = self._keys.get(id(obj))
+        if key is not None and self._shipment.place(key, obj):
+            return _resident, (key,)
+        resident = getattr(type(obj), "__resident__", None)
+        if resident is not None:
+            # Seen before its contents: the state pickles right after.
+            digest, data = resident(obj)
+            # The digest hashes bytes only; dtype and shape make it a key.
+            self._keys[id(data)] = (digest, data.dtype.str, data.shape)
+        return super().reducer_override(obj)
+
+
+def _pickle(pickler_cls, obj: Any, *args) -> bytes:
     buf = io.BytesIO()
     try:
-        _ShippingPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+        pickler_cls(buf, *args).dump(obj)
     except (pickle.PicklingError, TypeError, ValueError, AttributeError) as exc:
         raise ShippingError(
             f"cannot ship object to pool worker: {exc!r} — pool jobs must "
@@ -156,21 +203,120 @@ def dumps(obj: Any) -> bytes:
     return buf.getvalue()
 
 
+def dumps(obj: Any) -> bytes:
+    """Serialize ``obj`` (closures and lambdas included) for a pool worker."""
+    return _pickle(_ShippingPickler, obj)
+
+
 def loads(data: bytes) -> Any:
     return pickle.loads(data)
 
 
+# --- resident contents -------------------------------------------------------
+
+
+class _Header(NamedTuple):
+    """What a rank does to its table before it unpickles the program."""
+
+    evict: tuple
+    install: dict   # key -> contents
+
+
+class Shipment:
+    """One pool job on its way out: ``program`` pickled against
+    ``record``, the parent's record of what one mesh's ranks hold
+    (``{key: nbytes}``, least recently used first).  The record belongs
+    to the mesh's pool and is replaced whenever the mesh is, so no key
+    outlives its ranks.  :meth:`dumps` fills ``hits`` / ``installs`` /
+    ``evicts`` (keys) and brings the record up to date."""
+
+    def __init__(self, program: Any, record: "OrderedDict[Hashable, int]"):
+        self.program = program
+        self.record = record
+        self.hits: set = set()
+        self.installs: Dict[Hashable, Any] = {}
+        self.evicts: Tuple[Hashable, ...] = ()
+        self._used = 0
+
+    def place(self, key: Hashable, data) -> bool:
+        """Ship ``data`` by ``key``, installing it if the ranks lack it;
+        False to pickle it inline because it would not fit."""
+        if key in self.hits or key in self.installs:
+            return True
+        nbytes = data.nbytes
+        if key in self.record:
+            self.hits.add(key)
+        elif self._used + nbytes <= RESIDENT_MAX_BYTES:
+            self.installs[key] = data
+        else:
+            return False
+        self._used += nbytes
+        return True
+
+    def dumps(self) -> bytes:
+        program = _pickle(_ResidentPickler, self.program, self)
+        record = self.record
+        total = sum(record.values()) + sum(
+            d.nbytes for d in self.installs.values())
+        evicts = []
+        for key, nbytes in record.items():
+            if total <= RESIDENT_MAX_BYTES:
+                break
+            if key not in self.hits:
+                evicts.append(key)
+                total -= nbytes
+        self.evicts = tuple(evicts)
+        for key in evicts:
+            del record[key]
+        for key in self.hits:
+            record.move_to_end(key)
+        for key, data in self.installs.items():
+            record[key] = data.nbytes
+        header = pickle.dumps(_Header(self.evicts, self.installs),
+                              protocol=pickle.HIGHEST_PROTOCOL)
+        return header + program
+
+
+#: This process's resident contents, ``{key: read-only ndarray}``.  Only
+#: pool ranks fill it, only as job headers say, and a rank process lives
+#: exactly as long as its mesh.
+RANK_TABLE: Dict[Hashable, Any] = {}
+
+
+def _miss(key) -> ResidentMiss:
+    return ResidentMiss(f"job names resident contents {key[0][:12]}… "
+                        "that this rank does not hold")
+
+
+def _resident(key: Hashable):
+    """Unpickling hook: the resident contents under ``key``."""
+    try:
+        return RANK_TABLE[key]
+    except KeyError:
+        raise _miss(key) from None
+
+
+def _apply(header: _Header) -> None:
+    for key in header.evict:
+        if RANK_TABLE.pop(key, None) is None:
+            raise _miss(key)
+    for key, data in header.install.items():
+        data.flags.writeable = False   # shared by every later job
+        RANK_TABLE[key] = data
+
+
 def dumps_via(obj: Any, plane, consumers) -> Tuple[Any, int]:
-    """Serialize ``obj`` and, when a shm data plane is available and the
-    payload clears its threshold, publish the bytes **once** as a shared
-    block every consumer reads — the job message then carries only the
+    """Serialize ``obj`` (a :class:`Shipment` ships against its record)
+    and, when a shm data plane is available and the payload clears its
+    threshold, publish the bytes **once** as a shared block every consumer
+    reads — the job message then carries only the
     :class:`~repro.machine.shm.ShmRef`.  This is how shipped schedules
     (rank programs closing over scattered operands) cross the control
     pipes without ``nranks`` pickled copies.
 
     Returns ``(payload_or_ref, shm_bytes)`` where ``shm_bytes`` is the
     serialized size if it went via shm, else 0."""
-    payload = dumps(obj)
+    payload = obj.dumps() if isinstance(obj, Shipment) else dumps(obj)
     if plane is not None and len(payload) >= plane.threshold:
         ref = plane.publish_bytes(payload, consumers)
         if ref is not None:
@@ -180,11 +326,18 @@ def dumps_via(obj: Any, plane, consumers) -> Tuple[Any, int]:
 
 def loads_via(payload: Any, plane) -> Any:
     """Inverse of :func:`dumps_via` on the worker side: resolve a shm ref
-    (one copy out of the shared block) or unpickle inline bytes."""
+    (one copy out of the shared block) or unpickle inline bytes.  A
+    shipment's header updates :data:`RANK_TABLE` before its program is
+    rebuilt."""
     if not isinstance(payload, (bytes, bytearray)):
         if plane is None:
             raise ShippingError(
                 "job payload is a shm ref but this worker has no data plane"
             )
         payload = plane.read(payload)
-    return loads(payload)
+    stream = io.BytesIO(payload)
+    head = pickle.load(stream)
+    if type(head) is not _Header:
+        return head
+    _apply(head)
+    return pickle.load(stream)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.sections import Section
+from repro.util.sections import Section, unique_ints
 
 
 class TestConstruction:
@@ -155,3 +155,24 @@ def test_preimage_matches_enumeration(s, a, b):
 def test_shift_is_bijection(s, k):
     assert len(s.shift(k)) == len(s)
     assert set(s.shift(k)) == {x + k for x in s}
+
+
+int_lists = st.lists(st.integers(-(1 << 62), 1 << 62), max_size=60) | st.lists(
+    st.integers(-5, 5), max_size=60)
+
+
+@given(int_lists, st.booleans())
+def test_unique_ints_is_np_unique(values, presort):
+    """Empty, singleton, duplicate, negative and already-sorted inputs."""
+    arr = np.array(sorted(values) if presort else values, dtype=np.int64)
+    got = unique_ints(arr)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(arr))
+
+
+@pytest.mark.parametrize("values", [[], [7], [3, 3, 3], [-2, 5, -2, 0],
+                                    [0, 1, 2, 3]])
+def test_unique_ints_edges(values):
+    got = unique_ints(np.array(values, dtype=np.int64))
+    assert got.tolist() == sorted(set(values))
+    assert got.dtype == np.int64

@@ -289,3 +289,19 @@ class TestShipping:
                 shipping.dumps(lambda: fh.read())
         finally:
             fh.close()
+
+    def test_context_with_a_built_tune_store_ships(self, tmp_path):
+        """The program closes over ``solver.ctx``, whose plan store holds a
+        lock; workers never tune, so the store stays home."""
+        from repro.apps.cg import CGSolver
+
+        mesh = five_point_grid(8, 8)
+        want = CGSolver(mesh, 2).solve(np.ones(64))
+        with RankPool(2, timeout=60) as pool:
+            by_path = CGSolver(mesh, 2, pool=pool, tune=str(tmp_path))
+            by_store = CGSolver(mesh, 2, pool=pool,
+                                tune=by_path.ctx.tune_store)
+            for solver in (by_path, by_store):
+                got = solver.solve(np.ones(64))
+                np.testing.assert_array_equal(got.solution, want.solution)
+                assert got.iterations == want.iterations

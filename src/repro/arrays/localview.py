@@ -31,11 +31,6 @@ class LocalArray:
     __slots__ = ("name", "rank", "dist", "data", "version", "dist_version",
                  "content_tag", "_global_rows")
 
-    #: shm data-plane hoist protocol (repro.machine.shm): the local
-    #: payload may cross process boundaries as a shared-memory block;
-    #: everything else is small metadata that stays in the pickle.
-    __shm_fields__ = ("data",)
-
     def __init__(
         self,
         name: str,

@@ -201,11 +201,6 @@ class _RankOutcome:
     home.  Both backends go through it, keeping the driver path identical.
     """
 
-    #: shm hoist protocol: on the mp backend the gathered result arrays
-    #: ride the shared-memory data plane home instead of being pickled
-    #: through the control pipe.
-    __shm_fields__ = ("value", "env")
-
     value: Any
     #: the pieces that changed (:meth:`DistributedArray.piece_changed`);
     #: the rest need not come home

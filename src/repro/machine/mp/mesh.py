@@ -35,6 +35,7 @@ from repro.machine.mp.transport import build_pipe_mesh, close_mesh_except
 from repro.machine.mp.worker import ST_BLOCKED, ST_DONE, rank_loop
 from repro.machine.shm import (
     ShmDataPlane,
+    ShmPayload,
     shm_enabled_default,
     shm_threshold_default,
 )
@@ -132,9 +133,20 @@ class Mesh:
                 c.close()
 
     def _messages(self, job: Job) -> List[tuple]:
+        """One job message per rank.  A persistent rank's arg crosses its
+        control pipe through the data plane when there is one; what that
+        shipped is left in :attr:`arg_bytes` as ``(bytes, of which via
+        shm)``."""
+        args = job.args if job.args is not None else [None] * self.nranks
+        self.arg_bytes = (0, 0)
+        if (job.args is not None and not self._one_shot
+                and self.plane is not None):
+            args = [self.plane.dumps(a, (r,)) for r, a in enumerate(args)]
+            shm = sum(a.nbytes for a in args if isinstance(a, ShmPayload))
+            pipe = sum(len(a) for a in args if isinstance(a, bytes))
+            self.arg_bytes = (shm + pipe, shm)
         return [("job", job.t0, job.program, job.machine, job.topology,
-                 job.args[r] if job.args is not None else None, job.trace,
-                 job.max_ops) for r in range(self.nranks)]
+                 args[r], job.trace, job.max_ops) for r in range(self.nranks)]
 
     # --- one job ---------------------------------------------------------
 
@@ -195,9 +207,8 @@ class Mesh:
                         events.extend(msg[1])
                 elif kind == "finish":
                     _, clocks[r], value, stats[r] = msg
-                    if self.plane is not None:
-                        value, _b, _blk = self.plane.decode(value)
-                    values[r] = value
+                    values[r] = (self.plane.loads(value)
+                                 if self.plane is not None else value)
                     pending.discard(r)
                 else:
                     _, clock, tb, _rstats = msg  # an "error" report

@@ -54,6 +54,7 @@ from repro.machine.mp.transport import (
     SenderThread,
     close_mesh_except,
 )
+from repro.machine.shm import ShmPayload
 from repro.machine.stats import RankStats
 from repro.machine.trace import TraceEvent
 
@@ -201,17 +202,18 @@ class _Inbox:
 
 
 def _encode(dataplane, stats: RankStats, obj: Any, consumers) -> Any:
-    """Hoist ``obj``'s bulk leaves into shared memory for ``consumers``
-    (identity without a data plane), counting what moved."""
+    """Serialize ``obj`` through the data plane for ``consumers``
+    (identity without one), counting what rode shared memory."""
     if dataplane is None:
         return obj
-    obj, nbytes, blocks, fallbacks = dataplane.encode(obj, consumers)
-    if nbytes:
-        stats.count("shm_bytes_sent", nbytes)
-        stats.count("shm_blocks_sent", blocks)
-    if fallbacks:
-        stats.count("shm_fallbacks", fallbacks)
-    return obj
+    fallbacks = dataplane.fallbacks
+    payload = dataplane.dumps(obj, consumers)
+    if isinstance(payload, ShmPayload):
+        stats.count("shm_bytes_sent", payload.nbytes)
+        stats.count("shm_blocks_sent", len(payload.refs))
+    if dataplane.fallbacks > fallbacks:
+        stats.count("shm_fallbacks", dataplane.fallbacks - fallbacks)
+    return payload
 
 
 def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
@@ -232,7 +234,8 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
     shared-memory blocks and pipes carry only control frames.  It lives
     mesh-long too: each rank's arena is rewound at the reset barrier.
     ``decode(payload, dataplane)`` rebuilds a program shipped over the
-    control pipe; None means the message carries the program itself.
+    control pipe; None means the message carries the program itself.  A
+    persistent rank's arg crosses through the plane as well.
     """
     close_mesh_except(pipes, rank_id)
     for r, c in enumerate(ctrls):
@@ -290,6 +293,9 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                 set_state(ST_RUNNING)
                 if decode is not None:
                     program = decode(program, dataplane)
+                if (inherited is None and dataplane is not None
+                        and arg is not None):
+                    arg = dataplane.loads(arg)
                 gen = program(Rank(rank_id, nranks, machine, topology, arg))
                 if not hasattr(gen, "send"):
                     raise EngineError(
@@ -304,7 +310,7 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                 )
                 if dataplane is not None:
                     # Gathered results ride the data plane too: the parent
-                    # (the plane's extra party) decodes the refs out of the
+                    # (the plane's extra party) loads them out of the
                     # finish record.  Counted before the stats are shipped.
                     value = _encode(dataplane, stats, value,
                                     (dataplane.parent_party,))
@@ -361,8 +367,8 @@ def _interpret(
 ) -> Any:
     """Drive the rank generator over real pipes; returns its value.
 
-    With a ``dataplane``, large payload leaves are hoisted into shared
-    memory before the frame is pickled (and resolved after receive);
+    With a ``dataplane``, each payload crosses as the plane's pickle, its
+    large buffers in shared memory (loaded again after receive);
     ``nbytes``/``bytes_sent`` still come from the *original* payload via
     ``op.wire_size()``, so traffic accounting is transport-independent.
     """
@@ -500,10 +506,10 @@ def _do_recv(
                 arrival = inbox.arrival_wall.pop(idx, now())
                 payload = frame[FRAME_PAYLOAD]
                 if dataplane is not None:
-                    payload, rbytes, rblocks = dataplane.decode(payload)
-                    if rbytes and stats is not None:
-                        stats.count("shm_bytes_recv", rbytes)
-                        stats.count("shm_blocks_recv", rblocks)
+                    if isinstance(payload, ShmPayload) and stats is not None:
+                        stats.count("shm_bytes_recv", payload.nbytes)
+                        stats.count("shm_blocks_recv", len(payload.refs))
+                    payload = dataplane.loads(payload)
                 return arrival, Message(
                     source=src,
                     dest=rank_id,

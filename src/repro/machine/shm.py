@@ -6,12 +6,15 @@ deserialize.  For the bulk traffic the runtime generates — scattered
 operands inside shipped closures, gathered result environments,
 redistribute all-to-alls, whole-schedule ship lists — that is three
 copies too many.  :class:`ShmDataPlane` replaces the payload bytes with
-*index writes*: large contiguous ``ndarray`` (and raw ``bytes``) payloads
-are copied once into a ``multiprocessing.shared_memory`` segment mapped
-by every process, and the pipe frame carries only a :class:`ShmRef` —
-segment name, offset, dtype, shape, content tag.  Small payloads keep
-the pickle path (and its ``PIPE_BUF``-atomic inline-send fast path): the
-crossover is ``threshold`` bytes.
+*index writes*: :meth:`ShmDataPlane.dumps` pickles a payload with
+protocol 5, and every out-of-band buffer of at least ``threshold`` bytes
+— the contents of a contiguous numeric ``ndarray``, or a
+``pickle.PickleBuffer`` the caller wraps around raw bytes — is copied
+once into a ``multiprocessing.shared_memory`` segment mapped by every
+process.  The pipe frame carries only the pickle stream and one
+:class:`ShmRef` per hoisted buffer — segment name, offset, size, content
+tag.  A payload that hoists nothing crosses as bare pickle bytes (and
+keeps the ``PIPE_BUF``-atomic inline-send fast path).
 
 Design (docs/dataplane.md has the full treatment):
 
@@ -51,12 +54,12 @@ matrix reconcile bit-for-bit with the plane on or off.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
+import pickle
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.errors import KaliError
 __all__ = [
     "ShmError",
     "ShmRef",
+    "ShmPayload",
     "ShmDataPlane",
     "DEFAULT_SEGMENT_BYTES",
     "DEFAULT_THRESHOLD",
@@ -82,7 +86,7 @@ class ShmError(KaliError):
 #: costs address space, not memory.
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 
-#: payloads smaller than this stay on the pickle path — below a few KiB
+#: buffers smaller than this stay in the pickle stream — below a few KiB
 #: the pipe write is one atomic syscall and beats the block bookkeeping.
 DEFAULT_THRESHOLD = 2048
 
@@ -150,18 +154,27 @@ def _unlink_segment(name: str) -> None:
 
 @dataclass(frozen=True)
 class ShmRef:
-    """A pipe-sized stand-in for a payload living in shared memory.
-
-    ``dtype`` is a numpy dtype string for array payloads and ``None``
-    for raw bytes.  ``tag`` is the owner-unique content tag checked on
-    every read."""
+    """A pipe-sized stand-in for one buffer living in shared memory.
+    ``tag`` is the owner-unique content tag checked on every read."""
 
     segment: str
     offset: int
     nbytes: int
     tag: int
-    dtype: Optional[str] = None
-    shape: Optional[Tuple[int, ...]] = None
+
+
+class ShmPayload(NamedTuple):
+    """What :meth:`ShmDataPlane.dumps` sends when it hoisted something: a
+    protocol-5 pickle stream plus the refs of its out-of-band buffers,
+    in stream order."""
+
+    stream: bytes
+    refs: Tuple[ShmRef, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes that ride the plane instead of the pipe."""
+        return sum(r.nbytes for r in self.refs)
 
 
 class _Seg:
@@ -341,16 +354,12 @@ class ShmDataPlane:
         self._own_grown.append(name)
         self._arenas.append(_Arena(name, 0, size))
 
-    def _publish(
-        self,
-        nbytes: int,
-        consumers: Sequence[int],
-        write,          # callable(np.uint8 view of the payload region)
-        dtype: Optional[str],
-        shape: Optional[Tuple[int, ...]],
-    ) -> Optional[ShmRef]:
-        """Allocate + fill one block; None when allocation fails (the
-        caller falls back to the pickle path)."""
+    def publish(self, data, consumers: Sequence[int]) -> Optional[ShmRef]:
+        """Copy the contiguous buffer ``data`` into one block that each of
+        ``consumers`` reads once; None when allocation fails (the caller
+        keeps the bytes in its pickle stream instead)."""
+        data = memoryview(data).cast("B")
+        nbytes = data.nbytes
         consumers = tuple(sorted(set(consumers)))
         if not consumers:
             raise ShmError("publish needs at least one consumer")
@@ -376,8 +385,8 @@ class ShmDataPlane:
         tag = self._next_tag()
         seg.i64[h + 1: h + 1 + self.nparties] = 0    # acks before tag
         seg.i64[h] = tag
-        write(np.frombuffer(seg.buf, dtype=np.uint8, count=nbytes,
-                            offset=off + self._blk_hdr))
+        start = off + self._blk_hdr
+        seg.buf[start: start + nbytes] = data
         self._outstanding[tag] = (segname, off, need, consumers)
         i64 = self._primary_seg.i64
         i64[self._hdr_slot(self._party, _SLOT_PUB_BLOCKS)] += 1
@@ -386,8 +395,7 @@ class ShmDataPlane:
         if in_use > self.hwm_bytes:
             self.hwm_bytes = in_use
             i64[self._hdr_slot(self._party, _SLOT_HWM)] = in_use
-        return ShmRef(segment=segname, offset=off, nbytes=nbytes, tag=tag,
-                      dtype=dtype, shape=shape)
+        return ShmRef(segment=segname, offset=off, nbytes=nbytes, tag=tag)
 
     def reclaim(self) -> Tuple[int, int]:
         """Free every outstanding block whose consumers have all acked.
@@ -413,25 +421,6 @@ class ShmDataPlane:
 
     # --- publish / read ---------------------------------------------------
 
-    def publish_array(self, arr: np.ndarray,
-                      consumers: Sequence[int]) -> Optional[ShmRef]:
-        c = np.ascontiguousarray(arr)
-        return self._publish(
-            c.nbytes, consumers,
-            lambda view: np.copyto(
-                view.view(c.dtype)[: c.size].reshape(c.shape), c),
-            dtype=c.dtype.str, shape=tuple(c.shape),
-        )
-
-    def publish_bytes(self, data: bytes,
-                      consumers: Sequence[int]) -> Optional[ShmRef]:
-        return self._publish(
-            len(data), consumers,
-            lambda view: view.__setitem__(slice(None),
-                                          np.frombuffer(data, np.uint8)),
-            dtype=None, shape=None,
-        )
-
     def _attach_seg(self, name: str) -> _Seg:
         seg = self._segments.get(name)
         if seg is None:
@@ -447,9 +436,10 @@ class ShmDataPlane:
             self._segments[name] = seg
         return seg
 
-    def read(self, ref: ShmRef) -> Any:
-        """Consume one block: verify the tag, copy the payload out, set
-        this party's ack slot.  Each party may read a ref exactly once."""
+    def read(self, ref: ShmRef) -> bytearray:
+        """Consume one block: verify the tag, copy the bytes out (into a
+        writable buffer), set this party's ack slot.  Each party may read
+        a ref exactly once."""
         seg = self._attach_seg(ref.segment)
         h = ref.offset // 8
         if int(seg.i64[h]) != ref.tag:
@@ -463,105 +453,47 @@ class ShmDataPlane:
                 f"double consume: party {self._party} already read block "
                 f"tag {ref.tag}"
             )
-        payload_off = ref.offset + self._blk_hdr
-        if ref.dtype is None:
-            out: Any = bytes(seg.buf[payload_off: payload_off + ref.nbytes])
-        else:
-            dt = np.dtype(ref.dtype)
-            out = np.frombuffer(
-                seg.buf, dtype=dt, count=ref.nbytes // dt.itemsize,
-                offset=payload_off,
-            ).reshape(ref.shape).copy()
+        start = ref.offset + self._blk_hdr
+        out = bytearray(seg.buf[start: start + ref.nbytes])
         seg.i64[ack] = 1
         i64 = self._primary_seg.i64
         i64[self._hdr_slot(self._party, _SLOT_CON_BLOCKS)] += 1
         i64[self._hdr_slot(self._party, _SLOT_CON_BYTES)] += ref.nbytes
         return out
 
-    # --- payload walking --------------------------------------------------
+    # --- serializing ------------------------------------------------------
 
-    def encode(self, obj: Any,
-               consumers: Sequence[int]) -> Tuple[Any, int, int, int]:
-        """Hoist large arrays/bytes in ``obj`` into shm blocks readable by
-        ``consumers``.  Returns ``(encoded, bytes, blocks, fallbacks)``;
-        the encoded object mirrors ``obj`` with :class:`ShmRef` leaves."""
-        state = [0, 0, 0]
-        out = self._enc(obj, tuple(consumers), state)
-        return out, state[0], state[1], state[2]
+    def dumps(self, obj: Any, consumers: Sequence[int]) -> Any:
+        """Pickle ``obj`` (protocol 5) for ``consumers``, publishing every
+        out-of-band buffer of at least ``threshold`` bytes as a block.
+        Returns a :class:`ShmPayload`, or bare pickle bytes when nothing
+        was hoisted.  A buffer the plane cannot place stays in the stream
+        and counts in :attr:`fallbacks`."""
+        consumers = tuple(consumers)
+        refs: List[ShmRef] = []
 
-    def _enc(self, o: Any, consumers: Tuple[int, ...], state: List[int]):
-        if isinstance(o, np.ndarray):
-            if o.nbytes >= self.threshold and not o.dtype.hasobject:
-                ref = self.publish_array(o, consumers)
-                if ref is None:
-                    state[2] += 1
-                    return o
-                state[0] += o.nbytes
-                state[1] += 1
-                return ref
-            return o
-        if isinstance(o, (bytes, bytearray)) and len(o) >= self.threshold:
-            ref = self.publish_bytes(bytes(o), consumers)
+        def hoist(buf: pickle.PickleBuffer) -> bool:
+            # pickle's contract: a true return keeps the buffer in-band
+            raw = buf.raw()
+            if raw.nbytes < self.threshold:
+                return True
+            ref = self.publish(raw, consumers)
             if ref is None:
-                state[2] += 1
-                return o
-            state[0] += len(o)
-            state[1] += 1
-            return ref
-        if type(o) is dict:
-            enc = {k: self._enc(v, consumers, state) for k, v in o.items()}
-            return enc if any(enc[k] is not o[k] for k in o) else o
-        if type(o) in (tuple, list):
-            enc = [self._enc(v, consumers, state) for v in o]
-            if all(a is b for a, b in zip(enc, o)):
-                return o
-            return tuple(enc) if type(o) is tuple else enc
-        fields = getattr(type(o), "__shm_fields__", None)
-        if fields:
-            # Opt-in hoist protocol: a class lists the attributes that may
-            # hold bulk data (LocalArray.data, _RankOutcome.env/value).
-            # The original object is never mutated — hoisted attributes go
-            # on a shallow copy, so driver/sim aliasing is preserved.
-            enc_attrs = {f: self._enc(getattr(o, f), consumers, state)
-                         for f in fields}
-            if all(enc_attrs[f] is getattr(o, f) for f in fields):
-                return o
-            c = copy.copy(o)
-            for f, v in enc_attrs.items():
-                setattr(c, f, v)
-            return c
-        return o
+                self.fallbacks += 1
+                return True
+            refs.append(ref)
+            return False
 
-    def decode(self, obj: Any) -> Tuple[Any, int, int]:
-        """Inverse of :meth:`encode`: resolve every :class:`ShmRef` leaf.
-        Returns ``(decoded, bytes, blocks)``."""
-        state = [0, 0]
-        out = self._dec(obj, state)
-        return out, state[0], state[1]
+        stream = pickle.dumps(obj, protocol=5, buffer_callback=hoist)
+        return ShmPayload(stream, tuple(refs)) if refs else stream
 
-    def _dec(self, o: Any, state: List[int]):
-        if isinstance(o, ShmRef):
-            state[0] += o.nbytes
-            state[1] += 1
-            return self.read(o)
-        if type(o) is dict:
-            dec = {k: self._dec(v, state) for k, v in o.items()}
-            return dec if any(dec[k] is not o[k] for k in o) else o
-        if type(o) in (tuple, list):
-            dec = [self._dec(v, state) for v in o]
-            if all(a is b for a, b in zip(dec, o)):
-                return o
-            return tuple(dec) if type(o) is tuple else dec
-        fields = getattr(type(o), "__shm_fields__", None)
-        if fields:
-            dec_attrs = {f: self._dec(getattr(o, f), state) for f in fields}
-            if all(dec_attrs[f] is getattr(o, f) for f in fields):
-                return o
-            c = copy.copy(o)
-            for f, v in dec_attrs.items():
-                setattr(c, f, v)
-            return c
-        return o
+    def loads(self, payload: Any) -> Any:
+        """Inverse of :meth:`dumps`: read each hoisted block once and
+        unpickle the stream against them."""
+        if isinstance(payload, ShmPayload):
+            return pickle.loads(payload.stream,
+                                buffers=[self.read(r) for r in payload.refs])
+        return pickle.loads(payload)
 
     # --- lifecycle --------------------------------------------------------
 

@@ -95,6 +95,10 @@ class AsyncFrontend:
             done = await asyncio.to_thread(
                 self.server.drain, timeout=req.get("timeout"))
             return {"ok": True, "jobs_done": done}
+        if cmd == "scale":
+            # Retiring a busy shard waits out its in-flight job: off the
+            # loop, so every other client keeps being served meanwhile.
+            return await asyncio.to_thread(self.server.handle_request, req)
         return self.server.handle_request(req)
 
     async def _serve_client(self, reader: asyncio.StreamReader,

@@ -81,7 +81,7 @@ class RankPool:
         self.timeout = timeout
         self.max_ops = max_ops
         self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
-        self.ship_bytes = 0           # program payload bytes shipped
+        self.ship_bytes = 0           # program + arg bytes shipped
         self.shm_ship_bytes = 0       # ... of which via shm
         self.shm_reclaimed_bytes = 0  # arena bytes rewound at reset barriers
         fork_context()  # fail at construction on hosts without fork
@@ -218,6 +218,8 @@ class RankPool:
         try:
             result = mesh.run(
                 job, timeout if timeout is not None else self.timeout)
+            self.ship_bytes += mesh.arg_bytes[0]
+            self.shm_ship_bytes += mesh.arg_bytes[1]
             self.shm_reclaimed_bytes += mesh.reset(result)
         except Exception as exc:
             # A failed job leaves workers in unknown comm state.

@@ -1,4 +1,4 @@
-"""Job queue for the serve tier: tenant-fair scheduling, quotas, futures.
+"""Job queue for the serve tier: tenant-fair scheduling, futures.
 
 The queue is deliberately dumb about *what* a job is — a :class:`Job`
 carries an opaque ``spec`` and a ``batch_key``; the server decides how to
@@ -13,13 +13,13 @@ execute it.  What the queue owns is:
   weight-1 tenant gets, and no tenant can starve another by flooding.
   A lane that was idle re-enters at the current service floor rather
   than bursting through its backlog;
-* **admission control** — ``max_depth`` bounds total queued jobs and
-  per-tenant quotas bound each lane; a submission over either limit is
-  *shed*: :meth:`submit` raises :class:`ShedError` carrying a structured
-  description (reason, tenant, depth, limit) that the socket front
-  returns verbatim as a ``SHED`` reply.  Shedding is accounted
-  (``sheds``, ``sheds_by_tenant``) but never silently drops an
-  *accepted* job — rejection happens at the door or not at all;
+* **admission control** — ``max_depth`` bounds total queued jobs; a
+  submission over it is *shed*: :meth:`submit` raises
+  :class:`ShedError` carrying a structured description (reason, tenant,
+  depth, limit) that the socket front returns verbatim as a ``SHED``
+  reply.  Shedding is counted (``sheds``) but never silently drops an
+  *accepted* job — rejection happens at the door or not at all.  Tenant
+  quotas are the server's (:meth:`JobServer._admit`), fleet-wide;
 * **blocking handoff** to the scheduler thread, and the shape-affinity
   batching rule: when the head job has a non-None ``batch_key``,
   :meth:`next_batch` may hand over up to ``max_batch``
@@ -161,17 +161,11 @@ class JobQueue:
         tenant → relative service weight (default 1.0 for any tenant
         not listed).  With one tenant (or no weights) scheduling reduces
         exactly to the single-lane policy order.
-    tenant_quotas:
-        tenant → max queued jobs for that tenant in this queue; a
-        submission past it is shed.  ``default_quota`` caps tenants not
-        listed (None = unlimited).
     """
 
     def __init__(self, policy: str = "fifo",
                  max_depth: Optional[int] = None,
-                 tenant_weights: Optional[Dict[str, float]] = None,
-                 tenant_quotas: Optional[Dict[str, int]] = None,
-                 default_quota: Optional[int] = None):
+                 tenant_weights: Optional[Dict[str, float]] = None):
         if policy not in ("fifo", "priority"):
             raise KaliError(
                 f"unknown queue policy {policy!r} "
@@ -182,14 +176,9 @@ class JobQueue:
         for t, w in (tenant_weights or {}).items():
             if w <= 0:
                 raise KaliError(f"tenant {t!r} weight must be > 0, got {w}")
-        for t, q in (tenant_quotas or {}).items():
-            if q < 0:
-                raise KaliError(f"tenant {t!r} quota must be >= 0, got {q}")
         self.policy = policy
         self.max_depth = max_depth
         self.tenant_weights = dict(tenant_weights or {})
-        self.tenant_quotas = dict(tenant_quotas or {})
-        self.default_quota = default_quota
         self._lanes: Dict[str, List] = {}
         self._served: Dict[str, float] = {}
         self._lock = threading.Lock()
@@ -199,13 +188,9 @@ class JobQueue:
         self._closed = False
         self.submitted = 0
         self.sheds = 0
-        self.sheds_by_tenant: Dict[str, int] = {}
 
     def _weight(self, tenant: str) -> float:
         return float(self.tenant_weights.get(tenant, 1.0))
-
-    def _quota(self, tenant: str) -> Optional[int]:
-        return self.tenant_quotas.get(tenant, self.default_quota)
 
     def _sort_key(self, job: Job) -> int:
         # FIFO ignores priority entirely; priority mode schedules the
@@ -215,29 +200,20 @@ class JobQueue:
     def _pending_locked(self) -> int:
         return sum(len(h) for h in self._lanes.values())
 
-    def _shed(self, job: Job, reason: str, depth: int,
-              limit: int) -> ShedError:
-        self.sheds += 1
-        self.sheds_by_tenant[job.tenant] = (
-            self.sheds_by_tenant.get(job.tenant, 0) + 1)
-        return ShedError(
-            f"shed {job.kind} job for tenant {job.tenant!r}: "
-            f"{reason} ({depth} >= {limit})",
-            reason=reason, tenant=job.tenant, depth=depth, limit=limit,
-        )
-
     def submit(self, job: Job) -> JobFuture:
         with self._lock:
             if self._closed:
                 raise QueueClosed("queue is closed to new submissions")
             depth = self._pending_locked()
             if self.max_depth is not None and depth >= self.max_depth:
-                raise self._shed(job, "queue-depth", depth, self.max_depth)
-            quota = self._quota(job.tenant)
+                self.sheds += 1
+                raise ShedError(
+                    f"shed {job.kind} job for tenant {job.tenant!r}: "
+                    f"queue-depth ({depth} >= {self.max_depth})",
+                    reason="queue-depth", tenant=job.tenant, depth=depth,
+                    limit=self.max_depth,
+                )
             lane = self._lanes.get(job.tenant)
-            lane_depth = len(lane) if lane else 0
-            if quota is not None and lane_depth >= quota:
-                raise self._shed(job, "tenant-quota", lane_depth, quota)
             if job.job_id == 0:
                 job.job_id = next(self._seq)
             if lane is None:
@@ -302,10 +278,6 @@ class JobQueue:
     def pending(self) -> int:
         with self._lock:
             return self._pending_locked()
-
-    def pending_by_tenant(self) -> Dict[str, int]:
-        with self._lock:
-            return {t: len(h) for t, h in self._lanes.items() if h}
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """Queued jobs in approximate scheduling order (for ``stat``):

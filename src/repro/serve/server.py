@@ -1082,17 +1082,8 @@ class ServeClient:
         self.timeout = timeout
 
     def request(self, cmd: str, **fields) -> Dict:
-        req = {"cmd": cmd, **fields}
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(self.timeout)
-            sock.connect(self.socket_path)
-            with sock.makefile("rw", encoding="utf-8") as fh:
-                fh.write(json.dumps(req) + "\n")
-                fh.flush()
-                line = fh.readline()
-        if not line:
-            raise KaliError("server closed the connection without replying")
-        return json.loads(line)
+        with self.connect() as conn:
+            return conn.request(cmd, **fields)
 
     def connect(self) -> "ServeConnection":
         return ServeConnection(self.socket_path, self.timeout)
@@ -1104,7 +1095,11 @@ class ServeConnection:
     def __init__(self, socket_path: str, timeout: float = 300.0):
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
+        try:
+            self._sock.connect(socket_path)
+        except OSError:
+            self._sock.close()
+            raise
         self._fh = self._sock.makefile("rw", encoding="utf-8")
 
     def request(self, cmd: str, **fields) -> Dict:

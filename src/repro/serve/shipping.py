@@ -307,34 +307,33 @@ def _apply(header: _Header) -> None:
 
 def dumps_via(obj: Any, plane, consumers) -> Tuple[Any, int]:
     """Serialize ``obj`` (a :class:`Shipment` ships against its record)
-    and, when a shm data plane is available and the payload clears its
-    threshold, publish the bytes **once** as a shared block every consumer
-    reads — the job message then carries only the
-    :class:`~repro.machine.shm.ShmRef`.  This is how shipped schedules
-    (rank programs closing over scattered operands) cross the control
-    pipes without ``nranks`` pickled copies.
+    and, when a shm data plane is available, hand the bytes to it as one
+    out-of-band buffer: one shared block every consumer reads once it
+    clears the threshold, so shipped schedules (rank programs closing
+    over scattered operands) cross the control pipes without ``nranks``
+    pickled copies.
 
-    Returns ``(payload_or_ref, shm_bytes)`` where ``shm_bytes`` is the
+    Returns ``(payload, shm_bytes)`` where ``shm_bytes`` is the
     serialized size if it went via shm, else 0."""
     payload = obj.dumps() if isinstance(obj, Shipment) else dumps(obj)
-    if plane is not None and len(payload) >= plane.threshold:
-        ref = plane.publish_bytes(payload, consumers)
-        if ref is not None:
-            return ref, len(payload)
-    return payload, 0
+    if plane is None:
+        return payload, 0
+    wire = plane.dumps(pickle.PickleBuffer(payload), consumers)
+    return wire, (0 if isinstance(wire, bytes) else wire.nbytes)
 
 
 def loads_via(payload: Any, plane) -> Any:
-    """Inverse of :func:`dumps_via` on the worker side: resolve a shm ref
-    (one copy out of the shared block) or unpickle inline bytes.  A
-    shipment's header updates :data:`RANK_TABLE` before its program is
+    """Inverse of :func:`dumps_via` on the worker side: load the plane's
+    payload (one copy out of the shared block), then unpickle the program.
+    A shipment's header updates :data:`RANK_TABLE` before its program is
     rebuilt."""
-    if not isinstance(payload, (bytes, bytearray)):
-        if plane is None:
-            raise ShippingError(
-                "job payload is a shm ref but this worker has no data plane"
-            )
-        payload = plane.read(payload)
+    if plane is not None:
+        payload = plane.loads(payload)
+    elif not isinstance(payload, (bytes, bytearray)):
+        raise ShippingError(
+            "job payload came through a shm data plane but this worker "
+            "has none"
+        )
     stream = io.BytesIO(payload)
     head = pickle.load(stream)
     if type(head) is not _Header:

@@ -167,13 +167,9 @@ class LocalStore:
     that a batch which creates or deletes entries copies the rank's
     arrays once (``np.insert`` / ``np.delete``, memcpy speed); value
     updates and lookups touch nothing else.
-
-    The arrays are ``__shm_fields__``: on the mp backend the table rides
-    the shared-memory plane home instead of the control pipe.
     """
 
     __slots__ = ("starts", "keys", "vals")
-    __shm_fields__ = ("starts", "keys", "vals")
 
     def __init__(self):
         self.starts = np.zeros(1, dtype=np.int64)
@@ -338,14 +334,7 @@ class _OpSpec:
 
 @dataclass
 class _OpOutcome:
-    """One rank's result: mutated store + in-slice replies, plain data.
-
-    ``__shm_fields__``: on the mp backend the reply arrays and the
-    store's arrays ride the shared-memory plane home instead of the
-    control pipe.
-    """
-
-    __shm_fields__ = ("store", "found", "result")
+    """One rank's result: mutated store + in-slice replies, plain data."""
 
     store: LocalStore
     pos: np.ndarray

@@ -51,8 +51,6 @@ class _QSpec:
 
 @dataclass
 class _QOutcome:
-    __shm_fields__ = ("tickets", "result")
-
     segment: Dict[int, float]
     tickets: np.ndarray
     result: np.ndarray

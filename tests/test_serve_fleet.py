@@ -207,15 +207,17 @@ def test_idle_lane_reenters_at_service_floor():
 
 
 def test_tenant_quota_sheds_with_structure():
-    q = JobQueue("fifo", tenant_quotas={"capped": 2}, default_quota=None)
-    q.submit(_job("capped", 0))
-    q.submit(_job("capped", 1))
-    q.submit(_job("free", 0))  # other tenants unaffected
+    server = JobServer(2, shards=2, tenants={"capped": {"quota": 2}})
+    # Shards not started: submissions stay pending.
+    server.submit("jacobi", {"rows": 8}, tenant="capped")
+    server.submit("jacobi", {"rows": 9}, tenant="capped")
+    server.submit("jacobi", {"rows": 10}, tenant="free")  # unaffected
     with pytest.raises(ShedError) as err:
-        q.submit(_job("capped", 2))
+        server.submit("jacobi", {"rows": 11}, tenant="capped")
     assert err.value.details == {
         "reason": "tenant-quota", "tenant": "capped", "depth": 2, "limit": 2}
-    assert q.sheds == 1 and q.sheds_by_tenant == {"capped": 1}
+    assert server.sheds == 1 and server.sheds_by_tenant == {"capped": 1}
+    server.close()
 
 
 def test_queue_depth_sheds_with_structure():

@@ -17,13 +17,13 @@ import time
 import pytest
 
 from repro.serve.frontend import serve_async
+from repro.serve.router import route_key
 from repro.serve.server import JobServer, ServeClient
 
 
-@pytest.fixture()
-def fleet(tmp_path):
-    sock = str(tmp_path / "front.sock")
-    server = JobServer(2, shards=2, max_pending=64)
+def _serve(server, sock):
+    """Run ``server`` behind the asyncio front on ``sock``; returns the
+    front's thread and a client once it answers pings."""
     thread = threading.Thread(target=serve_async, args=(server, sock),
                               daemon=True)
     thread.start()
@@ -36,13 +36,25 @@ def fleet(tmp_path):
             time.sleep(0.05)
     else:
         pytest.fail("async front end never came up")
-    yield server, client, sock
+    return thread, client
+
+
+def _stop(thread, client):
     try:
         client.request("stop")
     except Exception:
         pass
     thread.join(60)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def fleet(tmp_path):
+    sock = str(tmp_path / "front.sock")
+    server = JobServer(2, shards=2, max_pending=64)
+    thread, client = _serve(server, sock)
+    yield server, client, sock
+    _stop(thread, client)
 
 
 def test_ping_reports_fleet_shape(fleet):
@@ -113,6 +125,47 @@ def test_scale_and_stat_through_the_front(fleet):
     assert client.request("scale", shards=2)["shards"] == 2
     metrics = client.request("metrics")["metrics"]
     assert metrics["serve.shards"] == 2
+
+
+def test_scale_retiring_a_busy_shard_keeps_the_loop_serving(tmp_path):
+    # Regression: ``scale`` ran on the event loop, and retiring a shard
+    # waits for its in-flight job, so every other client froze behind it.
+    started, release = threading.Event(), threading.Event()
+
+    def hold(job, shard):
+        if shard.name == "shard-1":
+            started.set()
+            release.wait(60)
+
+    server = JobServer(2, shards=2, chaos_hook=hold)
+    # scale retires the youngest shard: route the held job there
+    spec = next({"rows": 8, "sweeps": 1, "seed": seed} for seed in range(64)
+                if server.shard_for(route_key("jacobi", {
+                    "rows": 8, "sweeps": 1, "seed": seed})).name == "shard-1")
+    thread, client = _serve(server, str(tmp_path / "scale.sock"))
+    scaled = []
+    scaler = threading.Thread(
+        target=lambda: scaled.append(client.request("scale", shards=1)))
+    try:
+        assert client.request("submit", kind="jacobi", spec=spec,
+                              wait=False)["queued"]
+        assert started.wait(60), "the held job never started"
+        scaler.start()
+        deadline = time.monotonic() + 30
+        while "shard-1" in server.router.shards:  # scale is now pending
+            assert time.monotonic() < deadline, "scale never began"
+            time.sleep(0.01)
+        t0 = time.monotonic()
+        assert ServeClient(client.socket_path, timeout=0.5) \
+            .request("ping")["ok"]
+        assert time.monotonic() - t0 < 0.5
+        assert scaler.is_alive(), "scale returned before the job ended"
+    finally:
+        release.set()
+        if scaler.is_alive():
+            scaler.join(60)
+        _stop(thread, client)
+    assert scaled == [{"ok": True, "shards": 1}]
 
 
 def test_malformed_and_unknown_requests_keep_the_connection(fleet):

@@ -3,8 +3,9 @@
 :class:`~repro.core.context.KaliContext`, the distributed structures and
 the hand-coded baseline run every program on the virtual-time
 :class:`~repro.machine.engine.Engine`, a fork-per-run
-:class:`~repro.machine.mp.MpEngine`, or a warm pool (anything with the
-:class:`repro.serve.RankPool` ``run`` signature), after the same checks.
+:class:`~repro.machine.mp.MpEngine` (one job on a fresh pool), or a
+warm pool (anything with the :class:`repro.serve.RankPool` ``run``
+signature), after the same checks.
 Each handle keeps its own error type: :func:`check_backend` raises the
 ``error`` it is given.
 """

@@ -11,7 +11,7 @@ See :mod:`repro.machine.mp.engine` for semantics (wall-clock time,
 relaxed wildcard ordering) and docs/internals.md §10 for the protocol.
 """
 
-from repro.machine.mp.engine import MpEngine, run_spmd_mp
+from repro.machine.mp.engine import MpEngine
 from repro.machine.shm import ShmDataPlane, ShmError, ShmRef
 
-__all__ = ["MpEngine", "run_spmd_mp", "ShmDataPlane", "ShmError", "ShmRef"]
+__all__ = ["MpEngine", "ShmDataPlane", "ShmError", "ShmRef"]

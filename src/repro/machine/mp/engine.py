@@ -3,28 +3,20 @@
 :class:`MpEngine` mirrors the virtual-time :class:`~repro.machine.engine.
 Engine` API — ``run(program, args) -> RunResult`` — but executes the rank
 generators concurrently on forked OS processes connected by a pipe mesh.
-Clocks, phase times, and trace events are **wall-clock seconds since run
-start** (one monotonic epoch captured before forking; ``CLOCK_MONOTONIC``
-is process-wide on the platforms fork exists on, so child timestamps are
-comparable).
-
-Forking, supervision, the watchdog and teardown all live in
-:class:`~repro.machine.mp.mesh.Mesh`, which the warm
-:class:`~repro.serve.pool.RankPool` shares; ``MpEngine`` is its one-shot
-lifetime — build a mesh whose ranks inherit the program through
-``fork()``, run exactly one job, close.
+Clocks, phase times, and trace events are **wall-clock seconds since the
+job was shipped** (``CLOCK_MONOTONIC`` is process-wide, so child
+timestamps are comparable).  Each run is one job on a fresh
+:class:`~repro.serve.pool.RankPool`, closed when the job returns.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import EngineError
 from repro.machine.api import Op, Rank
 from repro.machine.cost import MachineModel
-from repro.machine.mp.mesh import Job, Mesh, fork_context, shm_options
-from repro.machine.shm import DEFAULT_SEGMENT_BYTES
+from repro.machine.mp.mesh import fork_context
 from repro.machine.stats import RunResult
 from repro.machine.topology import FullyConnected, Topology
 
@@ -51,15 +43,12 @@ class MpEngine:
     trace:
         Stream :class:`TraceEvent` records (wall-clock times) back from
         every rank.
-    shm:
-        Route bulk payloads through a :class:`~repro.machine.shm.
-        ShmDataPlane` (shared-memory blocks; pipes carry only control
-        frames).  Defaults to on; ``REPRO_SHM=0`` is the environment
-        kill switch.  Semantics are identical either way — only the
-        transport (and the ``shm_*``/``pipe_*`` counters) change.
-    shm_threshold:
-        Payload size in bytes below which the pickle path is kept
-        (default 2048, or ``REPRO_SHM_THRESHOLD``).
+    shm, shm_threshold:
+        Route payloads of at least ``shm_threshold`` bytes through a
+        :class:`~repro.machine.shm.ShmDataPlane` (docs/dataplane.md).
+        None defers to ``REPRO_SHM`` (on) and ``REPRO_SHM_THRESHOLD``
+        (2048).  Only the transport and the ``shm_*``/``pipe_*``
+        counters change.
     """
 
     def __init__(
@@ -67,12 +56,10 @@ class MpEngine:
         machine: MachineModel,
         topology: Optional[Topology] = None,
         nranks: Optional[int] = None,
-        max_ops: int = 500_000_000,
         trace: bool = False,
         timeout: float = 120.0,
         shm: Optional[bool] = None,
         shm_threshold: Optional[int] = None,
-        shm_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ):
         if topology is None:
             if nranks is None:
@@ -85,12 +72,12 @@ class MpEngine:
             raise EngineError(
                 f"nranks={self.nranks} exceeds topology size {topology.size}"
             )
-        self.max_ops = max_ops
         self.trace = trace
         if timeout <= 0:
             raise EngineError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
-        self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
+        self.shm = shm
+        self.shm_threshold = shm_threshold
         fork_context()  # fail at construction on hosts without fork
 
     def run(
@@ -101,27 +88,10 @@ class MpEngine:
         """Execute ``program`` on ``nranks`` OS processes; returns the
         same :class:`RunResult` shape the simulator does, with wall-clock
         seconds in place of virtual time."""
-        if args is not None and len(args) != self.nranks:
-            raise EngineError(f"args must have length {self.nranks}")
-        # Epoch before fork: rank clocks are seconds since run() entry.
-        job = Job(time.monotonic(), program, self.machine, self.topology,
-                  args, self.trace, self.max_ops)
-        mesh = Mesh(self.nranks, "mp", self._shm, inherit=job)
-        try:
-            return mesh.run(job, self.timeout)
-        finally:
-            mesh.close()
+        # Imported lazily: repro.serve is a higher layer.
+        from repro.serve.pool import RankPool
 
-
-def run_spmd_mp(
-    program: RankProgram,
-    nranks: int,
-    machine: MachineModel,
-    topology: Optional[Topology] = None,
-    args: Optional[List[Any]] = None,
-    timeout: float = 120.0,
-) -> RunResult:
-    """One-shot convenience wrapper around :class:`MpEngine`."""
-    engine = MpEngine(machine, topology=topology, nranks=nranks,
-                      timeout=timeout)
-    return engine.run(program, args=args)
+        with RankPool(self.nranks, timeout=self.timeout, shm=self.shm,
+                      shm_threshold=self.shm_threshold) as pool:
+            return pool.run(program, self.machine, self.topology, args=args,
+                            trace=self.trace)

@@ -1,21 +1,17 @@
-"""One forked rank mesh: the supervisor both real-process backends share.
+"""One forked rank mesh: the supervisor of the real-process backends.
 
 A :class:`Mesh` is ``nranks`` forked rank processes
 (:func:`repro.machine.mp.worker.rank_loop`) joined by a pairwise pipe
 mesh, one duplex control pipe per rank, a shared status board, and an
 optional :class:`~repro.machine.shm.ShmDataPlane`.  The parent is a
 supervisor, not a router: data moves directly between rank processes.
-Over its control pipe each rank streams trace chunks and finally its
-``("finish", clock, value, stats)`` record; :meth:`Mesh.run`
-assembles the same :class:`RunResult` the simulator produces, so
-``repro.obs`` works on real runs unchanged.
+Ranks serve shipped jobs (:meth:`Mesh.run`, then :meth:`Mesh.reset`)
+until :meth:`Mesh.close`.  Over its control pipe each rank streams trace
+chunks and finally its ``("finish", clock, value, stats)`` record;
+:meth:`Mesh.run` assembles the same :class:`RunResult` the simulator
+produces, so ``repro.obs`` works on real runs unchanged.
 
-The mesh has two lifetimes and one protocol.  *One-shot*
-(:class:`~repro.machine.mp.engine.MpEngine`): ranks inherit their job
-through ``fork()``, run it and exit.  *Persistent*
-(:class:`~repro.serve.pool.RankPool`): ranks loop on :meth:`Mesh.run` /
-:meth:`Mesh.reset` until :meth:`Mesh.close`.  Failure semantics are the same for
-both: a rank *program* error raises :class:`EngineError` with the rank's
+A rank program error raises :class:`EngineError` with the rank's
 traceback, watchdog expiry raises :class:`DeadlockError` built from the
 status board, and a rank that dies, goes mute or breaks a pipe raises
 :class:`PoolCrashError`.  Any of them condemns the mesh — pairwise pipes
@@ -46,7 +42,7 @@ from repro.machine.trace import TraceEvent
 # scheduler thread per shard) is safe for *our* state because ranks
 # re-read everything from the job message — but two meshes forking
 # concurrently could each inherit the other's half-built pipe fds, and a
-# leaked end keeps a finished rank's EOF from ever arriving.  One
+# leaked end keeps a dead rank's EOF from ever arriving.  One
 # process-wide lock serializes mesh construction; it is held only while
 # forking, never while running jobs.
 _FORK_LOCK = threading.Lock()
@@ -63,15 +59,14 @@ def fork_context():
         ) from None
 
 
-def shm_options(shm: Optional[bool], threshold: Optional[int],
-                segment_bytes: int) -> Optional[Dict[str, int]]:
+def shm_options(shm: Optional[bool],
+                threshold: Optional[int]) -> Optional[Dict[str, int]]:
     """A backend's shm knobs (docs/dataplane.md; None defers to the
     environment) as :class:`ShmDataPlane` keyword arguments, or None when
     the plane is off."""
     if not (shm if shm is not None else shm_enabled_default()):
         return None
-    return {"segment_bytes": segment_bytes,
-            "threshold": (threshold if threshold is not None
+    return {"threshold": (threshold if threshold is not None
                           else shm_threshold_default())}
 
 
@@ -79,31 +74,25 @@ class Job(NamedTuple):
     """What every rank of a mesh runs once."""
 
     t0: float             # monotonic epoch rank clocks count from
-    program: Any          # the rank program, or its shipped payload
+    program: Any          # the shipped rank program
     machine: Any
     topology: Any
     args: Optional[list]  # per-rank argument list
     trace: bool
-    max_ops: int
 
 
 class Mesh:
     """Fork ``nranks`` rank processes now; tear them down in :meth:`close`.
 
-    ``inherit`` is the one :class:`Job` of a one-shot mesh; a persistent
-    mesh instead gets ``decode`` (also inherited through ``fork()``) to
-    rebuild each shipped program on the rank side.
+    ``decode`` (which the ranks receive through ``fork()``) rebuilds each
+    shipped program on the rank side.
     """
 
     def __init__(self, nranks: int, name: str,
                  shm: Optional[Dict[str, int]],
-                 decode: Optional[Callable[[Any, Any], Any]] = None,
-                 inherit: Optional[Job] = None):
+                 decode: Callable[[Any, Any], Any]):
         ctx = fork_context()
         self.nranks = n = nranks
-        self._one_shot = inherit is not None
-        inherited = (self._messages(inherit) if self._one_shot
-                     else [None] * n)
         with _FORK_LOCK:
             pipes = build_pipe_mesh(ctx, n)
             pairs = [ctx.Pipe(duplex=True) for _ in range(n)]
@@ -121,7 +110,7 @@ class Mesh:
                 p = ctx.Process(
                     target=rank_loop,
                     args=(r, n, pipes, child_ends, self.board, self.plane,
-                          decode, inherited[r]),
+                          decode),
                     name=f"repro-{name}-rank-{r}",
                     daemon=True,
                 )
@@ -133,33 +122,30 @@ class Mesh:
                 c.close()
 
     def _messages(self, job: Job) -> List[tuple]:
-        """One job message per rank.  A persistent rank's arg crosses its
-        control pipe through the data plane when there is one; what that
-        shipped is left in :attr:`arg_bytes` as ``(bytes, of which via
-        shm)``."""
+        """One job message per rank.  A rank's arg crosses its control
+        pipe through the data plane when there is one; what that shipped
+        is left in :attr:`arg_bytes` as ``(bytes, of which via shm)``."""
         args = job.args if job.args is not None else [None] * self.nranks
         self.arg_bytes = (0, 0)
-        if (job.args is not None and not self._one_shot
-                and self.plane is not None):
+        if job.args is not None and self.plane is not None:
             args = [self.plane.dumps(a, (r,)) for r, a in enumerate(args)]
             shm = sum(a.nbytes for a in args if isinstance(a, ShmPayload))
             pipe = sum(len(a) for a in args if isinstance(a, bytes))
             self.arg_bytes = (shm + pipe, shm)
         return [("job", job.t0, job.program, job.machine, job.topology,
-                 args[r], job.trace, job.max_ops) for r in range(self.nranks)]
+                 args[r], job.trace) for r in range(self.nranks)]
 
     # --- one job ---------------------------------------------------------
 
     def run(self, job: Job, timeout: float) -> RunResult:
-        """Ship ``job`` to persistent ranks (one-shot ranks already hold
-        it) and collect every rank's finish record within ``timeout``
-        wall seconds.  Real execution cannot prove a deadlock the way the
-        virtual-time engine can, so the watchdog is the bound.  A failed
-        job leaves ranks in unknown comm state: they are killed at once."""
+        """Ship ``job`` to every rank and collect every rank's finish
+        record within ``timeout`` wall seconds.  Real execution cannot
+        prove a deadlock the way the virtual-time engine can, so the
+        watchdog is the bound.  A failed job leaves ranks in unknown comm
+        state: they are killed at once."""
         try:
-            if not self._one_shot:
-                for c, msg in zip(self.ctrls, self._messages(job)):
-                    c.send(msg)
+            for c, msg in zip(self.ctrls, self._messages(job)):
+                c.send(msg)
             return self._supervise(job.t0, job.trace, timeout)
         except BaseException:
             self.close(grace=0.0)
@@ -215,10 +201,9 @@ class Mesh:
                     # A rank that trips over a dead peer (EOF on a mesh
                     # pipe) reports an "error" like any other exception —
                     # but if a rank process has died, the root cause is
-                    # the death, not the program.  Exit code 0 is a
-                    # one-shot rank that finished: normal, not a death.
+                    # the death, not the program.
                     dead = [i for i in range(n) if i != r
-                            and procs[i].exitcode not in (None, 0)]
+                            and procs[i].exitcode is not None]
                     if dead:
                         raise PoolCrashError(
                             f"rank {r} failed after rank(s) {dead} "
@@ -253,14 +238,14 @@ class Mesh:
             blocked or {r: (-9, -9) for r in sorted(pending)},
         )
 
-    # --- between jobs (persistent meshes) --------------------------------
+    # --- between jobs ----------------------------------------------------
 
     def reset(self, result: RunResult, timeout: float = 30.0) -> int:
         """Broadcast ``reset``; ranks discard frames the last job left in
         the pipes (all readable: every sender flushed before its finish
         report) and rewind their shm arenas.  Discards are accounted as
-        that job's undelivered messages, exactly like a one-shot rank's
-        post-run drain.  Returns the arena bytes reclaimed mesh-wide."""
+        that job's undelivered messages, exactly.  Returns the arena bytes
+        reclaimed mesh-wide."""
         for c in self.ctrls:
             c.send(("reset",))
         deadline = time.monotonic() + timeout
@@ -316,7 +301,7 @@ class Mesh:
                 try:
                     c.send(("stop",))
                 except (OSError, ValueError):
-                    pass  # a one-shot rank has already exited
+                    pass  # a dead rank's control pipe
             deadline = time.monotonic() + grace
             for p in self.procs:
                 p.join(max(deadline - time.monotonic(), 0.0))

@@ -7,10 +7,12 @@ Every pair of ranks shares one duplex OS pipe, and every rank shares one
 
 written to the pairwise pipe; per ``(source, tag)`` FIFO order follows
 directly from pipe FIFO order, exactly the guarantee the virtual-time
-engine provides.  Sends never block the rank program: a per-process
-sender thread drains an unbounded queue (MPI-style eager buffering), so
-the head-to-head exchange pattern the executor emits (all sends before
-all receives) cannot deadlock on a full pipe buffer.
+engine provides.  A rank whose program has returned writes one
+:data:`END_FRAME` to every peer, behind all of its data frames.  Sends
+never block the rank program: a per-process sender thread drains an
+unbounded queue (MPI-style eager buffering), so the head-to-head
+exchange pattern the executor emits (all sends before all receives)
+cannot deadlock on a full pipe buffer.
 
 The receive side buffers drained frames per ``(source, tag)`` channel
 and stamps each with a local arrival index, which is what wildcard
@@ -42,6 +44,9 @@ FRAME_SEQ = 1
 FRAME_NBYTES = 2
 FRAME_WALL = 3
 FRAME_PAYLOAD = 4
+
+#: the end-of-job frame: the sender's program has returned
+END_FRAME = None
 
 #: sentinel enqueued to stop a sender thread
 _STOP = object()
@@ -93,7 +98,7 @@ def close_mesh_except(mesh: List[List[Optional[Any]]], keep_rank: Optional[int])
     for i, row in enumerate(mesh):
         if i == keep_rank:
             continue
-        # Row i belongs to rank i.  Closing our inherited copies of every
+        # Row i belongs to rank i.  Closing our forked copies of every
         # other rank's ends (including peers' ends of our own pipes) is
         # what makes a dead peer observable as EOF instead of a hang.
         for conn in row:

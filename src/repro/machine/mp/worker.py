@@ -11,12 +11,14 @@ wall clock:
   buffers until a matching frame appears.  Wildcard receives pick the
   earliest *locally arrived* candidate — real execution cannot know
   global arrival order, the one simulator guarantee this backend relaxes
-  (see docs/internals.md §10).
+  (see docs/internals.md §10).  A peer whose end frame has arrived has
+  finished the job, and one whose pipe hit EOF has died: an untimed
+  receive only they could satisfy raises instead of hanging.
 * ``Compute`` charges **no** time: the virtual seconds describe the 1990
   machine, not this host.  Instead the wall-clock time the rank program
   actually spent between op boundaries is attributed to each op's phase,
   so phase tables and traces describe the real run.
-* ``Now`` resumes with wall-clock seconds since run start.
+* ``Now`` resumes with wall-clock seconds since the job was shipped.
 
 Per-rank counters, trace events, the final return value, and the wall
 clock stream back to the parent over the control pipe; trace events are
@@ -47,6 +49,7 @@ from repro.machine.api import (
     validate_send,
 )
 from repro.machine.mp.transport import (
+    END_FRAME,
     FRAME_NBYTES,
     FRAME_PAYLOAD,
     FRAME_SEQ,
@@ -65,6 +68,9 @@ ST_DONE = 2
 
 _TRACE_FLUSH = 512
 
+#: runaway-program bound: ops one rank may yield in one job
+MAX_OPS = 500_000_000
+
 
 class _Inbox:
     """Per-(source, tag) FIFO buffers over the pairwise pipes."""
@@ -75,9 +81,9 @@ class _Inbox:
         self._arrival_counter = 0
         #: wall time each buffered frame was drained (arrival proxy)
         self.arrival_wall: Dict[int, float] = {}
-        #: peers whose pipe hit EOF (finished or died).  Pipes deliver all
-        #: buffered frames before EOF, so nothing from them is lost.
-        self.dead: set = set()
+        #: peers whose end frame has arrived: finished for this job.  Every
+        #: data frame they sent precedes it, so nothing from them is lost.
+        self.finished: set = set()
 
     def _mark_dead(self, src: int) -> None:
         conn = self.conns[src]
@@ -87,25 +93,26 @@ class _Inbox:
             except OSError:
                 pass
             self.conns[src] = None
-        self.dead.add(src)
 
-    def _buffer(self, src: int, frame: tuple, wall: float) -> int:
+    def _take(self, src: int, frame: Optional[tuple], wall: float) -> None:
+        if frame is END_FRAME:
+            self.finished.add(src)
+            return
         idx = self._arrival_counter
         self._arrival_counter += 1
         self.buffered.setdefault((src, frame[FRAME_TAG]), deque()).append(
             (idx, frame)
         )
         self.arrival_wall[idx] = wall
-        return idx
 
     def drain_one(self, src: int, deadline: Optional[float], now_fn) -> bool:
         """Block until one frame from ``src`` is drained (True) or the
-        deadline expires (False).  A dead peer can never satisfy the
-        receive: an untimed one raises instead of hanging forever, a timed
-        one waits its deadline out — it completes by timing out, exactly
-        as on the simulator."""
+        deadline expires (False).  A finished or dead peer can never
+        satisfy the receive: an untimed one raises instead of hanging
+        forever, a timed one waits its deadline out — it completes by
+        timing out, exactly as on the simulator."""
         conn = self.conns[src]
-        if conn is not None:
+        if conn is not None and src not in self.finished:
             if deadline is not None and not conn.poll(
                     max(deadline - time.monotonic(), 0.0)):
                 return False
@@ -114,41 +121,40 @@ class _Inbox:
             except EOFError:
                 self._mark_dead(src)
             else:
-                self._buffer(src, frame, now_fn())
+                self._take(src, frame, now_fn())
                 return True
         if deadline is None:
             raise CommunicationError(
                 f"receive from rank {src} can never complete: the peer "
-                "process has exited"
-            )
+                "has finished this job or died")
         time.sleep(max(deadline - time.monotonic(), 0.0))
         return False
 
     def drain_ready(self, now_fn) -> None:
         """Drain every frame currently readable on any pipe (no blocking).
-        Peers at EOF are retired silently — a finished rank is normal."""
+        Peers at EOF (dead) are retired; the supervisor reports them."""
         live = [c for c in self.conns if c is not None]
         for conn in conn_wait(live, timeout=0):
             src = self.conns.index(conn)
-            while conn is not None and conn.poll(0):
+            while conn.poll(0):
                 try:
                     frame = conn.recv()
                 except EOFError:
                     self._mark_dead(src)
                     break
-                self._buffer(src, frame, now_fn())
+                self._take(src, frame, now_fn())
 
     def wait_any(self, deadline: Optional[float], now_fn) -> bool:
-        """Block until any pipe is readable; False on deadline expiry.
-        Raises once every peer is gone (nothing can ever arrive) unless a
-        deadline bounds the wait."""
+        """Block until a frame arrives; False on deadline expiry.  Raises
+        once every peer has finished or died (nothing can ever arrive)
+        unless a deadline bounds the wait."""
         while True:
-            live = [c for c in self.conns if c is not None]
+            live = [c for r, c in enumerate(self.conns)
+                    if c is not None and r not in self.finished]
             if not live and deadline is None:
                 raise CommunicationError(
-                    "wildcard receive can never complete: every peer "
-                    "process has exited"
-                )
+                    "wildcard receive can never complete: every peer has "
+                    "finished this job or died")
             timeout = (
                 None if deadline is None
                 else max(deadline - time.monotonic(), 0.0)
@@ -160,7 +166,7 @@ class _Inbox:
             self.drain_ready(now_fn)
             if self._arrival_counter > before:
                 return True
-            # Only EOFs were ready; loop (retired conns leave `live`).
+            # Only end frames or EOFs were ready; loop (`live` shrinks).
 
     def pop_match(self, source: int, tag: int) -> Optional[Tuple[int, int, tuple]]:
         """Pop the matching frame with the earliest local arrival, or None.
@@ -188,16 +194,14 @@ class _Inbox:
         idx, frame = self.buffered[best_chan].popleft()
         return idx, best_chan[0], frame
 
-    def leftover(self) -> int:
-        return sum(len(q) for q in self.buffered.values())
-
     def reset(self) -> int:
-        """Discard every buffered frame (warm-pool job boundary); returns
-        the number discarded.  Connections and dead-peer state persist —
-        only per-job message state is cleared."""
-        discarded = self.leftover()
+        """Discard every buffered frame (job boundary); returns the number
+        discarded.  Connections persist; per-job message state and the
+        finished set are cleared."""
+        discarded = sum(len(q) for q in self.buffered.values())
         self.buffered.clear()
         self.arrival_wall.clear()
+        self.finished.clear()
         return discarded
 
 
@@ -217,33 +221,24 @@ def _encode(dataplane, stats: RankStats, obj: Any, consumers) -> Any:
 
 
 def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
-              decode, inherited) -> None:
-    """Entry point of one forked rank process, for both mesh lifetimes.
-
-    A *persistent* rank (``inherited`` is None) serves ``job`` / ``reset``
-    / ``ping`` commands from its control pipe until ``stop`` or parent
-    EOF; a *one-shot* rank runs the single job message it inherited
-    through ``fork()`` (so its program was never pickled) and exits, which
-    is what lets peers observe it as EOF.  One :class:`SenderThread` and
-    one :class:`_Inbox` live as long as the process; per-job state (stats,
-    trace buffer, sequence counters, the rank object itself) is rebuilt
-    from the job message every time.
-
-    ``dataplane`` is an optional :class:`repro.machine.shm.ShmDataPlane`
-    inherited from the parent; when present, bulk payloads travel as
-    shared-memory blocks and pipes carry only control frames.  It lives
-    mesh-long too: each rank's arena is rewound at the reset barrier.
-    ``decode(payload, dataplane)`` rebuilds a program shipped over the
-    control pipe; None means the message carries the program itself.  A
-    persistent rank's arg crosses through the plane as well.
+              decode) -> None:
+    """Entry point of one forked rank process: serve ``job`` / ``reset``
+    / ``ping`` commands from the control pipe until ``stop`` or parent
+    EOF.  The :class:`SenderThread`, the :class:`_Inbox` and the optional
+    shm ``dataplane`` (its arena rewound at each reset barrier) live as
+    long as the process; per-job state is rebuilt from each job message,
+    whose program ``decode(payload, dataplane)`` rebuilds.  When the
+    program returns, the rank sends every peer an end frame behind its
+    last data frame, so a receive waiting on it fails at once.
     """
     close_mesh_except(pipes, rank_id)
     for r, c in enumerate(ctrls):
         if r != rank_id:
             c.close()
     conn = ctrls[rank_id]
+    peers = pipes[rank_id]
     sender = SenderThread()
-    inbox = _Inbox(pipes[rank_id])
+    inbox = _Inbox(peers)
     if dataplane is not None:
         dataplane.attach(rank_id)
 
@@ -255,13 +250,10 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
 
     try:
         while True:
-            if inherited is not None:
-                msg = inherited
-            else:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    break  # parent is gone; nothing left to serve
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                break  # parent is gone; nothing left to serve
             kind = msg[0]
             if kind == "stop":
                 break
@@ -275,7 +267,7 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                 conn.send(("reset_done", inbox.reset(), reclaimed))
                 continue
 
-            _, t0, program, machine, topology, arg, trace, max_ops = msg
+            _, t0, program, machine, topology, arg, trace = msg
 
             def now() -> float:
                 return time.monotonic() - t0
@@ -291,10 +283,8 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
 
             try:
                 set_state(ST_RUNNING)
-                if decode is not None:
-                    program = decode(program, dataplane)
-                if (inherited is None and dataplane is not None
-                        and arg is not None):
+                program = decode(program, dataplane)
+                if dataplane is not None and arg is not None:
                     arg = dataplane.loads(arg)
                 gen = program(Rank(rank_id, nranks, machine, topology, arg))
                 if not hasattr(gen, "send"):
@@ -305,7 +295,7 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                 value = _interpret(
                     rank_id, nranks, gen, stats,
                     trace_buf if trace else None, sender, inbox,
-                    pipes[rank_id], now, set_state, max_ops, flush_trace,
+                    peers, now, set_state, flush_trace,
                     dataplane=dataplane,
                 )
                 if dataplane is not None:
@@ -315,19 +305,15 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                     value = _encode(dataplane, stats, value,
                                     (dataplane.parent_party,))
                     stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
+                # Nothing more comes from this rank in this job: say so
+                # behind the data frames (uncounted: it is not a message).
+                for peer in peers:
+                    if peer is not None:
+                        sender.send(peer, END_FRAME)
                 # Everything this job queued must be on the wire before we
                 # report: peers drain their pipes at the reset barrier, and
                 # the barrier only starts after every rank reported.
                 sender.flush()
-                if inherited is not None:
-                    # No reset barrier will follow, so count what was sent
-                    # here but never received now — best-effort: frames
-                    # still in flight from a straggling peer are missed
-                    # (documented relaxation).  Persistent ranks count at
-                    # the barrier instead, where the drain is exact.
-                    inbox.drain_ready(now)
-                    if inbox.leftover():
-                        stats.count("undelivered_messages", inbox.leftover())
                 set_state(ST_DONE)
                 flush_trace(force=True)
                 conn.send(("finish", now(), value, stats))
@@ -338,11 +324,8 @@ def rank_loop(rank_id: int, nranks: int, pipes, ctrls, board, dataplane,
                     conn.send(("error", now(), traceback.format_exc(), stats))
                 except Exception:
                     break
-                # The parent fails the job and tears the mesh down; a
-                # persistent rank keeps answering the control pipe until
-                # then.
-            if inherited is not None:
-                break
+                # The parent fails the job and tears the mesh down; the
+                # rank keeps answering the control pipe until then.
     finally:
         try:  # deterministic teardown: no sender thread outlives the rank
             sender.flush_and_stop(timeout=5.0)
@@ -361,7 +344,6 @@ def _interpret(
     conns: List[Optional[Any]],
     now,
     set_state,
-    max_ops: int,
     flush_trace,
     dataplane=None,
 ) -> Any:
@@ -390,9 +372,9 @@ def _interpret(
             return stop.value
         resume = None
         ops += 1
-        if ops > max_ops:
+        if ops > MAX_OPS:
             raise EngineError(
-                f"exceeded max_ops={max_ops}; runaway rank program?"
+                f"exceeded {MAX_OPS} ops; runaway rank program?"
             )
         check()
         kind = type(op)

@@ -21,14 +21,16 @@ schedules on disk under a content-addressed key (hash of the forall spec,
 distributions, and the indirection arrays' bytes).  A memory miss falls
 through to disk; a disk hit is re-stamped with the current version
 counters and promoted into memory, so the fast path stays fast.  Stores
-write through.  Only inspector-built schedules persist: closed-form
-schedules cost nothing to rebuild.
+write through.  Only loops that need the inspector use the disk tier:
+closed-form schedules cost nothing to rebuild, so a closed-form forall
+neither probes for nor writes a file.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.analysis.planner import Strategy, choose_strategy
 from repro.arrays.localview import LocalArray
 from repro.core.forall import Forall
 from repro.runtime.schedule import CommSchedule
@@ -132,9 +134,16 @@ class ScheduleCache:
             self.misses += 1
         return self._disk_lookup(forall, env)
 
+    def _on_disk(self, forall: Forall, env: Dict[str, LocalArray]) -> bool:
+        """Whether a disk tier holds ``forall``'s schedule: never for a
+        closed-form loop.  The verdict reads only the forall and the
+        distributions, so every rank reaches the same one."""
+        return (self.disk is not None
+                and choose_strategy(forall, env) is not Strategy.COMPILE_TIME)
+
     def _disk_lookup(self, forall: Forall, env: Dict[str, LocalArray]) -> Optional[CommSchedule]:
         """Disk-tier fallback: content hash, load, re-stamp, promote."""
-        if self.disk is None:
+        if not self._on_disk(forall, env):
             return None
         key = _content_key(forall, env, self.translation)
         if key is None:
@@ -164,12 +173,12 @@ class ScheduleCache:
 
     def store_through(self, forall: Forall, schedule: CommSchedule,
                       env: Dict[str, LocalArray]) -> None:
-        """Store in memory and, when a disk tier is attached, persist
-        inspector-built schedules under their content key."""
+        """Store in memory and, when the loop belongs on the disk tier,
+        persist an inspector-built schedule under its content key."""
         if not self.enabled:
             return
         self._store[forall.label] = schedule
-        if self.disk is not None and schedule.built_by == "inspector":
+        if schedule.built_by == "inspector" and self._on_disk(forall, env):
             key = _content_key(forall, env, self.translation)
             if key is not None:
                 self.disk.store(key, schedule)

@@ -1,28 +1,24 @@
-"""Warm rank pool: the mp backend's forked mesh, reused across jobs.
+"""Warm rank pool: the real-process backend's forked mesh, reused across jobs.
 
-``MpEngine`` pays the full cold-start bill on every run: fork one process
-per rank, build the O(n²) pipe mesh, tear it all down.  For the paper's
-target workload — the *same* forall executed over and over — that bill
-dominates.  :class:`RankPool` keeps one persistent
-:class:`~repro.machine.mp.mesh.Mesh` — the supervisor ``MpEngine`` runs
-one-shot — and runs many successive jobs on it.  Each job's program is
-shipped (:mod:`repro.serve.shipping`) down the control pipes — array
-contents the mesh's ranks already hold travel as a digest — and after
-every rank has reported the mesh's reset barrier discards the frames the
-job left in the pipes, so job N+1 cannot observe job N's messages and
-sees exactly the clean slate a fresh ``MpEngine.run`` provides.
+Forking a process per rank and building the O(n²) pipe mesh dominates a
+repeated forall.  :class:`RankPool` keeps one
+:class:`~repro.machine.mp.mesh.Mesh` and runs many jobs on it
+(``MpEngine`` is the one-job case).  Each job's program is shipped
+(:mod:`repro.serve.shipping`) down the control pipes — array contents
+the ranks already hold travel as a digest — and after every rank has
+reported, the reset barrier discards the frames the job left in the
+pipes, so job N+1 sees exactly the clean slate of a fresh mesh.
 
 What lives here is pool *policy*: lazy start, lifetime counters, health
 checks, and condemn-and-rebuild.  A rank error, watchdog expiry, or
-silent rank death fails *the job* (same exception types as ``MpEngine``)
-and condemns the mesh — pairwise pipes cannot be re-plumbed into a
-replacement process after fork, so crashed ranks are replaced by
-rebuilding the whole mesh, which the next ``run`` (or an explicit
-:meth:`check_health`) does automatically.  ``pool.rebuilds`` counts how
-often that happened.
+silent rank death fails *the job* and condemns the mesh — pairwise pipes
+cannot be re-plumbed into a replacement process after fork, so crashed
+ranks are replaced by rebuilding the whole mesh, which the next ``run``
+(or an explicit :meth:`check_health`) does automatically.
+``pool.rebuilds`` counts how often that happened.
 
-``RankPool.run`` returns the same :class:`RunResult` shape as both
-engines, so ``repro.obs`` and the differential harness work on pooled
+``RankPool.run`` returns the same :class:`RunResult` shape as the
+simulator, so ``repro.obs`` and the differential harness work on pooled
 runs unchanged.
 """
 
@@ -36,11 +32,10 @@ from typing import Any, Hashable, List, Optional
 from repro.errors import EngineError, PoolCrashError  # noqa: F401 - re-export
 from repro.machine.cost import MachineModel
 from repro.machine.mp.mesh import Job, Mesh, fork_context, shm_options
-from repro.machine.shm import DEFAULT_SEGMENT_BYTES
 from repro.machine.stats import RunResult
 from repro.machine.topology import FullyConnected, Topology
 # Imported for the side effect: pool workers are forked, so anything the
-# parent has already imported is inherited for free.  Without this the
+# parent has already imported comes with the fork.  Without this the
 # first disk-tier job pays the diskcache (+hashlib/pickle) import once
 # per worker, serialized on oversubscribed hosts.
 from repro.serve import diskcache as _diskcache  # noqa: F401
@@ -57,8 +52,9 @@ class RankPool:
     timeout:
         Default per-job watchdog bound, wall seconds (overridable per
         ``run``).
-    max_ops:
-        Runaway-program bound handed to the op interpreter.
+    shm, shm_threshold:
+        The shared-memory data plane's switch and threshold, as for
+        :class:`~repro.machine.mp.MpEngine`.
 
     Use as a context manager, or call :meth:`close` explicitly — teardown
     joins every worker (whose sender threads are flushed and stopped),
@@ -69,18 +65,15 @@ class RankPool:
     _ids = itertools.count(1)
 
     def __init__(self, nranks: int, timeout: float = 120.0,
-                 max_ops: int = 500_000_000,
                  shm: Optional[bool] = None,
-                 shm_threshold: Optional[int] = None,
-                 shm_segment_bytes: int = DEFAULT_SEGMENT_BYTES):
+                 shm_threshold: Optional[int] = None):
         if nranks < 1:
             raise EngineError(f"pool needs nranks >= 1, got {nranks}")
         if timeout <= 0:
             raise EngineError(f"timeout must be > 0, got {timeout}")
         self.nranks = nranks
         self.timeout = timeout
-        self.max_ops = max_ops
-        self._shm = shm_options(shm, shm_threshold, shm_segment_bytes)
+        self._shm = shm_options(shm, shm_threshold)
         self.ship_bytes = 0           # program + arg bytes shipped
         self.shm_ship_bytes = 0       # ... of which via shm
         self.shm_reclaimed_bytes = 0  # arena bytes rewound at reset barriers
@@ -183,13 +176,12 @@ class RankPool:
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> RunResult:
-        """Run one job on the warm mesh; returns an ``MpEngine``-shaped
-        :class:`RunResult` (wall-clock seconds, real per-rank counters).
+        """Run one job on the warm mesh; returns a :class:`RunResult`
+        (wall-clock seconds, real per-rank counters).
 
         On any job failure (rank error, death, watchdog) the mesh is
         condemned and rebuilt lazily by the next call; the failure is
-        raised for *this* job with the same exception types the
-        fork-per-run backend uses.
+        raised for *this* job.
         """
         if args is not None and len(args) != self.nranks:
             raise EngineError(f"args must have length {self.nranks}")
@@ -213,8 +205,7 @@ class RankPool:
             shipment, mesh.plane, range(self.nranks))
         self.ship_bytes += shipped or len(payload)
         self.shm_ship_bytes += shipped
-        job = Job(time.monotonic(), payload, machine, topology, args, trace,
-                  self.max_ops)
+        job = Job(time.monotonic(), payload, machine, topology, args, trace)
         try:
             result = mesh.run(
                 job, timeout if timeout is not None else self.timeout)

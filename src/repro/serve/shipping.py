@@ -1,12 +1,10 @@
-"""Shipping rank programs to already-forked pool workers.
+"""Shipping rank programs to already-forked rank processes.
 
-The fork-per-run backend never serializes the rank program: children
-inherit it through ``fork()``.  A warm pool breaks that trick — workers
-fork *once*, and every later job must cross a pipe.  Plain :mod:`pickle`
-refuses closures and lambdas (it pickles functions by reference), and the
-rank programs the runtime builds are exactly that: nested generator
-functions capturing array data, Forall objects whose kernels may be
-lambdas, and app state.
+Ranks fork *once*, when their mesh is built, so every job's program must
+cross a pipe.  Plain :mod:`pickle` refuses closures and lambdas (it
+pickles functions by reference), and the rank programs the runtime
+builds are exactly that: nested generator functions capturing array
+data, Forall objects whose kernels may be lambdas, and app state.
 
 :func:`dumps`/:func:`loads` extend pickle with a by-value fallback for
 functions that cannot be found by import path:
@@ -19,7 +17,9 @@ functions that cannot be found by import path:
   worker was forked from the submitting process, so any module imported
   before the pool started is present; a program defined in a module
   imported *after* the fork raises a clear error instead of a silent
-  NameError at call time.
+  NameError at call time,
+* a module a closure captures (``import numpy as np`` inside the
+  enclosing function) ships by name and is imported again on the rank.
 
 Importable functions (``module.qualname`` resolves back to the same
 object) still pickle by reference — cheap, and robust to code that was
@@ -39,6 +39,7 @@ eviction, and dies with its mesh, so a rank never has to guess
 
 from __future__ import annotations
 
+import importlib
 import io
 import marshal
 import pickle
@@ -138,6 +139,8 @@ class _ShippingPickler(pickle.Pickler):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
 
     def reducer_override(self, obj):
+        if isinstance(obj, types.ModuleType):
+            return importlib.import_module, (obj.__name__,)
         if isinstance(obj, types.FunctionType):
             if _lookup_importable(obj.__module__, obj.__qualname__) is obj:
                 return NotImplemented  # plain by-reference pickling

@@ -1,9 +1,9 @@
 """One supervisor contract, two backends.
 
-``MpEngine`` (one-shot ranks) and ``RankPool`` (persistent ranks) are
-both shells over :class:`repro.machine.mp.mesh.Mesh`, so every failure
-mode must surface with the same exception class and the same fields on
-either.  Rank programs live at module level so the pool can ship them.
+``MpEngine`` (one job on a fresh pool) and ``RankPool`` (many jobs on a
+warm one) both run on :class:`repro.machine.mp.mesh.Mesh`, so every
+failure mode must surface with the same exception class and the same
+fields on either.
 """
 
 import os
@@ -51,12 +51,6 @@ def recv_from_dying_peer(rank):
     if rank.id == 1:
         os._exit(3)
     yield Recv(source=1, tag=0)
-
-
-def recv_from_finished_peer(rank):
-    yield Compute(0.0)
-    if rank.id == 0:
-        yield Recv(source=1, tag=0)
 
 
 @pytest.mark.parametrize("backend", ["mp", "pool"])
@@ -111,44 +105,68 @@ class TestSupervisorContract:
 @pytest.mark.parametrize("source", [1, ANY_SOURCE])
 def test_timed_receive_from_a_finished_peer_times_out(source):
     """The simulator resumes a timed receive with None whether or not the
-    peer has finished; only an *untimed* one can never complete.  (This
-    raced: whichever rank timed out first exited, and its EOF used to
-    turn the other rank's timeout into a CommunicationError.)"""
+    peer has finished; only an *untimed* one can never complete.  A
+    finished peer's end frame must not turn the timeout into an error."""
     def prog(rank):
         yield Compute(0.0)
         if rank.id == 0:
-            time.sleep(0.3)  # rank 1 is long gone by now
+            time.sleep(0.3)  # rank 1 has long finished by now
             return (yield Recv(source=source, tag=3, timeout=0.2))
 
-    res = MpEngine(IDEAL, nranks=2, timeout=30.0).run(prog)
-    assert res.values == [None, None]
-    assert res.stats[0].counters["recv_timeouts"] == 1
+    for backend in ("mp", "pool"):
+        res = run_on(backend, prog)
+        assert res.values == [None, None]
+        assert res.stats[0].counters["recv_timeouts"] == 1
 
 
-def test_meshes_forking_concurrently_do_not_leak_pipe_ends():
-    """Every mesh forks under one process-wide lock.  Without it, a pool
-    forking while ``MpEngine`` builds its pipes hands the engine's
-    half-built ends to pool workers; for as long as those workers live,
-    rank 1's EOF never reaches rank 0 and the fail-fast receive hangs
-    until the watchdog.  So the pools stay open until the runs are over."""
-    pools = []
-    stop = threading.Event()
+def _socket_inodes(pid: int) -> set:
+    """Inodes of the sockets process ``pid`` holds open."""
+    fd_dir = f"/proc/{pid}/fd"
+    inodes = set()
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:
+            continue  # closed while we looked
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
 
-    def fork_pools():
-        while not stop.is_set() and len(pools) < 16:
-            pools.append(RankPool(2).start())
-            time.sleep(0.02)
 
-    forker = threading.Thread(target=fork_pools)
-    forker.start()
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc to list a process's descriptors")
+def test_meshes_forking_concurrently_do_not_leak_pipe_ends(monkeypatch):
+    """Every mesh forks under one process-wide lock.  Without it, a mesh
+    forking while another builds its pipes hands the half-built ends to
+    its own ranks, and for as long as they live a dead rank's EOF never
+    arrives.  Pool A's pipe build holds the fork window open for 0.5 s;
+    pool B starts inside that window; none of B's ranks may hold an end
+    of A's pipes."""
+    real_build = mesh_module.build_pipe_mesh
+    a_ends: set = set()
+    in_window = threading.Event()
+
+    def slow_build(ctx, n):
+        pipes = real_build(ctx, n)
+        if not in_window.is_set():  # pool A's build
+            a_ends.update(os.fstat(c.fileno()).st_ino
+                          for row in pipes for c in row if c is not None)
+            in_window.set()
+            time.sleep(0.5)
+        return pipes
+
+    monkeypatch.setattr(mesh_module, "build_pipe_mesh", slow_build)
+    pool_a = RankPool(2)
+    starter = threading.Thread(target=pool_a.start)
+    starter.start()
     try:
-        for _ in range(30):
-            with pytest.raises(EngineError, match="can never complete"):
-                MpEngine(IDEAL, nranks=2, timeout=10.0).run(
-                    recv_from_finished_peer)
+        assert in_window.wait(30.0)
+        with RankPool(2) as pool_b:
+            pool_b.start()
+            leaked = set().union(*(_socket_inodes(p.pid) & a_ends
+                                   for p in pool_b._procs))
     finally:
-        stop.set()
-        forker.join(60.0)
-        for pool in pools:
-            pool.close()
-    assert not forker.is_alive()
+        starter.join(30.0)
+        pool_a.close()
+    assert len(a_ends) == 2
+    assert not leaked, f"{len(leaked)} of {len(a_ends)} ends leaked"

@@ -17,6 +17,7 @@ when pytest-timeout is installed.)
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -43,9 +44,10 @@ from repro.lang import compile_kali
 from repro.machine.api import ANY_SOURCE, ANY_TAG, Compute, Count, Now, Recv, Send
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.machine.engine import Engine
-from repro.machine.mp import MpEngine, run_spmd_mp
+from repro.machine.mp import MpEngine
 from repro.machine.topology import FullyConnected
 from repro.meshes.regular import five_point_grid, reference_sweep
+from repro.serve.pool import RankPool
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -55,6 +57,14 @@ NRANKS = 4
 def mp_engine(n=NRANKS, **kw):
     kw.setdefault("timeout", 60.0)
     return MpEngine(IDEAL, topology=FullyConnected(n), **kw)
+
+
+def real_run(backend, program, n, timeout=60.0):
+    """One run on a fork-per-run ``MpEngine`` or on a warm ``RankPool``."""
+    if backend == "mp":
+        return mp_engine(n, timeout=timeout).run(program)
+    with RankPool(n, timeout=timeout) as pool:
+        return pool.run(program, IDEAL, topology=FullyConnected(n))
 
 
 def sim_engine(n=NRANKS, **kw):
@@ -163,7 +173,7 @@ class TestOpProtocol:
             yield Compute(0.0)
             return rank.arg * 2
 
-        res = run_spmd_mp(prog, 3, IDEAL, args=[10, 20, 30], timeout=60.0)
+        res = mp_engine(3).run(prog, args=[10, 20, 30])
         assert res.values == [20, 40, 60]
 
 
@@ -206,19 +216,23 @@ class TestFailureModes:
         with pytest.raises(EngineError, match="outside world"):
             mp_engine(2).run(prog)
 
-    def test_exact_recv_from_finished_peer_fails_fast(self):
-        """A receive that provably can't complete raises, not hangs."""
+    @pytest.mark.parametrize("backend", ["mp", "pool"])
+    def test_exact_recv_from_finished_peer_fails_fast(self, backend):
+        """A receive that provably can't complete raises at once, not at
+        the watchdog: rank 1's end frame says it has finished the job."""
         def prog(rank):
             yield Compute(0.0)
             if rank.id == 0:
                 m = yield Recv(source=1, tag=0)
                 return m
 
+        started = time.monotonic()
         with pytest.raises(EngineError, match="can never complete"):
-            mp_engine(2, timeout=60.0).run(prog)
+            real_run(backend, prog, 2, timeout=30.0)
+        assert time.monotonic() - started < 5.0
 
     def test_finished_peer_does_not_break_others(self):
-        """Rank 1 exits immediately; ranks 0<->2 keep communicating."""
+        """Rank 1 returns immediately; ranks 0<->2 keep communicating."""
         def prog(rank):
             if rank.id == 1:
                 yield Compute(0.0)
@@ -228,8 +242,26 @@ class TestFailureModes:
             m = yield Recv(source=peer, tag=4)
             return m.payload
 
-        res = mp_engine(3).run(prog)
-        assert res.values == [2, "early", 0]
+        for backend in ("mp", "pool"):
+            assert real_run(backend, prog, 3).values == [2, "early", 0]
+
+    @pytest.mark.parametrize("backend", ["sim", "mp", "pool"])
+    def test_send_to_a_returned_peer_is_undelivered(self, backend):
+        """Rank 0 returns at once; rank 1 sends to it afterwards.  The
+        send succeeds and the message is counted, exactly, as rank 0's
+        undelivered message on every backend."""
+        def prog(rank):
+            yield Compute(0.0)
+            if rank.id == 1:
+                time.sleep(0.3)
+                yield Send(0, 1.0, tag=9)
+
+        if backend == "sim":
+            res = sim_engine(2).run(prog)
+        else:
+            res = real_run(backend, prog, 2)
+        assert [s.counters.get("undelivered_messages", 0)
+                for s in res.stats] == [1, 0]
 
     def test_fork_required_validation(self):
         with pytest.raises(EngineError, match="timeout"):

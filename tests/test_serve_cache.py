@@ -355,6 +355,17 @@ class TestTwoTierIntegration:
         assert np.array_equal(warm.solution, cold.solution)
         assert warm_res.strategies()["jacobi-relax"] == "disk-cache"
 
+    def test_closed_form_foralls_never_probe_the_disk(self, tmp_path):
+        """Only the inspector-built ``jacobi-relax`` uses the disk tier;
+        the closed-form ``jacobi-copy`` neither probes for nor writes a
+        file, so the miss counter counts real misses."""
+        cold = _build(tmp_path).run(3)
+        assert cold.engine.counter_sum("schedule_cache_disk_misses") == 4
+        assert cold.engine.counter_sum("schedule_cache_disk_stores") == 4
+        warm = _build(tmp_path).run(3)
+        assert warm.engine.counter_sum("schedule_cache_disk_misses") == 0
+        assert warm.engine.counter_sum("schedule_cache_disk_hits") == 4
+
     def test_indirection_edit_invalidates_across_restart(self, tmp_path):
         cold = _build(tmp_path)
         cold.run(2)

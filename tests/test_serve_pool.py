@@ -282,6 +282,21 @@ class TestShipping:
         fn = shipping.loads(shipping.dumps(fib))
         assert fn(10) == 55
 
+    def test_closure_over_a_module_ships(self):
+        def make():
+            import numpy as np  # a closure cell holding a module
+
+            def prog(rank):
+                yield Count("scaled", 1)
+                return float(np.float64(3.0) * (rank.id + 1))
+
+            return prog
+
+        with RankPool(2, timeout=60) as pool:
+            assert pool.run(make(), NCUBE7).values == [3.0, 6.0]
+        assert MpEngine(NCUBE7, nranks=2, timeout=60).run(
+            make()).values == [3.0, 6.0]
+
     def test_unpicklable_capture_raises_shipping_error(self):
         fh = open("/dev/null")
         try:

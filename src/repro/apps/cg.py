@@ -132,7 +132,7 @@ class CGSolver:
 
         def spmv_kernel(iters, ops):
             pvals: IndirectOperand = ops["pv"]
-            return (ops["av"] * pvals.values * pvals.live).sum(axis=1)
+            return pvals.weighted_sum(ops["av"])
 
         self.spmv = Forall(
             index_range=n_range,

@@ -64,7 +64,7 @@ def copy_kernel(iters: np.ndarray, ops) -> np.ndarray:
 def relax_kernel(iters: np.ndarray, ops) -> np.ndarray:
     """``x := sum_j coef[i,j] * old_a[adj[i,j]]; if count[i]>0 a[i]:=x``."""
     nb: IndirectOperand = ops["neighbours"]
-    x = (ops["coef_i"] * nb.values * nb.live).sum(axis=1)
+    x = nb.weighted_sum(ops["coef_i"])
     return np.where(nb.counts > 0, x, ops["a_i"])
 
 

@@ -180,11 +180,49 @@ class IndirectOperand:
     every execution of it, so they are read-only: mask with ``live``
     rather than rebuilding it, and copy before modifying either.
     ``values`` is this execution's own array.
+
+    A kernel that reduces a row, ``sum_j w[k, j] * values[k, j]`` over
+    the live columns, calls :meth:`weighted_sum`, which returns
+    ``(w * values * live).sum(axis=1)`` bit for bit without paying for
+    the mask multiply or NumPy's per-row reduction.
     """
 
     values: np.ndarray
     counts: np.ndarray
     live: np.ndarray
+
+    #: rows narrower than this are summed column by column; NumPy's own
+    #: row reduction adds up to 7 elements left to right and switches to
+    #: eight pairwise accumulators from 8 on, an order a column loop
+    #: cannot reproduce
+    _NARROW = 8
+
+    def weighted_sum(self, weights) -> np.ndarray:
+        """``(weights * values * live).sum(axis=1)``, bit for bit.
+
+        Two exact rewrites make it cheap:
+
+        * **no mask multiply.**  Dead columns of ``values`` hold zeros
+          (the executor's zero-row contract, pinned by the ``dead-cols``
+          test in ``tests/test_exec_plan.py``), so a dead product is
+          already a signed zero or a NaN and multiplying it by
+          ``False`` leaves every bit as it is; a live one is multiplied
+          by 1.0.
+        * **narrow rows sum by column.**  For a float64 row of width
+          1-7, NumPy adds the elements left to right onto a +0.0
+          accumulator; ``prod[:, 0] + 0.0`` followed by one in-place add
+          per column is that same order, vectorised over rows, so an
+          all-(-0.0) row still sums to +0.0.  Wider rows, empty rows
+          and other dtypes keep ``prod.sum(axis=1)``.
+        """
+        prod = weights * self.values
+        width = prod.shape[1]
+        if prod.dtype != np.float64 or not 0 < width < self._NARROW:
+            return prod.sum(axis=1)
+        acc = prod[:, 0] + 0.0
+        for j in range(1, width):
+            acc += prod[:, j]
+        return acc
 
 
 KernelFn = Callable[[np.ndarray, Dict[str, object]], np.ndarray]

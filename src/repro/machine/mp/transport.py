@@ -173,7 +173,14 @@ class SenderThread:
     def flush(self, timeout: float = 30.0) -> None:
         """Block until everything queued so far is on the wire, without
         stopping the thread (pool workers flush between jobs and keep the
-        sender for the next one)."""
+        sender for the next one).  With nothing queued — every frame went
+        inline, or the thread has written them all (a count drops only
+        after its write returned) — there is nothing to wait for and the
+        thread is not woken."""
+        self.check()
+        with self._lock:
+            if not any(self._queued.values()):
+                return
         event = threading.Event()
         self._q.put((_FLUSH, event))
         if not event.wait(timeout):

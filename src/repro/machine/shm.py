@@ -44,7 +44,9 @@ Design (docs/dataplane.md has the full treatment):
   The creator unlinks its own on :meth:`close`; ``sweep_orphans`` then
   unlinks anything left under the prefix, which is how a pool reclaims
   the grown segments of a crashed worker (the crash condemned the mesh,
-  so nothing can still reference them).
+  so nothing can still reference them).  A plane its creator never
+  closes is released the same way when it is collected or the creator
+  exits, whichever comes first.
 
 The plane changes *transport only*: message counts, ``nbytes``, and
 virtual/wall phase accounting are computed from the original payload
@@ -57,6 +59,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -150,6 +153,40 @@ def _unlink_segment(name: str) -> None:
             pass
     except OSError:  # pragma: no cover - platform quirks
         pass
+
+
+def _sweep_prefix(prefix: str) -> int:
+    """Unlink every ``/dev/shm`` entry whose name starts with ``prefix``;
+    returns how many went."""
+    shm_dir = "/dev/shm"
+    if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
+        return 0
+    swept = 0
+    try:
+        names = os.listdir(shm_dir)
+    except OSError:  # pragma: no cover
+        return 0
+    for name in names:
+        if name.startswith(prefix):
+            try:
+                os.unlink(os.path.join(shm_dir, name))
+                swept += 1
+            except OSError:
+                pass
+    return swept
+
+
+def _release(segments: Dict[str, "_Seg"], prefix: str, creator: int) -> None:
+    """Finalizer of a plane its creator never closed: drop the views,
+    close the mappings, and sweep the prefix — in the creator only,
+    since a forked rank inherits the registration but not the
+    segments' lifetime."""
+    if os.getpid() != creator:
+        return
+    for seg in segments.values():
+        seg.close()
+    segments.clear()
+    _sweep_prefix(prefix)
 
 
 @dataclass(frozen=True)
@@ -287,7 +324,13 @@ class ShmDataPlane:
         self._hdr_bytes = hdr_bytes
         self._creator_pid = os.getpid()
         self._closed = False
+        self._segments: Dict[str, _Seg] = {}
         self.attach(self.parent_party)
+        # The segments are untracked, so only an unlinking close removes
+        # them; an unclosed plane sweeps its prefix when it is collected
+        # or its creator exits.
+        self._finalizer = weakref.finalize(
+            self, _release, self._segments, self.prefix, self._creator_pid)
 
     # --- identity ---------------------------------------------------------
 
@@ -315,7 +358,9 @@ class ShmDataPlane:
         self._arenas: List[_Arena] = [
             _Arena(self.primary, base, self._arena_bytes)
         ]
-        self._segments: Dict[str, _Seg] = {self.primary: self._primary_seg}
+        # Refilled in place: the creator's finalizer holds this dict.
+        self._segments.clear()
+        self._segments[self.primary] = self._primary_seg
         self._own_grown: List[str] = []
         self._grow_counter = 0
         self._tag_counter = 0
@@ -527,22 +572,7 @@ class ShmDataPlane:
         """Unlink every ``/dev/shm`` entry under this plane's prefix —
         grown segments of workers that crashed before cleaning up.  Call
         only after every worker process has been joined."""
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-            return 0
-        swept = 0
-        try:
-            names = os.listdir(shm_dir)
-        except OSError:  # pragma: no cover
-            return 0
-        for name in names:
-            if name.startswith(self.prefix):
-                try:
-                    os.unlink(os.path.join(shm_dir, name))
-                    swept += 1
-                except OSError:
-                    pass
-        return swept
+        return _sweep_prefix(self.prefix)
 
     def close(self, unlink: bool = False) -> None:
         """Release this process's mappings; with ``unlink=True`` also
@@ -551,6 +581,7 @@ class ShmDataPlane:
         if self._closed:
             return
         self._closed = True
+        self._finalizer.detach()
         self._outstanding.clear()
         for name, seg in list(self._segments.items()):
             own = seg.owned or (unlink

@@ -18,7 +18,8 @@ from repro.meshes.regular import MeshArrays
 
 
 def _delaunay_edges(points: np.ndarray) -> np.ndarray:
-    """Undirected Delaunay edges as an (m, 2) array of node pairs."""
+    """Undirected Delaunay edges as an (m, 2) array of node pairs
+    ``a < b``, sorted by ``(a, b)``."""
     from scipy.spatial import Delaunay
 
     tri = Delaunay(points)
@@ -26,8 +27,12 @@ def _delaunay_edges(points: np.ndarray) -> np.ndarray:
     edges = np.concatenate(
         [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]], axis=0
     )
-    edges = np.sort(edges, axis=1)
-    return np.unique(edges, axis=0)
+    edges = np.sort(edges, axis=1).astype(np.int64)
+    # One key per pair orders like the pair itself (b < n), and a 1-d
+    # unique is far cheaper than a row-wise one.
+    n = len(points)
+    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def random_unstructured_mesh(
@@ -59,19 +64,17 @@ def random_unstructured_mesh(
         pts = pts[order]
 
     edges = _delaunay_edges(pts)
-    degree = np.zeros(n_nodes, dtype=np.int64)
-    np.add.at(degree, edges[:, 0], 1)
-    np.add.at(degree, edges[:, 1], 1)
-    width = int(degree.max())
-
+    # Each edge (a, b) in order contributes a -> b then b -> a; a stable
+    # sort by source lists every row's neighbours in that same order.
+    src = edges.ravel()
+    dst = edges[:, ::-1].ravel()
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    count = np.bincount(src, minlength=n_nodes).astype(np.int64)
+    width = int(count.max())
     adj = np.zeros((n_nodes, width), dtype=np.int64)
-    fill = np.zeros(n_nodes, dtype=np.int64)
-    for a, b in edges:
-        adj[a, fill[a]] = b
-        fill[a] += 1
-        adj[b, fill[b]] = a
-        fill[b] += 1
-    count = fill
+    first = np.cumsum(count) - count
+    adj[src, np.arange(len(src)) - first[src]] = dst
 
     coef = np.zeros((n_nodes, width), dtype=np.float64)
     live = np.arange(width)[None, :] < count[:, None]

@@ -8,6 +8,9 @@ forall specifies, for *any* data distribution.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
 from repro.analysis.planner import Strategy
 from repro.core.context import KaliContext
@@ -16,6 +19,7 @@ from repro.core.forall import (
     AffineRead,
     AffineWrite,
     Forall,
+    IndirectOperand,
     IndirectRead,
     OnOwner,
     OnProcessor,
@@ -407,3 +411,63 @@ class TestSemanticsEdgeCases:
         with pytest.raises(KaliError):
             Forall(index_range=(0, 1), on="bogus", reads=[],
                    writes=[AffineWrite("A")], kernel=lambda i, o: i)
+
+
+# --- IndirectOperand.weighted_sum ------------------------------------------
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, 1.0]
+_FLOATS = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(min_value=1e-300, max_value=1e300).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.floats(allow_subnormal=True),
+    # like magnitudes, where the order of the additions shows in the
+    # rounding
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def _indirect_case(draw):
+    """``(weights, values, counts)`` of one batch: any width from 0 to 12
+    (both sides of the column/pairwise switch), 0 to 5 rows, float64 or
+    int64 weights and values, and dead float columns holding +0.0 or
+    -0.0."""
+    rows = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 12))
+    shape = (rows, width)
+    if draw(st.booleans()):
+        weights = draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+    else:
+        weights = draw(hnp.arrays(np.int64, shape,
+                                  elements=st.integers(-2 ** 31, 2 ** 31)))
+    counts = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, width)))
+    live = np.arange(width)[None, :] < counts[:, None]
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.int64, shape,
+                                 elements=st.integers(-2 ** 62, 2 ** 62)))
+        values[~live] = 0
+    else:
+        values = draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+        signs = draw(hnp.arrays(np.bool_, shape))
+        values[~live] = np.where(signs, -0.0, 0.0)[~live]
+    return weights, values, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_indirect_case())
+# an all-(-0.0) row sums to +0.0: NumPy adds onto a +0.0 accumulator
+@example(case=(np.ones((1, 2)), np.array([[-0.0, -0.0]]), np.array([2])))
+# from width 8 NumPy sums pairwise: 1e16 + 1 + ... + 1 keeps the ones
+# that a left-to-right sum rounds away
+@example(case=(np.ones((1, 8)), np.array([[1e16] + [1.0] * 7]), np.array([8])))
+def test_weighted_sum_is_the_masked_row_sum_bit_for_bit(case):
+    weights, values, counts = case
+    live = np.arange(values.shape[1])[None, :] < counts[:, None]
+    nb = IndirectOperand(values=values, counts=counts, live=live)
+    with np.errstate(all="ignore"):     # inf * 0, inf - inf, overflow
+        got = nb.weighted_sum(weights)
+        want = (weights * values * live).sum(axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -18,6 +18,45 @@ def oracle(mesh, init, sweeps):
     return v
 
 
+def _edge_loop_mesh(n_nodes, seed, locality_sort, jitter=0.35):
+    """``random_unstructured_mesh`` as first written — a row-wise unique
+    of the edges and a Python loop over them filling ``adj`` — kept as
+    the oracle of the vectorised construction."""
+    from scipy.spatial import Delaunay
+
+    from repro.meshes.regular import MeshArrays
+
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(n_nodes)))
+    xs, ys = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float))
+    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)[:n_nodes]
+    pts = pts + rng.uniform(-jitter, jitter, size=pts.shape)
+    if locality_sort:
+        pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    simplices = Delaunay(pts).simplices
+    edges = np.concatenate(
+        [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]], axis=0
+    )
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    degree = np.zeros(n_nodes, dtype=np.int64)
+    np.add.at(degree, edges[:, 0], 1)
+    np.add.at(degree, edges[:, 1], 1)
+    width = int(degree.max())
+    adj = np.zeros((n_nodes, width), dtype=np.int64)
+    fill = np.zeros(n_nodes, dtype=np.int64)
+    for a, b in edges:
+        adj[a, fill[a]] = b
+        fill[a] += 1
+        adj[b, fill[b]] = a
+        fill[b] += 1
+    count = fill
+    coef = np.zeros((n_nodes, width), dtype=np.float64)
+    live = np.arange(width)[None, :] < count[:, None]
+    weights = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)
+    coef[live] = np.repeat(weights, count)
+    return MeshArrays(n=n_nodes, width=width, adj=adj, count=count, coef=coef), pts
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
     def test_regular_grid_matches_oracle(self, p, rng):
@@ -175,6 +214,19 @@ class TestMeshes:
         m2, p2 = random_unstructured_mesh(80, seed=5)
         np.testing.assert_array_equal(m1.adj, m2.adj)
         np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("locality_sort", [True, False])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("n", [3, 4, 80, 1000, 4000])
+    def test_unstructured_matches_edge_loop_oracle(self, n, seed, locality_sort):
+        mesh, pts = random_unstructured_mesh(n, seed=seed,
+                                             locality_sort=locality_sort)
+        ref, ref_pts = _edge_loop_mesh(n, seed, locality_sort)
+        np.testing.assert_array_equal(pts, ref_pts)
+        for name in ("adj", "count", "coef"):
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_mesh_validate_catches_bad_adj(self):
         mesh = five_point_grid(3, 3)

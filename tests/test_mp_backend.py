@@ -45,6 +45,7 @@ from repro.machine.api import ANY_SOURCE, ANY_TAG, Compute, Count, Now, Recv, Se
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.machine.engine import Engine
 from repro.machine.mp import MpEngine
+from repro.machine.mp.transport import SenderThread
 from repro.machine.topology import FullyConnected
 from repro.meshes.regular import five_point_grid, reference_sweep
 from repro.serve.pool import RankPool
@@ -175,6 +176,53 @@ class TestOpProtocol:
 
         res = mp_engine(3).run(prog, args=[10, 20, 30])
         assert res.values == [20, 40, 60]
+
+
+class _SlowConn:
+    """Stands in for a pipe end: ``send_bytes`` takes a while, then
+    records the frame (or raises ``error``)."""
+
+    def __init__(self, delay=0.0, error=None):
+        self.delay, self.error, self.sent = delay, error, []
+
+    def send_bytes(self, buf):
+        time.sleep(self.delay)
+        if self.error is not None:
+            raise self.error
+        self.sent.append(buf)
+
+
+#: bigger than one atomic pipe write, so the frame takes the queue
+_BULK = (0, 0, 0, 0.0, bytes(8192))
+
+
+class TestSenderThread:
+    def test_flush_with_nothing_queued_does_not_wake_the_thread(self):
+        sender = SenderThread()
+        try:
+            sender.flush()
+            # nothing was put on the thread's queue: no flush sentinel
+            assert sender._q.unfinished_tasks == 0
+        finally:
+            sender.flush_and_stop()
+
+    def test_flush_returns_after_a_queued_frame_is_written(self):
+        sender, conn = SenderThread(), _SlowConn(delay=0.2)
+        try:
+            sender.send(conn, _BULK)
+            sender.flush()
+            assert len(conn.sent) == 1
+            assert sender._q.unfinished_tasks == 2  # frame + flush point
+        finally:
+            sender.flush_and_stop()
+
+    def test_flush_raises_a_latched_send_error(self):
+        sender = SenderThread()
+        sender.send(_SlowConn(error=BrokenPipeError("peer gone")), _BULK)
+        sender._thread.join(5.0)        # the thread latched and exited
+        assert not sender._thread.is_alive()
+        with pytest.raises(CommunicationError, match="peer gone"):
+            sender.flush(timeout=5.0)
 
 
 class TestFailureModes:

@@ -20,7 +20,10 @@ Three layers:
 
 import dataclasses
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 from collections import OrderedDict, namedtuple
 from typing import Any
 
@@ -221,6 +224,38 @@ class TestAllocator:
         p.close(unlink=True)
         assert not os.path.exists(os.path.join("/dev/shm", primary))
         p.close(unlink=True)  # idempotent
+
+    def test_collected_unclosed_plane_unlinks_its_segments(self):
+        p = ShmDataPlane(nranks=2, segment_bytes=1 << 20)
+        grown = p.publish(bytes(2 << 20), consumers=[0]).segment
+        paths = [os.path.join("/dev/shm", n) for n in (p.primary, grown)]
+        assert all(os.path.exists(path) for path in paths)
+        del p
+        assert not any(os.path.exists(path) for path in paths)
+
+    def test_unclosed_pool_leaves_nothing_at_exit(self):
+        """A pool its owner never closes still removes its segments when
+        the owning process exits, and quietly."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        script = (
+            "import os\n"
+            "from repro.machine.cost import IDEAL\n"
+            "from repro.serve.pool import RankPool\n"
+            "def program(kr):\n"
+            "    yield from ()\n"
+            "    return kr.id\n"
+            "pool = RankPool(2).start()\n"
+            "assert pool.run(program, IDEAL).values == [0, 1]\n"
+            "print(f'repro-shm-{os.getpid():x}-')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        prefix = out.stdout.split()[-1]
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
+        assert "Exception ignored" not in out.stderr, out.stderr
 
     def test_tiny_segment_rejected(self):
         with pytest.raises(ShmError, match="no room"):

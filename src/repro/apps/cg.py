@@ -95,12 +95,9 @@ class CGSolver:
         faults=None,
         trace: bool = False,
         backend: str = "sim",
-        mp_timeout: float = 120.0,
         pool=None,
         schedule_cache_dir: Optional[str] = None,
         tune=None,
-        shm: Optional[bool] = None,
-        shm_threshold: Optional[int] = None,
     ):
         self.mesh = mesh
         n = mesh.n
@@ -109,9 +106,8 @@ class CGSolver:
         dist = dist if dist is not None else Block()
 
         ctx = KaliContext(nprocs, machine=machine, faults=faults, trace=trace,
-                          backend=backend, mp_timeout=mp_timeout,
-                          pool=pool, schedule_cache_dir=schedule_cache_dir,
-                          tune=tune, shm=shm, shm_threshold=shm_threshold)
+                          backend=backend, pool=pool,
+                          schedule_cache_dir=schedule_cache_dir, tune=tune)
         self.ctx = ctx
         for name in ("x", "r", "p", "q", "b"):
             ctx.array(name, n, dist=[dist._clone()])

@@ -142,12 +142,9 @@ def build_jacobi(
     trace: bool = False,
     faults=None,
     backend: str = "sim",
-    mp_timeout: float = 120.0,
     pool=None,
     schedule_cache_dir: Optional[str] = None,
     tune=None,
-    shm: Optional[bool] = None,
-    shm_threshold: Optional[int] = None,
 ) -> JacobiProgram:
     """Declare the Figure 4 arrays and foralls on a fresh context.
 
@@ -166,12 +163,9 @@ def build_jacobi(
         trace=trace,
         faults=faults,
         backend=backend,
-        mp_timeout=mp_timeout,
         pool=pool,
         schedule_cache_dir=schedule_cache_dir,
         tune=tune,
-        shm=shm,
-        shm_threshold=shm_threshold,
     )
     n, width = mesh.n, mesh.width
 

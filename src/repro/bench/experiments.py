@@ -264,7 +264,6 @@ def mp_wallclock(
     proc_counts: List[int],
     mesh_side: int = 32,
     sweeps: int = 5,
-    mp_timeout: float = 120.0,
 ):
     """M1: the same Jacobi workload on real OS processes.
 
@@ -288,8 +287,7 @@ def mp_wallclock(
                                 initial=initial.copy())
         sim_res = sim_prog.run(sweeps=sweeps)
         mp_prog = build_jacobi(mesh, p, machine=machine,
-                               initial=initial.copy(), backend="mp",
-                               mp_timeout=mp_timeout)
+                               initial=initial.copy(), backend="mp")
         mp_res = mp_prog.run(sweeps=sweeps)
 
         identical = np.array_equal(sim_prog.solution, mp_prog.solution)
@@ -715,7 +713,6 @@ def shm_dataplane(
     machine: MachineModel,
     sizes: Optional[List[int]] = None,
     repeats: int = 8,
-    mp_timeout: float = 120.0,
     mesh_side: int = 32,
     sweeps: int = 3,
 ):
@@ -746,6 +743,7 @@ def shm_dataplane(
     from repro.machine.api import Now, Recv, Send
     from repro.machine.mp import MpEngine
     from repro.obs.commgraph import CommMatrix
+    from repro.serve.pool import RankPool
 
     if sizes is None:
         sizes = [1 << 13, 1 << 16, 1 << 19, 1 << 21]   # bytes
@@ -775,8 +773,7 @@ def shm_dataplane(
         for label, shm in (("pickle", False), ("shm", True)):
             best = None
             for _ in range(3):   # best-of-3: forks are noisy
-                eng = MpEngine(machine, nranks=2, shm=shm,
-                               timeout=mp_timeout)
+                eng = MpEngine(machine, nranks=2, shm=shm)
                 res = eng.run(xfer_program(elems, repeats))
                 elapsed = res.values[0][0]
                 if best is None or elapsed < best[0]:
@@ -805,10 +802,11 @@ def shm_dataplane(
     initial = np.random.default_rng(20260806).random(mesh.n)
     sim_prog = build_jacobi(mesh, 4, machine=machine, initial=initial.copy())
     sim_prog.run(sweeps=sweeps)
-    mp_prog = build_jacobi(mesh, 4, machine=machine, initial=initial.copy(),
-                           backend="mp", mp_timeout=mp_timeout, shm=True,
-                           shm_threshold=JACOBI_LEG_SHM_THRESHOLD, trace=True)
-    mp_res = mp_prog.run(sweeps=sweeps)
+    with RankPool(4, shm=True,
+                  shm_threshold=JACOBI_LEG_SHM_THRESHOLD) as pool:
+        mp_prog = build_jacobi(mesh, 4, machine=machine,
+                               initial=initial.copy(), pool=pool, trace=True)
+        mp_res = mp_prog.run(sweeps=sweeps)
     identical = bool(np.array_equal(sim_prog.solution, mp_prog.solution))
     matrix = CommMatrix.from_trace(mp_res.engine.trace, nranks=4)
     parity = not matrix.reconcile(mp_res.engine.stats)

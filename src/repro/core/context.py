@@ -310,12 +310,9 @@ class KaliContext:
         trace: bool = False,
         faults=None,
         backend: str = "sim",
-        mp_timeout: float = 120.0,
         pool=None,
         schedule_cache_dir: Optional[str] = None,
         tune=None,
-        shm: Optional[bool] = None,
-        shm_threshold: Optional[int] = None,
     ):
         self.procs = procs or ProcessorArray(nprocs)
         if self.procs.size != nprocs:
@@ -324,14 +321,9 @@ class KaliContext:
             )
         self.backend = check_backend(backend, nprocs, pool=pool, faults=faults,
                                      error=KaliError, owner="context")
-        self.mp_timeout = mp_timeout
-        #: shared-memory data plane (mp backend only, docs/dataplane.md):
-        #: None = on unless REPRO_SHM=0.  A pooled context uses the
-        #: *pool's* plane — the pool forked before this context existed.
-        self.shm = shm
-        self.shm_threshold = shm_threshold
         #: optional :class:`repro.serve.RankPool` — run on warm rank
-        #: processes instead of forking a fresh mesh per run
+        #: processes (under the pool's watchdog and data plane) instead
+        #: of forking a fresh mesh per run
         self.pool = pool
         #: optional directory of the persistent schedule-cache tier
         self.schedule_cache_dir = schedule_cache_dir
@@ -496,8 +488,7 @@ class KaliContext:
         engine_result = launch(
             rank_main, machine=self.machine, topology=self.topology,
             nranks=self.procs.size, backend=self.backend, pool=self.pool,
-            trace=self.trace, faults=self.faults, timeout=self.mp_timeout,
-            shm=self.shm, shm_threshold=self.shm_threshold)
+            trace=self.trace, faults=self.faults)
         outcomes: List[_RankOutcome] = list(engine_result.values)
 
         # Gather the changed pieces back into the driver-side arrays.

@@ -33,6 +33,10 @@ ANY_TAG = -1
 
 DEFAULT_PHASE = "compute"
 
+#: runaway-program bound: ops one rank may yield in one run, on either
+#: engine (each reads it once per run, so patching it reaches both)
+MAX_OPS = 500_000_000
+
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort wire size of a payload (NumPy fast path, pickle-free)."""

@@ -59,6 +59,7 @@ from repro.errors import (
     EngineError,
 )
 from repro.faults.plan import FaultPlan
+from repro.machine import api
 from repro.machine.api import (
     ANY_SOURCE,
     ANY_TAG,
@@ -120,9 +121,6 @@ class Engine:
         Interconnect (defaults to :class:`FullyConnected` over ``nranks``).
     nranks:
         World size; defaults to ``topology.size``.
-    max_ops:
-        Safety valve: abort after this many interpreted ops (guards against
-        accidentally non-terminating rank programs in tests).
     faults:
         Optional :class:`~repro.faults.FaultPlan` describing link faults,
         stragglers, and crashes (see module docstring).
@@ -133,7 +131,6 @@ class Engine:
         machine: MachineModel,
         topology: Optional[Topology] = None,
         nranks: Optional[int] = None,
-        max_ops: int = 500_000_000,
         trace: bool = False,
         faults: Optional[FaultPlan] = None,
     ):
@@ -148,7 +145,6 @@ class Engine:
             raise EngineError(
                 f"nranks={self.nranks} exceeds topology size {topology.size}"
             )
-        self.max_ops = max_ops
         self.trace = trace
         self.faults = faults
 
@@ -193,7 +189,7 @@ class Engine:
         ready: Deque[int] = deque(range(self.nranks))
         seq_counter = 0
         ops_interpreted = 0
-        max_ops = self.max_ops
+        op_limit = api.MAX_OPS
         trace_events: List[TraceEvent] = [] if self.trace else None
         # topology.hops per (src, dst), memoised for this run
         hops_memo: Dict[Tuple[int, int], int] = {}
@@ -413,9 +409,9 @@ class Engine:
                     return
                 state.resume_value = None
                 ops_interpreted += 1
-                if ops_interpreted > max_ops:
+                if ops_interpreted > op_limit:
                     raise EngineError(
-                        f"exceeded max_ops={max_ops}; runaway rank program?"
+                        f"exceeded {op_limit} ops; runaway rank program?"
                     )
                 kind = type(op)
                 if kind is Count:

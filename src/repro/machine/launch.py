@@ -53,20 +53,18 @@ def default_topology(nranks: int) -> Topology:
 def launch(program, *, machine: MachineModel, topology: Topology,
            nranks: int, backend: str = "sim", pool=None,
            args: Optional[List[Any]] = None, trace: bool = False,
-           faults=None, timeout: float = 120.0, shm: Optional[bool] = None,
-           shm_threshold: Optional[int] = None) -> RunResult:
-    """Run ``program`` on the pool when given (which uses its own
-    shared-memory plane, forked before this call), else on a fresh
-    engine of the ``backend`` :func:`check_backend` returned."""
+           faults=None) -> RunResult:
+    """Run ``program`` on the pool when given (under its own watchdog
+    and shared-memory plane, both set where it was built), else on a
+    fresh engine of the ``backend`` :func:`check_backend` returned."""
     if pool is not None:
         return pool.run(program, machine, topology=topology, args=args,
-                        trace=trace, timeout=timeout)
+                        trace=trace)
     if backend == "mp":
         from repro.machine.mp import MpEngine
 
         engine = MpEngine(machine, topology=topology, nranks=nranks,
-                          trace=trace, timeout=timeout, shm=shm,
-                          shm_threshold=shm_threshold)
+                          trace=trace)
         return engine.run(program, args=args)
     engine = Engine(machine, topology=topology, nranks=nranks, trace=trace,
                     faults=faults)

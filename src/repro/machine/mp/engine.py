@@ -46,9 +46,9 @@ class MpEngine:
     shm, shm_threshold:
         Route payloads of at least ``shm_threshold`` bytes through a
         :class:`~repro.machine.shm.ShmDataPlane` (docs/dataplane.md).
-        None defers to ``REPRO_SHM`` (on) and ``REPRO_SHM_THRESHOLD``
-        (2048).  Only the transport and the ``shm_*``/``pipe_*``
-        counters change.
+        ``shm=None`` defers to ``REPRO_SHM`` (on); ``shm_threshold=None``
+        means :data:`~repro.machine.shm.DEFAULT_THRESHOLD` (2048 bytes).
+        Only the transport and the ``shm_*``/``pipe_*`` counters change.
     """
 
     def __init__(

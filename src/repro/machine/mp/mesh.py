@@ -21,6 +21,7 @@ cannot be re-plumbed into a replacement process after fork.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from multiprocessing.connection import wait as conn_wait
@@ -29,12 +30,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 from repro.errors import BlockedOp, DeadlockError, EngineError, PoolCrashError
 from repro.machine.mp.transport import build_pipe_mesh, close_mesh_except
 from repro.machine.mp.worker import ST_BLOCKED, ST_DONE, rank_loop
-from repro.machine.shm import (
-    ShmDataPlane,
-    ShmPayload,
-    shm_enabled_default,
-    shm_threshold_default,
-)
+from repro.machine.shm import DEFAULT_THRESHOLD, ShmDataPlane, ShmPayload
 from repro.machine.stats import RunResult
 from repro.machine.trace import TraceEvent
 
@@ -61,13 +57,16 @@ def fork_context():
 
 def shm_options(shm: Optional[bool],
                 threshold: Optional[int]) -> Optional[Dict[str, int]]:
-    """A backend's shm knobs (docs/dataplane.md; None defers to the
-    environment) as :class:`ShmDataPlane` keyword arguments, or None when
-    the plane is off."""
-    if not (shm if shm is not None else shm_enabled_default()):
+    """A backend's shm knobs (docs/dataplane.md) as :class:`ShmDataPlane`
+    keyword arguments, or None when the plane is off.  ``shm=None`` means
+    on unless ``REPRO_SHM`` is ``0``/``off``/``no`` (the kill switch);
+    ``threshold=None`` means :data:`DEFAULT_THRESHOLD`."""
+    if shm is None:
+        shm = os.environ.get("REPRO_SHM", "1").lower() not in ("0", "off", "no")
+    if not shm:
         return None
     return {"threshold": (threshold if threshold is not None
-                          else shm_threshold_default())}
+                          else DEFAULT_THRESHOLD)}
 
 
 class Job(NamedTuple):

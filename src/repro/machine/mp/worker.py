@@ -34,6 +34,7 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CommunicationError, EngineError
+from repro.machine import api
 from repro.machine.api import (
     ANY_SOURCE,
     ANY_TAG,
@@ -67,9 +68,6 @@ ST_BLOCKED = 1
 ST_DONE = 2
 
 _TRACE_FLUSH = 512
-
-#: runaway-program bound: ops one rank may yield in one job
-MAX_OPS = 500_000_000
 
 
 class _Inbox:
@@ -357,6 +355,7 @@ def _interpret(
     resume: Any = None
     seq_counter = 0
     ops = 0
+    op_limit = api.MAX_OPS
     send = gen.send
     check = sender.check
     # Wall time spent *inside the generator* since the last op completed;
@@ -372,9 +371,9 @@ def _interpret(
             return stop.value
         resume = None
         ops += 1
-        if ops > MAX_OPS:
+        if ops > op_limit:
             raise EngineError(
-                f"exceeded {MAX_OPS} ops; runaway rank program?"
+                f"exceeded {op_limit} ops; runaway rank program?"
             )
         check()
         kind = type(op)

@@ -75,8 +75,6 @@ __all__ = [
     "ShmDataPlane",
     "DEFAULT_SEGMENT_BYTES",
     "DEFAULT_THRESHOLD",
-    "shm_enabled_default",
-    "shm_threshold_default",
 ]
 
 
@@ -105,18 +103,6 @@ _SLOT_PUB_BLOCKS, _SLOT_PUB_BYTES, _SLOT_CON_BLOCKS, _SLOT_CON_BYTES, \
 _MIN_SPLIT = 256
 
 _token_counter = itertools.count(1)
-
-
-def shm_enabled_default() -> bool:
-    """Data-plane default: on, unless ``REPRO_SHM=0`` (kill switch)."""
-    return os.environ.get("REPRO_SHM", "1").lower() not in ("0", "off", "no")
-
-
-def shm_threshold_default() -> int:
-    try:
-        return int(os.environ.get("REPRO_SHM_THRESHOLD", DEFAULT_THRESHOLD))
-    except ValueError:
-        return DEFAULT_THRESHOLD
 
 
 def _align(n: int, a: int = _ALIGN) -> int:

@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of the learned layout-plan store "
                         "(repro.tune warm starts, shared by the fleet)")
     p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument("--job-timeout", type=float, default=120.0)
+    p.add_argument("--job-timeout", type=float, default=120.0,
+                   help="watchdog bound of every job on a shard, seconds")
     p.add_argument("--retry-budget", type=int, default=2,
                    help="re-dispatches allowed per job after pool crashes")
     p.add_argument("--max-pending", type=int, default=None,

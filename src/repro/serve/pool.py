@@ -50,11 +50,13 @@ class RankPool:
     nranks:
         World size of every job this pool runs.
     timeout:
-        Default per-job watchdog bound, wall seconds (overridable per
-        ``run``).
+        Watchdog bound on every job, wall seconds — the one place a
+        pooled run's bound is set.
     shm, shm_threshold:
         The shared-memory data plane's switch and threshold, as for
-        :class:`~repro.machine.mp.MpEngine`.
+        :class:`~repro.machine.mp.MpEngine`: ``shm=None`` defers to
+        ``REPRO_SHM`` (on), ``shm_threshold=None`` means
+        :data:`~repro.machine.shm.DEFAULT_THRESHOLD` (2048 bytes).
 
     Use as a context manager, or call :meth:`close` explicitly — teardown
     joins every worker (whose sender threads are flushed and stopped),
@@ -174,7 +176,6 @@ class RankPool:
         topology: Optional[Topology] = None,
         args: Optional[List[Any]] = None,
         trace: bool = False,
-        timeout: Optional[float] = None,
     ) -> RunResult:
         """Run one job on the warm mesh; returns a :class:`RunResult`
         (wall-clock seconds, real per-rank counters).
@@ -207,8 +208,7 @@ class RankPool:
         self.shm_ship_bytes += shipped
         job = Job(time.monotonic(), payload, machine, topology, args, trace)
         try:
-            result = mesh.run(
-                job, timeout if timeout is not None else self.timeout)
+            result = mesh.run(job, self.timeout)
             self.ship_bytes += mesh.arg_bytes[0]
             self.shm_ship_bytes += mesh.arg_bytes[1]
             self.shm_reclaimed_bytes += mesh.reset(result)

@@ -560,13 +560,16 @@ class JobServer:
     max_batch:
         Upper bound on how many identical-``batch_key`` jobs one queue
         pull may run back-to-back.
+    job_timeout:
+        Watchdog bound of every job on every shard, wall seconds (each
+        shard's :class:`RankPool` ``timeout``).
     retry_budget:
         How many times one job may be re-dispatched after a pool crash
         before it fails with ``retry_exhausted``.
     tenants:
         tenant → ``{"weight": w, "quota": q}``: ``weight`` biases the
         fair queues, ``quota`` bounds the tenant's queued jobs fleet-
-        wide.  ``default_quota`` caps unlisted tenants.
+        wide; unlisted tenants have no quota.
     max_pending:
         Fleet-wide bound on queued jobs; submissions past it are shed.
     shard_depth:
@@ -600,7 +603,6 @@ class JobServer:
         shards: int = 1,
         retry_budget: int = 2,
         tenants: Optional[Dict[str, Dict[str, Any]]] = None,
-        default_quota: Optional[int] = None,
         max_pending: Optional[int] = None,
         shard_depth: Optional[int] = None,
         autoscale=None,
@@ -627,7 +629,6 @@ class JobServer:
             t: float(cfg.get("weight", 1.0))
             for t, cfg in self.tenants.items() if "weight" in cfg
         }
-        self.default_quota = default_quota
         self.max_pending = max_pending
         self.shard_depth = shard_depth
         self.chaos_hook = chaos_hook
@@ -829,8 +830,7 @@ class JobServer:
                     reason="queue-depth", tenant=job.tenant,
                     depth=pending, limit=self.max_pending,
                 )
-            quota = self.tenants.get(job.tenant, {}).get(
-                "quota", self.default_quota)
+            quota = self.tenants.get(job.tenant, {}).get("quota")
             mine = self._tenant_pending.get(job.tenant, 0)
             if quota is not None and mine >= quota:
                 self.sheds += 1

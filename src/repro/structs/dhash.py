@@ -601,7 +601,7 @@ class _StructBase:
 
     def __init__(self, nranks: int, machine: MachineModel = NCUBE7,
                  topology: Optional[Topology] = None, backend: str = "sim",
-                 pool=None, mp_timeout: float = 120.0):
+                 pool=None):
         if nranks < 1:
             raise StructsError(f"nranks must be >= 1, got {nranks}")
         self.backend = check_backend(backend, nranks, pool=pool,
@@ -610,7 +610,6 @@ class _StructBase:
         self.machine = machine
         self.topology = topology or default_topology(nranks)
         self.pool = pool
-        self.mp_timeout = mp_timeout
         #: engine results of every op, in issue order (merge_results folds
         #: them into the one result the serve records and bench want)
         self.op_results: List[RunResult] = []
@@ -618,7 +617,7 @@ class _StructBase:
     def _run(self, program, args) -> RunResult:
         result = launch(program, machine=self.machine, topology=self.topology,
                         nranks=self.nranks, backend=self.backend,
-                        pool=self.pool, args=args, timeout=self.mp_timeout)
+                        pool=self.pool, args=args)
         self.op_results.append(result)
         return result
 
@@ -658,10 +657,10 @@ class DHash(_StructBase):
     def __init__(self, nranks: int, nbuckets: int = 33,
                  machine: MachineModel = NCUBE7,
                  topology: Optional[Topology] = None, backend: str = "sim",
-                 pool=None, mp_timeout: float = 120.0,
-                 max_load: float = 4.0, rebalance_horizon: int = 8):
+                 pool=None, max_load: float = 4.0,
+                 rebalance_horizon: int = 8):
         super().__init__(nranks, machine=machine, topology=topology,
-                         backend=backend, pool=pool, mp_timeout=mp_timeout)
+                         backend=backend, pool=pool)
         if max_load <= 0:
             raise StructsError(f"max_load must be > 0, got {max_load}")
         self.nbuckets = normalize_buckets(nbuckets)

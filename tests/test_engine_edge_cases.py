@@ -141,15 +141,22 @@ class TestExecutorCombining:
 
 
 class TestEngineGuards:
-    def test_max_ops_guard(self):
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_max_ops_guard(self, backend, monkeypatch):
         from repro.errors import EngineError
+        from repro.machine import api
+        from repro.machine.mp import MpEngine
 
         def prog(rank):
             while True:
                 yield Compute(0.0)
 
-        eng = Engine(IDEAL, topology=FullyConnected(1), max_ops=100)
-        with pytest.raises(EngineError):
+        # Patched before the run: MpEngine forks its ranks per run, so
+        # they inherit the lowered bound.
+        monkeypatch.setattr(api, "MAX_OPS", 100)
+        engine = Engine if backend == "sim" else MpEngine
+        eng = engine(IDEAL, topology=FullyConnected(1))
+        with pytest.raises(EngineError, match="exceeded 100 ops"):
             eng.run(prog)
 
     def test_nranks_exceeding_topology(self):

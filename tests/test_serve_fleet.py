@@ -284,6 +284,51 @@ def test_shed_reply_carries_shard_when_shard_queue_full():
     server.close()
 
 
+# --- the watchdog owner ---------------------------------------------------
+
+_SHIFT_KALI = """
+processors Procs : array[1..P] with P in 1..64;
+const n : integer := 16;
+var A : array[1..n] of real dist by [ block ] on Procs;
+forall i in 1..n on A[i].loc do
+    A[i] := float(i);
+end;
+forall i in 1..n-1 on A[i].loc do
+    A[i] := A[i+1];
+end;
+"""
+
+
+def test_job_timeout_is_the_watchdog_of_every_builtin_kind(monkeypatch):
+    """``job_timeout`` (``--job-timeout``) bounds every job on a shard:
+    the front ends a job kind builds on (KaliContext, the structures)
+    run on the shard's pool under the pool's own watchdog."""
+    from repro.machine.mp.mesh import Mesh
+
+    bounds = []
+    real_run = Mesh.run
+
+    def recording_run(self, job, timeout):
+        bounds.append(timeout)
+        return real_run(self, job, timeout)
+
+    monkeypatch.setattr(Mesh, "run", recording_run)
+    jobs = [
+        ("jacobi", {"rows": 8, "sweeps": 1}),
+        ("cg", {"rows": 6, "max_iter": 4, "seed": 2}),
+        ("kali", {"source": _SHIFT_KALI}),
+        ("dht_lookup", {"n": 40, "nbuckets": 7, "seed": 3, "lookups": 10}),
+        ("queue_stream", {"n": 20, "chunk": 8}),
+    ]
+    with JobServer(2, job_timeout=7.5) as server:
+        for kind, spec in jobs:
+            before = len(bounds)
+            record = server.submit(kind, spec).result(timeout=120)
+            assert record["ok"], record
+            assert len(bounds) > before, f"{kind} ran no mesh job"
+            assert set(bounds[before:]) == {7.5}, (kind, bounds[before:])
+
+
 # --- retry routing and scaling -------------------------------------------
 
 

@@ -113,9 +113,9 @@ class TestPoolSemantics:
             assert pool.last_pool_reused is False
 
     def test_watchdog_fails_job_not_pool(self):
-        with RankPool(2, timeout=30) as pool:
+        with RankPool(2, timeout=1.0) as pool:
             with pytest.raises(DeadlockError):
-                pool.run(stuck_rank, NCUBE7, timeout=1.0)
+                pool.run(stuck_rank, NCUBE7)
             res = pool.run(ring_program, NCUBE7)
             assert res.counter_sum("ring_rounds") == 2
             assert pool.rebuilds == 1

@@ -48,9 +48,8 @@ from repro.machine.shm import (
     ShmError,
     ShmPayload,
     ShmRef,
-    shm_enabled_default,
-    shm_threshold_default,
 )
+from repro.machine.mp.mesh import shm_options
 from repro.machine.topology import FullyConnected
 from repro.meshes.regular import five_point_grid
 from repro.serve.pool import RankPool
@@ -361,14 +360,15 @@ class TestEncodeDecode:
         assert np.array_equal(plane.loads(payload), huge)
 
     def test_env_kill_switch_and_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert shm_enabled_default() is False
+        for off in ("0", "off", "NO"):
+            monkeypatch.setenv("REPRO_SHM", off)
+            assert shm_options(None, 4096) is None
+        assert shm_options(True, None) == {"threshold": DEFAULT_THRESHOLD}
         monkeypatch.setenv("REPRO_SHM", "1")
-        assert shm_enabled_default() is True
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "4096")
-        assert shm_threshold_default() == 4096
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "banana")
-        assert shm_threshold_default() == DEFAULT_THRESHOLD
+        assert shm_options(False, 4096) is None
+        # the threshold is an argument only: no environment fallback
+        assert shm_options(None, None) == {"threshold": DEFAULT_THRESHOLD}
+        assert shm_options(None, 4096) == {"threshold": 4096}
 
 
 _DTYPES = ["?", "i1", "u2", "i4", "i8", "f4", "f8", "c16"]
@@ -506,32 +506,45 @@ def _idle(rank):
 # --- differential integration ---------------------------------------------
 
 
-def _jacobi(backend, shm):
+def _plane_pool(shm):
     # threshold of 256B so even this small mesh's gathers cross the plane
+    return RankPool(4, timeout=60.0, shm=shm, shm_threshold=256)
+
+
+def _jacobi(pool=None):
+    """The differential Jacobi: on the simulator, or on ``pool``."""
     mesh = five_point_grid(12, 12)
     init = np.random.default_rng(7).random(mesh.n)
-    return build_jacobi(mesh, 4, machine=IDEAL, initial=init,
-                        backend=backend, shm=shm, shm_threshold=256,
-                        mp_timeout=60.0)
+    return build_jacobi(mesh, 4, machine=IDEAL, initial=init, pool=pool)
+
+
+def _differential(shm):
+    with _plane_pool(shm) as pool:
+        return run_differential(
+            lambda b: _jacobi(pool if b == "mp" else None),
+            lambda p: p.run(sweeps=4))
+
+
+def _mp_run(shm):
+    with _plane_pool(shm) as pool:
+        return _jacobi(pool).run(sweeps=4)
 
 
 class TestDifferential:
     def test_jacobi_bit_identical_with_plane_on(self):
-        pair = run_differential(lambda b: _jacobi(b, shm=True),
-                                lambda p: p.run(sweeps=4))
+        pair = _differential(shm=True)
         assert_arrays_identical(pair)
         assert_counters_identical(pair)
         assert_values_equal(pair)
 
     def test_jacobi_bit_identical_with_plane_off(self):
-        pair = run_differential(lambda b: _jacobi(b, shm=False),
-                                lambda p: p.run(sweeps=4))
+        pair = _differential(shm=False)
         assert_arrays_identical(pair)
         assert_counters_identical(pair)
 
     def test_plane_moves_bytes_only_when_on(self):
-        on = _jacobi("mp", shm=True).run(sweeps=4)
-        off = _jacobi("mp", shm=False).run(sweeps=4)
+        on = _mp_run(shm=True)
+        off = _mp_run(shm=False)
         on_bytes = sum(s.counters.get("shm_bytes_sent", 0)
                        for s in on.engine.stats)
         off_bytes = sum(s.counters.get("shm_bytes_sent", 0)

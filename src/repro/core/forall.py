@@ -213,7 +213,10 @@ class IndirectOperand:
           accumulator; ``prod[:, 0] + 0.0`` followed by one in-place add
           per column is that same order, vectorised over rows, so an
           all-(-0.0) row still sums to +0.0.  Wider rows, empty rows
-          and other dtypes keep ``prod.sum(axis=1)``.
+          and other dtypes keep ``prod.sum(axis=1)``.  So do rows that
+          sum to NaN: which of two NaN operands an add returns differs
+          between NumPy's vector and scalar loops, so the column sum can
+          carry another NaN's sign than the row sum does.
         """
         prod = weights * self.values
         width = prod.shape[1]
@@ -222,6 +225,9 @@ class IndirectOperand:
         acc = prod[:, 0] + 0.0
         for j in range(1, width):
             acc += prod[:, j]
+        nan = np.isnan(acc)
+        if nan.any():
+            acc[nan] = prod[nan].sum(axis=1)
         return acc
 
 
@@ -251,7 +257,11 @@ class Forall:
         values).  ``kr.forall`` returns ``{name: reduced value}``.
     kernel:
         ``kernel(iters, operands) -> values`` — vectorised over a batch of
-        global iteration indices.
+        global iteration indices.  It works row by row: the value (and
+        reduction contribution) it returns for iteration ``iters[k]``
+        depends only on row ``k`` of each operand, whatever else the
+        batch holds.  An operand of an array the forall does not write
+        may be a read-only view; copy it before modifying it.
     flops_per_ref / flops_per_iter:
         Cost-model hints: floating-point work charged per live reference
         and per iteration (e.g. Jacobi charges a multiply-add per

@@ -10,8 +10,8 @@ copies too many.  :class:`ShmDataPlane` replaces the payload bytes with
 protocol 5, and every out-of-band buffer of at least ``threshold`` bytes
 — the contents of a contiguous numeric ``ndarray``, or a
 ``pickle.PickleBuffer`` the caller wraps around raw bytes — is copied
-once into a ``multiprocessing.shared_memory`` segment mapped by every
-process.  The pipe frame carries only the pickle stream and one
+once into a POSIX shared-memory segment mapped by every process.
+The pipe frame carries only the pickle stream and one
 :class:`ShmRef` per hoisted buffer — segment name, offset, size, content
 tag.  A payload that hoists nothing crosses as bare pickle bytes (and
 keeps the ``PIPE_BUF``-atomic inline-send fast path).
@@ -57,12 +57,14 @@ matrix reconcile bit-for-bit with the plane on or off.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import pickle
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import _posixshmem
 
 import numpy as np
 
@@ -109,35 +111,33 @@ def _align(n: int, a: int = _ALIGN) -> int:
     return (n + a - 1) // a * a
 
 
-def _untrack(name: str) -> None:
-    """Opt this process's resource tracker out of ``name``.
-
-    The plane manages segment lifetime itself (explicit unlinks plus a
-    prefix sweep at teardown); leaving segments registered makes the
-    tracker warn about — or double-unlink — segments another process
-    already cleaned up."""
+def _map_segment(name: str, size: int = 0) -> mmap.mmap:
+    """Map segment ``name``: create it with ``size`` bytes, or (``size``
+    0) attach the existing one.  Straight through ``shm_open`` and
+    ``mmap``, never ``multiprocessing.shared_memory``, whose every create
+    and attach messages the resource tracker that forked ranks share
+    with their parent — and whose unregisters race there.  The plane
+    manages segment lifetime itself (explicit unlinks plus a prefix
+    sweep at teardown)."""
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
     try:
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
+        if size:
+            os.ftruncate(fd, size)
+        return mmap.mmap(fd, size or os.fstat(fd).st_size)
+    except OSError:
+        if size:
+            _unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _unlink_segment(name: str) -> None:
-    """Remove a segment by name without touching the resource tracker
-    (``SharedMemory.unlink`` would send an unregister for a name we
-    already unregistered at create time)."""
+    """Remove a segment by name."""
     try:
-        import _posixshmem
-
         _posixshmem.shm_unlink("/" + name)
-    except FileNotFoundError:
-        pass
-    except ImportError:  # pragma: no cover - non-POSIX fallback
-        try:
-            os.unlink(os.path.join("/dev/shm", name))
-        except OSError:
-            pass
-    except OSError:  # pragma: no cover - platform quirks
+    except OSError:
         pass
 
 
@@ -201,31 +201,31 @@ class ShmPayload(NamedTuple):
 
 
 class _Seg:
-    """One mapped segment: the SharedMemory plus an int64 view for the
+    """One mapped segment: the mapping plus an int64 view for the
     single-writer header/tag/ack slots (all offsets are 8-aligned)."""
 
-    __slots__ = ("shm", "buf", "i64", "size", "owned")
+    __slots__ = ("name", "mm", "buf", "i64", "size", "owned")
 
-    def __init__(self, shm: shared_memory.SharedMemory, owned: bool):
-        self.shm = shm
-        self.buf = shm.buf
-        self.size = shm.size
-        self.i64 = np.frombuffer(shm.buf, dtype=np.int64,
-                                 count=shm.size // 8)
+    def __init__(self, name: str, mm: mmap.mmap, owned: bool):
+        self.name = name
+        self.mm = mm
+        self.buf = memoryview(mm)
+        self.size = len(mm)
+        self.i64 = np.frombuffer(self.buf, dtype=np.int64,
+                                 count=self.size // 8)
         self.owned = owned
 
     def close(self, unlink: bool = False) -> None:
         # Drop numpy/memoryview references before closing the mapping —
-        # SharedMemory.close() raises if exported pointers remain.
+        # mmap.close() raises if exported pointers remain.
         self.i64 = None
         self.buf = None
-        name = self.shm.name
         try:
-            self.shm.close()
-        except Exception:
+            self.mm.close()
+        except BufferError:
             pass
         if unlink:
-            _unlink_segment(name)
+            _unlink_segment(self.name)
 
 
 class _Arena:
@@ -300,10 +300,8 @@ class ShmDataPlane:
         self.prefix = f"repro-shm-{self.token}"
         self.primary = f"{self.prefix}-s0"
         total = hdr_bytes + self.nparties * self._arena_bytes
-        shm = shared_memory.SharedMemory(
-            name=self.primary, create=True, size=total)
-        _untrack(self.primary)
-        self._primary_seg = _Seg(shm, owned=True)
+        self._primary_seg = _Seg(self.primary,
+                                 _map_segment(self.primary, total), owned=True)
         self._primary_seg.i64[: self._hdr_len] = 0
         self._primary_seg.i64[0] = _MAGIC
         self._primary_seg.i64[1] = self.nparties
@@ -312,9 +310,9 @@ class ShmDataPlane:
         self._closed = False
         self._segments: Dict[str, _Seg] = {}
         self.attach(self.parent_party)
-        # The segments are untracked, so only an unlinking close removes
-        # them; an unclosed plane sweeps its prefix when it is collected
-        # or its creator exits.
+        # No resource tracker knows the segments, so only an unlinking
+        # close removes them; an unclosed plane sweeps its prefix when it
+        # is collected or its creator exits.
         self._finalizer = weakref.finalize(
             self, _release, self._segments, self.prefix, self._creator_pid)
 
@@ -379,9 +377,7 @@ class ShmDataPlane:
         size = _align(max(self._grow_bytes, need + _ALIGN))
         self._grow_counter += 1
         name = f"{self.prefix}-p{self._party}-g{self._grow_counter}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        _untrack(name)
-        self._segments[name] = _Seg(shm, owned=True)
+        self._segments[name] = _Seg(name, _map_segment(name, size), owned=True)
         self._own_grown.append(name)
         self._arenas.append(_Arena(name, 0, size))
 
@@ -456,14 +452,13 @@ class ShmDataPlane:
         seg = self._segments.get(name)
         if seg is None:
             try:
-                shm = shared_memory.SharedMemory(name=name)
+                mm = _map_segment(name)
             except FileNotFoundError:
                 raise ShmError(
                     f"shm segment {name!r} is gone (reclaimed after a "
                     "crash or reset?)"
                 ) from None
-            _untrack(name)
-            seg = _Seg(shm, owned=False)
+            seg = _Seg(name, mm, owned=False)
             self._segments[name] = seg
         return seg
 

@@ -1,46 +1,54 @@
 """The executor: run one forall under a communication schedule.
 
-Follows the paper's Figure 3/6 structure exactly:
+The charged op stream follows the paper's Figure 3/6 structure exactly:
 
 1. **send** every ``out(p,q)`` block to its requester,
-2. **local iterations** — compute iterations whose references are all
-   local, overlapping with message transit,
+2. **local iterations** — those whose references are all local, charged
+   before the first receive, overlapping with message transit,
 3. **receive** every ``in(p,q)`` block into the communication buffer,
-4. **nonlocal iterations** — compute the rest (with the per-element
-   locality test the paper notes is needed "because even within the same
-   iteration of the forall, the reference old_a[adj[i,j]] may be
-   sometimes local and sometimes nonlocal"),
+4. **nonlocal iterations** — the rest, charged after the last receive
+   (with the per-element locality test the paper notes is needed
+   "because even within the same iteration of the forall, the reference
+   old_a[adj[i,j]] may be sometimes local and sometimes nonlocal"),
 5. commit writes (copy-in/copy-out: no write is visible to any read of
    this forall execution).
 
+The arithmetic runs once, after the receive: one gather per read, one
+kernel call over all of ``exec(p)`` in ascending global order, one
+commit per write.  The local/nonlocal split lives on only in what the
+two loops are charged and in the order reductions fold.
+
 Host-side none of this is re-derived per execution.  On a schedule's
 first execution :func:`compile_plan` flattens it into an
-:class:`~repro.runtime.schedule.ExecPlan` — send-index vectors, receive
-slices, one gather index per read and batch, write offsets — resolving
-every remote element through the O(log r) translation table once; from
-then on an execution is ``take`` → kernel → ``put``.  Virtual time is
-charged from the plan's reference counts using the machine cost model,
-so the simulated cost profile still matches the paper's per-element C
-implementation, searches included.
+:class:`~repro.runtime.schedule.ExecPlan` — send indices, receive
+slices, one gather index per read, write offsets, each a ``slice``
+where it is one contiguous run — resolving every remote element through
+the O(log r) translation table once; from then on an execution is
+gather → kernel → commit.  Virtual time is charged from the plan's
+reference counts using the machine cost model, so the simulated cost
+profile still matches the paper's per-element C implementation,
+searches included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.arrays.localview import LocalArray
 from repro.comm.collectives import allreduce
-from repro.core.forall import Forall, IndirectOperand
+from repro.core.forall import Forall, IndirectOperand, ReduceSpec
 from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank, Recv, Send
 from repro.runtime.inspector import RefClass, classify, statically_local
 from repro.runtime.schedule import (
     ArraySchedule,
     BatchPlan,
+    Charges,
     CommSchedule,
     ExecPlan,
+    Index,
     Message,
 )
 
@@ -76,57 +84,98 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _index(vec: np.ndarray) -> Index:
+    """``vec`` as a ``slice`` when it is one ascending contiguous run (so
+    reading it is a view and writing it a block copy, not a fancy-index
+    pass), else frozen."""
+    if vec.ndim == 1 and vec.size and (np.diff(vec) == 1).all():
+        return slice(int(vec[0]), int(vec[-1]) + 1)
+    return _frozen(vec)
+
+
+def _past(pos: Index, n_rows: int) -> bool:
+    """Does a gather at ``pos`` address a row past the first ``n_rows``?"""
+    if isinstance(pos, slice):
+        return pos.stop > n_rows
+    return bool(pos.size) and int(pos.max()) >= n_rows
+
+
+def _exec_set(schedule: CommSchedule) -> Tuple[np.ndarray, np.ndarray]:
+    """``exec(p)`` in ascending order and the mask of its ``exec_local``
+    rows: the schedule keeps the two as disjoint ascending subsequences."""
+    local, remote = schedule.exec_local, schedule.exec_nonlocal
+    if not remote.size:
+        return local, np.ones(local.shape, dtype=bool)
+    if not local.size:
+        return remote, np.zeros(remote.shape, dtype=bool)
+    iters = np.concatenate((local, remote))
+    order = np.argsort(iters, kind="stable")
+    return iters[order], order < local.size
+
+
 def _compile_batch(forall: Forall, env: Dict[str, LocalArray],
-                   schedule: CommSchedule, iters: np.ndarray,
-                   refs: List[Optional[RefClass]],
-                   aligned_writes: List[bool]) -> BatchPlan:
-    # A read-only view: the kernel is handed these iters on every
-    # execution, while the schedule's own array stays as it was.
-    batch = BatchPlan(iters=_frozen(iters.view()))
+                   schedule: CommSchedule) -> BatchPlan:
+    """The one batch over ``exec(p)``, with the counts of each side of
+    the local/nonlocal split.  The owners of the references come with
+    the inspector's classification (consumed here); only a schedule
+    without one (disk-loaded or closed form) is classified here."""
+    iters, local_rows = _exec_set(schedule)
+    # Read-only views: the kernel is handed these on every execution,
+    # while the schedule's own arrays stay as they were.
+    batch = BatchPlan(iters=_frozen(iters.view()),
+                      local_rows=_frozen(local_rows.view()))
+    handed, schedule.classification = schedule.classification, None
     if iters.size == 0:
         return batch
+    classification = (handed if handed is not None
+                      else classify(forall, env, iters))
+    if (classification.any_remote & local_rows).any():
+        n_stale = sum(int(np.count_nonzero(ref.remote[local_rows]))
+                      for ref in classification.refs if ref is not None)
+        raise InspectorError(
+            f"{forall.label}: schedule marked iterations local but "
+            f"{n_stale} references resolve remotely (stale schedule?)"
+        )
+    aligned_writes = [statically_local(w, forall, env) for w in forall.writes]
     on_rows = None
-    if any(ref is None for ref in refs) or any(aligned_writes):
+    if any(ref is None for ref in classification.refs) or any(aligned_writes):
         # Every reference on the on clause's own map and layout (the
         # reads the classification skipped, the aligned writes) is local
-        # at the same offsets: one vector, shared by all of them.
-        on_rows = _frozen(np.asarray(
+        # at the same offsets: one index, shared by all of them.
+        on_rows = _index(np.asarray(
             env[forall.on.array].to_local_rows(forall.on.fn(iters)), dtype=np.int64))
-    for read, ref in zip(forall.reads, refs):
+    # Live references: all, those in local rows, the remote ones (every
+    # one of which sits in a nonlocal row, as checked above), and the
+    # same for indirection reads — what ``flops_per_ref`` is charged
+    # against (one multiply-add per mesh edge in the Jacobi kernel, not
+    # per auxiliary coefficient read).
+    n_here = int(np.count_nonzero(local_rows))
+    total = total_here = remote = indirect = indirect_here = 0
+    for read, ref in zip(forall.reads, classification.refs):
         counts = live = None
         if ref is None:
-            pos, n_local, n_remote = on_rows, on_rows.size, 0
+            pos, n_live, n_remote = on_rows, iters.size, 0
         else:
             pos, n_local, n_remote = _positions(
                 env[read.array], schedule.arrays[read.array], ref)
-            pos = _frozen(pos)
+            pos, n_live = _index(pos), n_local + n_remote
             if ref.live is not None:
                 counts, live = _frozen(ref.counts), _frozen(ref.live)
         batch.gathers.append((pos, counts, live))
-        batch.n_local += n_local
-        batch.n_remote += n_remote
+        live_here = n_here if counts is None else int(counts[local_rows].sum())
+        total += n_live
+        total_here += live_here
+        remote += n_remote
         if counts is not None:
-            # Live elements of indirection reads: what ``flops_per_ref`` is
-            # charged against (one multiply-add per mesh edge in the Jacobi
-            # kernel, not per auxiliary coefficient read).
-            batch.n_indirect += n_local + n_remote
+            indirect += n_live
+            indirect_here += live_here
+    batch.local = Charges(n_here, total_here, 0, indirect_here)
+    batch.nonlocal_ = Charges(iters.size - n_here, total - total_here - remote,
+                              remote, indirect - indirect_here)
     batch.targets = [on_rows if aligned
-                     else _frozen(env[w.array].to_local_rows(w.fn(iters)))
+                     else _index(env[w.array].to_local_rows(w.fn(iters)))
                      for w, aligned in zip(forall.writes, aligned_writes)]
     return batch
-
-
-def _batch_refs(forall: Forall, env: Dict[str, LocalArray],
-                schedule: CommSchedule) -> List[List[Optional[RefClass]]]:
-    """The classified references of ``exec_local`` and ``exec_nonlocal``:
-    sliced out of the inspector's classification when the schedule
-    carries one (which this consumes), else classified here."""
-    handed, schedule.classification = schedule.classification, None
-    if handed is None:
-        return [classify(forall, env, iters).refs if iters.size else []
-                for iters in (schedule.exec_local, schedule.exec_nonlocal)]
-    return [[None if ref is None else ref.take(rows) for ref in handed.refs]
-            for rows in (~handed.any_remote, handed.any_remote)]
 
 
 def _messages(per_array: Dict[str, Dict[int, object]], combine: bool) -> List[Message]:
@@ -144,22 +193,20 @@ def _messages(per_array: Dict[str, Dict[int, object]], combine: bool) -> List[Me
 
 def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                  schedule: CommSchedule) -> ExecPlan:
-    """Flatten ``schedule`` into the index vectors an execution needs.
+    """Flatten ``schedule`` into the indices an execution needs.
 
     All of the executor's index arithmetic lives here (and in the
     helpers above): local-offset lookups, translation-table searches and
     range-record walks happen once per schedule, not once per sweep.
-    The owners of the references come with the inspector's
-    classification; only a schedule without one (disk-loaded or closed
-    form) has ``classify`` run here.
+    The stale-schedule check runs here too, before any message is sent.
     """
-    send_idx: Dict[str, Dict[int, np.ndarray]] = {}
+    send_idx: Dict[str, Dict[int, Index]] = {}
     recv_at: Dict[str, Dict[int, Tuple[int, int]]] = {}
     for name, asched in schedule.arrays.items():
         n_rows = env[name].data.shape[0]
         send_idx[name] = {
-            q: _frozen(np.concatenate([np.arange(r.low, r.high + 1)
-                                       for r in asched.ranges_for_peer_out(q)]))
+            q: _index(np.concatenate([np.arange(r.low, r.high + 1)
+                                      for r in asched.ranges_for_peer_out(q)]))
             for q in asched.peers_out()
         }
         recv_at[name] = {}
@@ -172,36 +219,54 @@ def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                     "contiguous in the receive buffer"
                 )
             recv_at[name][q] = (n_rows + recs[0].buffer_start, count)
-    local_refs, nonlocal_refs = _batch_refs(forall, env, schedule)
-    aligned_writes = [statically_local(w, forall, env) for w in forall.writes]
-    local = _compile_batch(forall, env, schedule, schedule.exec_local,
-                           local_refs, aligned_writes)
-    if local.n_remote:
-        raise InspectorError(
-            f"{forall.label}: schedule marked iterations local but "
-            f"{local.n_remote} references resolve remotely (stale schedule?)"
-        )
-    nonlocal_ = _compile_batch(forall, env, schedule, schedule.exec_nonlocal,
-                               nonlocal_refs, aligned_writes)
+    batch = _compile_batch(forall, env, schedule)
     # A workspace only where data lands past the local rows: a receive
     # buffer, or a gather that addresses the zero row.
     landing = {name for name, asched in schedule.arrays.items()
                if asched.buffer_len > 0}
-    for batch in (local, nonlocal_):
-        for read, (pos, _counts, _live) in zip(forall.reads, batch.gathers):
-            if pos.size and pos.max() >= env[read.array].data.shape[0]:
-                landing.add(read.array)
+    for read, (pos, _counts, _live) in zip(forall.reads, batch.gathers):
+        if _past(pos, env[read.array].data.shape[0]):
+            landing.add(read.array)
     return ExecPlan(
         sends=(_messages(send_idx, False), _messages(send_idx, True)),
         recvs=(_messages(recv_at, False), _messages(recv_at, True)),
-        local=local,
-        nonlocal_=nonlocal_,
+        batch=batch,
         max_ranges=max(
             (schedule.arrays[r.array].num_in_ranges() for r in forall.reads),
             default=0,
         ),
         workspaces=tuple(name for name in schedule.arrays if name in landing),
     )
+
+
+def _copy(source: np.ndarray, idx: Index) -> np.ndarray:
+    """The rows ``idx`` selects, in an array of their own.  (Indexing,
+    not ``take``: ``take`` copies a read-only index array first.)"""
+    rows = source[idx]
+    return rows.copy() if isinstance(idx, slice) else rows
+
+
+#: how one side's contributions reduce to a float, per reduction op
+_FOLDS = {"sum": np.sum, "max": np.max, "min": np.min}
+
+
+def _fold(forall: Forall, spec: ReduceSpec, vec: np.ndarray,
+          batch: BatchPlan) -> float:
+    """This rank's partial of reduction ``spec``: the local rows'
+    contributions folded first, then the nonlocal rows' — each summed in
+    the order the paper's two loops produce them, so the partial is bit
+    for bit what folding two batches gave."""
+    if vec.shape != batch.iters.shape:
+        raise InspectorError(
+            f"{forall.label}: reduction {spec.name!r} needs one contribution "
+            f"per iteration ({batch.iters.size}), the kernel returned shape "
+            f"{vec.shape}"
+        )
+    fold = _FOLDS[spec.op]
+    if not (batch.local.iters and batch.nonlocal_.iters):
+        return spec.fn(spec.identity, float(fold(vec)))
+    here = spec.fn(spec.identity, float(fold(vec[batch.local_rows])))
+    return spec.fn(here, float(fold(vec[~batch.local_rows])))
 
 
 def _workspace(data: np.ndarray, pad: int) -> np.ndarray:
@@ -273,14 +338,15 @@ def run_executor(
     combine = bool(combine_messages)
 
     # --- 1. send out-blocks (old values: nothing written yet) -------------
-    # Fancy-index copies, never views: on the simulator the receiver gets
-    # the payload object itself, and this rank commits its writes below.
-    # Each counter is yielded once per phase, summed over its messages.
+    # Copies, never views, even of one contiguous range: on the simulator
+    # the receiver gets the payload object itself, and this rank commits
+    # its writes below.  Each counter is yielded once per phase, summed
+    # over its messages.
     sends = plan.sends[combine]
     n_sent = 0
     for q, tag_offset, items in sends:
-        bundle = {name: env[name].data[idx] for name, idx in items.items()}
-        n_elems = sum(idx.size for idx in items.values())
+        bundle = {name: _copy(env[name].data, idx) for name, idx in items.items()}
+        n_elems = sum(chunk.shape[0] for chunk in bundle.values())
         if combine:
             # Wire size: the data plus a small symbol field per array (the
             # paper's in-message array identifier), not Python dict overhead.
@@ -296,30 +362,12 @@ def run_executor(
     if sends:
         yield Count("executor_elems_sent", n_sent)
 
-    # --- 2. local iterations ------------------------------------------------
-    # Reads gather with ``take`` — a copy of arr.data, or of the workspace
-    # built from it now — and writes commit last, so no read of this
-    # execution sees a write of it.
+    # --- 2. local iterations: charged here, overlapping message transit;
+    # the host computes every row once, after the receive (step 4) ------
+    batch = plan.batch
     workspaces = {name: _workspace(env[name].data,
                                    schedule.arrays[name].buffer_len + 1)
                   for name in plan.workspaces}
-    pending_writes: List[Tuple[BatchPlan, Dict[str, np.ndarray]]] = []
-    partials: Dict[str, float] = {
-        spec.name: spec.identity for spec in forall.reductions
-    }
-
-    def fold_contributions(contribs: Dict[str, np.ndarray]) -> None:
-        for spec in forall.reductions:
-            vec = contribs[spec.name]
-            if vec.size == 0:
-                continue
-            if spec.op == "sum":
-                batch = float(vec.sum())
-            elif spec.op == "max":
-                batch = float(vec.max())
-            else:
-                batch = float(vec.min())
-            partials[spec.name] = spec.fn(partials[spec.name], batch)
 
     # Every reference in the nonlocal loop pays the locality test; remote
     # ones additionally pay the O(log r) search — unless the schedule
@@ -331,31 +379,17 @@ def run_executor(
     else:
         per_remote = m.search_cost(max(plan.max_ranges, 1))
 
-    def run_batch(batch: BatchPlan):
-        operands: Dict[str, object] = {}
-        for read, (pos, counts, live) in zip(forall.reads, batch.gathers):
-            source = workspaces.get(read.array)
-            if source is None:
-                source = env[read.array].data
-            values = source.take(pos, axis=0)
-            operands[read.operand_name()] = (
-                values if counts is None else IndirectOperand(values, counts, live)
-            )
-        n_iters = batch.iters.size
-        out_vals, contribs = _apply_kernel(forall, batch.iters, operands)
-        pending_writes.append((batch, out_vals))
-        fold_contributions(contribs)
-        cost = (
-            n_iters * m.iter_base
-            + batch.n_local * m.ref_local
-            + batch.n_remote * per_remote
-            + batch.n_indirect * forall.flops_per_ref * m.flop
-            + n_iters * forall.flops_per_iter * m.flop
+    def cost(c: Charges) -> float:
+        return (
+            c.iters * m.iter_base
+            + c.n_local * m.ref_local
+            + c.n_remote * per_remote
+            + c.n_indirect * forall.flops_per_ref * m.flop
+            + c.iters * forall.flops_per_iter * m.flop
         )
-        yield Compute(cost, phase=PHASE, label=forall.label)
 
-    if plan.local.iters.size:
-        yield from run_batch(plan.local)
+    if batch.local.iters:
+        yield Compute(cost(batch.local), phase=PHASE, label=forall.label)
 
     # --- 3. receive in-blocks ------------------------------------------------
     recvs = plan.recvs[combine]
@@ -386,24 +420,46 @@ def run_executor(
     if recvs:
         yield Count("executor_elems_recv", n_recv)
 
-    # --- 4. nonlocal iterations ----------------------------------------------
-    if plan.nonlocal_.iters.size:
-        yield from run_batch(plan.nonlocal_)
-        yield Count("executor_remote_refs", plan.nonlocal_.n_remote)
+    # --- 4. every row of exec(p): one gather per read, one kernel call ------
+    # Nothing is committed before step 5, so no read of this execution
+    # sees a write of it.  A contiguous read of an array this forall does
+    # not write is a read-only view; any other operand is a copy.
+    partials: Dict[str, float] = {
+        spec.name: spec.identity for spec in forall.reductions
+    }
+    written = forall.arrays_written()
+    if batch.iters.size:
+        operands: Dict[str, object] = {}
+        for read, (pos, counts, live) in zip(forall.reads, batch.gathers):
+            source = workspaces.get(read.array)
+            if source is None:
+                source = env[read.array].data
+            if isinstance(pos, slice) and read.array not in written:
+                values = source[pos]
+                values.flags.writeable = False
+            else:
+                values = _copy(source, pos)
+            operands[read.operand_name()] = (
+                values if counts is None else IndirectOperand(values, counts, live)
+            )
+        outputs, contribs = _apply_kernel(forall, batch.iters, operands)
+        for spec in forall.reductions:
+            partials[spec.name] = _fold(forall, spec, contribs[spec.name], batch)
+    if batch.nonlocal_.iters:
+        yield Compute(cost(batch.nonlocal_), phase=PHASE, label=forall.label)
+        yield Count("executor_remote_refs", batch.nonlocal_.n_remote)
 
     # --- 5. commit writes (copy-out) ---------------------------------------------
-    n_written = 0
-    for batch, outputs in pending_writes:
-        for w, offsets in zip(forall.writes, batch.targets):
-            env[w.array].data[offsets] = outputs[w.array]
-            n_written += batch.iters.size
-    if n_written:
+    if batch.iters.size and forall.writes:
+        for w, target in zip(forall.writes, batch.targets):
+            env[w.array].data[target] = outputs[w.array]
         # Bump versions so schedules depending on written arrays re-inspect.
-        for name in set(forall.arrays_written()):
+        for name in set(written):
             env[name].version += 1
+        n_written = batch.iters.size * len(forall.writes)
         yield Compute(m.ref_local * n_written, phase=PHASE, label=forall.label)
     yield Count("executor_iters", schedule.num_exec())
-    yield Count("executor_local_refs", plan.local.n_local)
+    yield Count("executor_local_refs", batch.local.n_local)
 
     # --- 6. global reductions (recursive doubling, charged like any
     # other executor communication) -----------------------------------------

@@ -140,10 +140,6 @@ class RefClass(NamedTuple):
     live: Optional[np.ndarray]
     counts: Optional[np.ndarray]
 
-    def take(self, rows: np.ndarray) -> "RefClass":
-        """The same classification for the iterations ``rows`` selects."""
-        return RefClass(*(None if a is None else a[rows] for a in self))
-
 
 class Classification(NamedTuple):
     """:func:`classify`'s result for a batch of iterations."""

@@ -22,7 +22,7 @@ referenced array, which is equivalent and simpler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -131,22 +131,43 @@ class ArraySchedule:
         return len(self.in_records)
 
 
+#: a vector of row offsets, or the ``slice`` of one ascending contiguous run
+Index = Union[np.ndarray, slice]
+
 #: one read's gather: (positions, live counts, live mask) — see ``BatchPlan``
-Gather = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+Gather = Tuple[Index, Optional[np.ndarray], Optional[np.ndarray]]
+
+
+@dataclass(frozen=True)
+class Charges:
+    """What one side of the paper's local/nonlocal split is charged for:
+    its iterations and its live references — local, remote, and those of
+    indirection reads (what ``flops_per_ref`` is charged against)."""
+
+    iters: int = 0
+    n_local: int = 0
+    n_remote: int = 0
+    n_indirect: int = 0
 
 
 @dataclass
 class BatchPlan:
-    """One iteration batch (``exec_local`` or ``exec_nonlocal``), compiled.
+    """``exec(p)``, compiled: the rows one execution gathers, hands to
+    the kernel once, and commits.
 
-    ``gathers[k]`` serves the forall's k-th read as ``(pos, counts,
-    live)``: positions in that array's workspace *[local rows ‖ receive
-    buffer ‖ one zero row]* (or, for an array without one, in its local
-    rows) and, for an indirect read, the live width per iteration and the
-    ``arange(width) < counts`` mask (dead columns point at the zero row;
-    both are None for an affine read).  ``targets[k]`` holds the local
-    offsets the k-th write stores to.  The reference counts are what the
-    executor's virtual-time charges are computed from.
+    ``iters`` is ``exec(p)`` in ascending global order; ``exec_local``
+    and ``exec_nonlocal`` are the subsequences ``local_rows`` selects and
+    its complement.  ``gathers[k]`` serves the forall's k-th read as
+    ``(pos, counts, live)``: positions in that array's workspace *[local
+    rows ‖ receive buffer ‖ one zero row]* (or, for an array without one,
+    in its local rows) and, for an indirect read, the live width per
+    iteration and the ``arange(width) < counts`` mask (dead columns point
+    at the zero row; both are None for an affine read).  ``targets[k]``
+    holds the local offsets the k-th write stores to.  A position vector
+    or target that is one ascending contiguous run is a ``slice``.
+
+    The split survives only as what virtual time is charged from:
+    ``local`` before the first receive, ``nonlocal_`` after the last.
 
     Every array here is read-only: a plan is shared by every execution
     of its schedule (and, through the disk tier's load memo, by later
@@ -155,11 +176,11 @@ class BatchPlan:
     """
 
     iters: np.ndarray
+    local_rows: np.ndarray
+    local: Charges = Charges()
+    nonlocal_: Charges = Charges()
     gathers: List[Gather] = field(default_factory=list)
-    targets: List[np.ndarray] = field(default_factory=list)
-    n_local: int = 0
-    n_remote: int = 0
-    n_indirect: int = 0
+    targets: List[Index] = field(default_factory=list)
 
 
 #: one message: (peer, tag offset, {array: item}) — see ``ExecPlan``
@@ -172,9 +193,10 @@ class ExecPlan:
     ``repro.runtime.executor.compile_plan``, memoised on the schedule).
 
     ``sends`` / ``recvs`` are indexed by ``combine_messages`` and list the
-    messages in wire order; a send item is the vector of local offsets
-    whose fancy-index copy is the payload, a receive item the
-    ``(start, count)`` workspace slice the chunk lands in.
+    messages in wire order; a send item holds the local offsets (a
+    ``slice`` for one contiguous range) whose copy is the payload, a
+    receive item the ``(start, count)`` workspace slice the chunk lands
+    in.  ``batch`` is the one :class:`BatchPlan` over ``exec(p)``.
     ``workspaces`` names the arrays that need a *[local ‖ recv ‖ zero
     row]* workspace — those that receive data or whose gathers address
     the zero row; every other read takes straight from its local rows.
@@ -187,8 +209,7 @@ class ExecPlan:
 
     sends: Tuple[List[Message], List[Message]]
     recvs: Tuple[List[Message], List[Message]]
-    local: BatchPlan
-    nonlocal_: BatchPlan
+    batch: BatchPlan
     #: most in-ranges of any read array (the r of the O(log r) charge)
     max_ranges: int
     #: arrays gathered through a workspace, in schedule order

@@ -1,4 +1,4 @@
-"""The compiled execution plan: a warm sweep is take -> kernel -> put.
+"""The compiled execution plan: a warm sweep is gather -> kernel -> commit.
 
 The executor compiles each :class:`CommSchedule` once into flat index
 vectors (``repro.runtime.schedule.ExecPlan``) and afterwards does no
@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.cg import CGSolver, dense_matrix
 from repro.analysis.planner import Strategy
-from repro.apps.jacobi import build_jacobi
+from repro.apps.jacobi import build_jacobi, relax_kernel
 from repro.core import context
 from repro.core.context import KaliContext, KaliRank
 from repro.core.forall import (
@@ -24,6 +24,7 @@ from repro.core.forall import (
     Forall,
     IndirectRead,
     OnOwner,
+    ReduceSpec,
 )
 from repro.distributions import Block, Custom, Cyclic, Replicated
 from repro.distributions.base import DimDistribution
@@ -657,17 +658,14 @@ def test_one_count_per_counter_per_execution(monkeypatch):
 
 
 def _plan_arrays(plan):
-    for batch in (plan.local, plan.nonlocal_):
-        yield batch.iters
-        for pos, counts, live in batch.gathers:
-            yield pos
-            if counts is not None:
-                yield counts
-                yield live
-        yield from batch.targets
-    for grouping in plan.sends:
-        for _q, _tag, items in grouping:
-            yield from items.values()
+    """Every array a plan holds (a ``slice`` index is immutable anyway)."""
+    batch = plan.batch
+    held = [batch.iters, batch.local_rows, *batch.targets]
+    for gather in batch.gathers:
+        held += [a for a in gather if a is not None]
+    held += [idx for grouping in plan.sends
+             for _q, _tag, items in grouping for idx in items.values()]
+    return [a for a in held if not isinstance(a, slice)]
 
 
 def test_plan_arrays_are_read_only(compiled):
@@ -699,6 +697,122 @@ def test_kernel_writing_into_a_plan_array_fails_on_first_execution():
     with pytest.raises(ValueError, match="read-only"):
         prog.ctx.run(program)
     assert len(calls) == 1
+
+
+def test_operands_of_unwritten_arrays_are_read_only_views():
+    """The relax loop reads ``coef`` and never writes it: its operand is
+    a view of the rank's own rows, so a kernel scribbling on it fails
+    instead of changing ``coef`` for every later sweep."""
+    mesh, p = five_point_grid(6, 6), 2
+    prog = build_jacobi(mesh, p)
+    calls, outcomes = [], {}
+
+    def vandal(iters, ops):
+        calls.append(iters.size)
+        ops["coef_i"][:] = 0
+        return relax_kernel(iters, ops)
+
+    loop = dataclasses.replace(prog.relax_loop, kernel=vandal)
+
+    def program(kr):
+        coef = kr.local("coef")
+        try:
+            yield from kr.forall(loop)
+        except ValueError as err:
+            outcomes[kr.id] = (str(err), np.array_equal(
+                coef.data, mesh.coef[coef.global_rows]))
+
+    prog.ctx.run(program)
+    assert len(calls) == p                  # each rank's first execution
+    assert sorted(outcomes) == list(range(p))
+    for message, unchanged in outcomes.values():
+        assert "read-only" in message and unchanged
+
+
+def test_operands_of_written_arrays_are_copies():
+    """``a`` is read and written by the relax loop: its operand is the
+    kernel's own copy, and scribbling on it changes no result."""
+    mesh = five_point_grid(8, 8)
+    init = np.random.default_rng(14).random(mesh.n)
+    prog = build_jacobi(mesh, 4, initial=init)
+
+    def scribble(iters, ops):
+        a_i = ops["a_i"]
+        assert a_i.flags.writeable and a_i.flags.owndata
+        out = relax_kernel(iters, ops)
+        a_i[:] = np.nan
+        return out
+
+    prog.relax_loop = dataclasses.replace(prog.relax_loop, kernel=scribble)
+    prog.run(3)
+    np.testing.assert_allclose(prog.solution, _reference(mesh, init, 3))
+
+
+#: contributions whose sum depends on the order they are added in
+_ORDERED = np.resize([1e16, 1.0, -1e16], 60)
+
+
+def _reduce_with_partials(p, monkeypatch, kernel):
+    """A sum over ``_ORDERED[i]`` of a loop on ``C[i]`` that also reads
+    ``A[i-1]`` and ``A[i+1]``: every block's first and last rows are
+    nonlocal, the rest local.  Returns the reduced values, each rank's
+    partial and the schedules."""
+    n = _ORDERED.size
+    ctx = KaliContext(p, machine=IDEAL)
+    ctx.array("A", n, dist=[Block()]).set(_ORDERED)
+    ctx.array("C", n, dist=[Block()]).set(np.zeros(n))
+    loop = Forall(index_range=(1, n - 2), on=OnOwner("C"),
+                  reads=[AffineRead("A", Affine(1, 0), name="here"),
+                         AffineRead("A", Affine(1, -1), name="left"),
+                         AffineRead("A", Affine(1, 1), name="right")],
+                  writes=[AffineWrite("C")],
+                  reductions=[ReduceSpec("total", "sum")],
+                  kernel=kernel, label="ordered-sum")
+    partials, schedules, results = {}, {}, {}
+    allreduce, compile_plan = executor.allreduce, executor.compile_plan
+
+    def allreduce_spy(rank, value, *args, **kwargs):
+        partials[rank.id] = value
+        return (yield from allreduce(rank, value, *args, **kwargs))
+
+    def compile_spy(forall, env, schedule):
+        schedules[schedule.rank] = schedule
+        return compile_plan(forall, env, schedule)
+
+    monkeypatch.setattr(executor, "allreduce", allreduce_spy)
+    monkeypatch.setattr(executor, "compile_plan", compile_spy)
+
+    def program(kr):
+        results[kr.id] = (yield from kr.forall(loop))["total"]
+
+    ctx.run(program)
+    return results, partials, schedules
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_reduction_partials_match_the_two_batch_fold(monkeypatch, p):
+    """One kernel call over all of exec(p), but each rank's partial is
+    still its local rows' sum folded first, then its nonlocal rows' —
+    bit for bit what the paper's two loops fold."""
+    def kernel(iters, ops):
+        return {"C": ops["left"] + ops["right"], "total": ops["here"]}
+
+    results, partials, schedules = _reduce_with_partials(p, monkeypatch, kernel)
+    assert sorted(partials) == sorted(schedules) == list(range(p))
+    for rank, schedule in schedules.items():
+        assert schedule.exec_local.size and schedule.exec_nonlocal.size
+        here = _ORDERED[schedule.exec_local].sum()
+        there = _ORDERED[schedule.exec_nonlocal].sum()
+        assert partials[rank].hex() == ((0.0 + here) + there).hex()
+    assert len({value.hex() for value in results.values()}) == 1
+
+
+def test_contribution_must_be_one_value_per_iteration(monkeypatch):
+    def kernel(iters, ops):
+        return {"C": ops["here"], "total": ops["here"][:-1]}
+
+    with pytest.raises(InspectorError, match="ordered-sum.*one contribution"):
+        _reduce_with_partials(2, monkeypatch, kernel)
 
 
 def _workspace_calls(monkeypatch):
@@ -786,7 +900,7 @@ def test_indirect_read_workspace_follows_the_data(monkeypatch, case):
 
 
 @pytest.mark.parametrize("count", ["count", None])
-def test_live_mask_is_compiled_for_both_batches(count):
+def test_live_mask_is_compiled_for_both_batches(compiled, count):
     n, p, width = 16, 4, 3
     # even rows read their own block, odd rows the next one: every rank
     # has a local and a nonlocal batch
@@ -826,8 +940,18 @@ def test_live_mask_is_compiled_for_both_batches(count):
             else np.ones((n, width), dtype=bool))
     np.testing.assert_array_equal(
         ctx.arrays["y"].data, np.where(live, table + 1.0, 0.0).sum(axis=1))
-    # both batches, cold and warm, on every rank
-    assert len(seen) == 2 * 2 * p and sum(seen) == 2 * n
+    # one kernel call per execution, cold and warm, on every rank, over
+    # a batch that holds local and nonlocal rows alike
+    assert len(seen) == 2 * p and sum(seen) == 2 * n
+    assert len(compiled) == p
+    for _label, _rank, schedule, plan in compiled:
+        batch = plan.batch
+        assert batch.local.iters == schedule.exec_local.size > 0
+        assert batch.nonlocal_.iters == schedule.exec_nonlocal.size > 0
+        np.testing.assert_array_equal(batch.iters[batch.local_rows],
+                                      schedule.exec_local)
+        np.testing.assert_array_equal(batch.iters[~batch.local_rows],
+                                      schedule.exec_nonlocal)
 
 
 def _seeded_packets(rank):
@@ -942,13 +1066,17 @@ def _plan_bytes(plan):
     def raw(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
-    out = [plan.max_ranges, plan.workspaces]
-    for batch in (plan.local, plan.nonlocal_):
-        out += [raw(batch.iters), batch.n_local, batch.n_remote, batch.n_indirect]
-        out += [tuple(raw(a) for a in gather) for gather in batch.gathers]
-        out += [raw(t) for t in batch.targets]
+    def index(a):
+        return (a.start, a.stop) if isinstance(a, slice) else raw(a)
+
+    batch = plan.batch
+    out = [plan.max_ranges, plan.workspaces, raw(batch.iters),
+           raw(batch.local_rows), batch.local, batch.nonlocal_]
+    out += [(index(pos), raw(counts), raw(live))
+            for pos, counts, live in batch.gathers]
+    out += [index(t) for t in batch.targets]
     for grouping in (*plan.sends, *plan.recvs):
-        out += [(q, tag, {k: raw(v) if isinstance(v, np.ndarray) else v
+        out += [(q, tag, {k: v if isinstance(v, tuple) else index(v)
                           for k, v in items.items()})
                 for q, tag, items in grouping]
     return out

@@ -462,6 +462,9 @@ def _indirect_case(draw):
 # from width 8 NumPy sums pairwise: 1e16 + 1 + ... + 1 keeps the ones
 # that a left-to-right sum rounds away
 @example(case=(np.ones((1, 8)), np.array([[1e16] + [1.0] * 7]), np.array([8])))
+# inf * 0 is a negative NaN on x86, nan * 0 the positive np.nan: a row
+# sum keeps the first, NumPy's vector add can return the second
+@example(case=(np.array([[np.inf, np.nan]]), np.array([[0.0, 0.0]]), np.array([0])))
 def test_weighted_sum_is_the_masked_row_sum_bit_for_bit(case):
     weights, values, counts = case
     live = np.arange(values.shape[1])[None, :] < counts[:, None]

@@ -205,13 +205,10 @@ class TestAllocator:
     def test_sweep_orphans_reclaims_crashed_workers_segments(self, plane):
         # a worker that died mid-job leaves its grown segment behind;
         # simulate one by hand under the plane's prefix
-        from multiprocessing import shared_memory
-        from repro.machine.shm import _untrack
+        from repro.machine.shm import _map_segment
 
         orphan = f"{plane.prefix}-p0-g99"
-        shm = shared_memory.SharedMemory(name=orphan, create=True, size=4096)
-        _untrack(orphan)
-        shm.close()
+        _map_segment(orphan, 4096).close()
         assert os.path.exists(os.path.join("/dev/shm", orphan))
         assert plane.sweep_orphans() >= 1
         assert not os.path.exists(os.path.join("/dev/shm", orphan))
@@ -255,6 +252,52 @@ class TestAllocator:
         prefix = out.stdout.split()[-1]
         assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
         assert "Exception ignored" not in out.stderr, out.stderr
+
+    def test_segments_never_touch_the_resource_tracker(self, monkeypatch):
+        """Creating, growing and attaching a segment send the tracker
+        nothing.  Forked ranks share their parent's tracker, and the
+        register/unregister pairs ``SharedMemory`` sends from several
+        processes raced there (``KeyError`` from the tracker at P=16)."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        for name in ("register", "unregister"):
+            monkeypatch.setattr(resource_tracker, name,
+                                lambda *args, name=name: calls.append((name, args)))
+        p = ShmDataPlane(nranks=2, segment_bytes=1 << 20)
+        try:
+            ref = p.publish(bytes(2 << 20), consumers=[0])     # _grow
+            assert ref.segment != p.primary
+            p.attach(0)
+            assert p.read(ref) == bytes(2 << 20)                # _attach_seg
+        finally:
+            p.close(unlink=True)
+        assert calls == []
+
+    def test_sixteen_mp_ranks_run_quietly_and_leave_nothing(self):
+        """128x128 Jacobi on 16 real ranks, where the parent grows a
+        segment the ranks attach at once: no tracker traceback on stderr
+        and no segment left behind."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        script = (
+            "import os\n"
+            "import numpy as np\n"
+            "from repro.apps.jacobi import build_jacobi\n"
+            "from repro.meshes.regular import five_point_grid\n"
+            "mesh = five_point_grid(128, 128)\n"
+            "init = np.random.default_rng(0).random(mesh.n)\n"
+            "build_jacobi(mesh, 16, initial=init, backend='mp').run(2)\n"
+            "print(f'repro-shm-{os.getpid():x}-')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "resource_tracker" not in out.stderr, out.stderr
+        assert "KeyError" not in out.stderr, out.stderr
+        prefix = out.stdout.split()[-1]
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
 
     def test_tiny_segment_rejected(self):
         with pytest.raises(ShmError, match="no room"):

@@ -108,8 +108,10 @@ class DistributedArray:
         than the rank's local piece.
         """
         if self._fingerprint is None or self._fingerprint[0] != self._version:
+            # hashlib reads a C-contiguous buffer in place: the digest
+            # of ``tobytes()`` without the copy.
             digest = hashlib.sha256(
-                np.ascontiguousarray(self._data).tobytes()
+                np.ascontiguousarray(self._data)
             ).hexdigest()
             self._fingerprint = (self._version, digest)
         return self._fingerprint[1]

@@ -47,6 +47,10 @@ from repro.runtime.inspector import run_inspector
 from repro.runtime.redistribute import redistribute as _redistribute
 
 
+#: what a schedule-cache memory hit reports (ops are read-only: shared)
+_ONE_HIT = ApiCount("schedule_cache_hits", 1)
+
+
 class KaliRank:
     """Rank-side runtime handed to Kali programs.
 
@@ -85,6 +89,10 @@ class KaliRank:
         self._tag_seq = 0
         self._coll_seq = 0
         self.strategies_used: Dict[str, str] = {}
+        #: the executor's workspaces, kept between executions: per forall
+        #: label, the plan they serve and ``{array: workspace}`` (not on
+        #: the plan, which the disk tier's memo shares across contexts)
+        self.workspaces: Dict[str, Any] = {}
 
     # --- identity ---------------------------------------------------------
 
@@ -114,9 +122,16 @@ class KaliRank:
         unchanged.  Returns ``{name: value}`` for the loop's reductions
         (None when it has none).
         """
-        schedule = self.cache.lookup(loop, self.env)
-        for cname, amount in self.cache.take_counts().items():
-            yield ApiCount(cname, amount)
+        cache = self.cache
+        hits = cache.hits
+        schedule = cache.lookup(loop, self.env)
+        if cache.hits != hits:
+            # A memory hit, whose one counter delta is that hit.
+            cache.hit_reported()
+            yield _ONE_HIT
+        else:
+            for cname, amount in cache.take_counts().items():
+                yield ApiCount(cname, amount)
         if schedule is None:
             strategy = self.force_strategy or choose_strategy(loop, self.env)
             if strategy is Strategy.COMPILE_TIME:
@@ -129,12 +144,12 @@ class KaliRank:
             for cname, amount in self.cache.take_counts().items():
                 yield ApiCount(cname, amount)
         self.strategies_used[loop.label] = schedule.built_by
-        n_arrays = max(1, len({r.array for r in loop.reads}))
         tag_base = self._tag_seq
-        self._tag_seq = (self._tag_seq + n_arrays) % (1 << 18)
+        self._tag_seq = (tag_base + max(1, loop.n_read_arrays)) % (1 << 18)
         result = yield from run_executor(
             self.rank, loop, self.env, schedule, tag_base,
             combine_messages=self.combine_messages,
+            workspaces=self.workspaces,
         )
         return result
 

@@ -25,6 +25,7 @@ to it (:mod:`repro.lang.lower`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,7 +262,9 @@ class Forall:
         reduction contribution) it returns for iteration ``iters[k]``
         depends only on row ``k`` of each operand, whatever else the
         batch holds.  An operand of an array the forall does not write
-        may be a read-only view; copy it before modifying it.
+        may be a read-only view; copy it before modifying it.  Operands
+        are valid for the duration of the kernel call only: the executor
+        may reuse their memory in the next execution.
     flops_per_ref / flops_per_iter:
         Cost-model hints: floating-point work charged per live reference
         and per iteration (e.g. Jacobi charges a multiply-add per
@@ -311,6 +314,23 @@ class Forall:
 
     def arrays_written(self) -> List[str]:
         return [w.array for w in self.writes]
+
+    @cached_property
+    def n_read_arrays(self) -> int:
+        """How many distinct arrays the reads gather (computed once: a
+        forall is not modified after construction — ``dataclasses.replace``
+        builds a new one)."""
+        return len({r.array for r in self.reads})
+
+    @cached_property
+    def replay_key(self) -> tuple:
+        """Everything in this spec that the executor's replayed ops come
+        from (``repro.runtime.schedule.OpTable``): the label, the cost
+        hints, the written arrays, the number of reductions and the
+        operand names.  Computed once, like :attr:`n_read_arrays`."""
+        return (self.label, self.flops_per_ref, self.flops_per_iter,
+                tuple(self.arrays_written()), len(self.reductions),
+                tuple(r.operand_name() for r in self.reads))
 
     def comm_dependency_arrays(self) -> List[str]:
         """Arrays whose *values* determine the communication pattern —

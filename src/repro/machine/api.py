@@ -74,7 +74,14 @@ def _item_nbytes(item: Any) -> int:
 
 
 class Op:
-    """Base class of everything a rank program may ``yield``."""
+    """Base class of everything a rank program may ``yield``.
+
+    A yielded op is read-only.  The engines, the mp worker and tracers
+    only read it, and a program may yield the same instance again: a
+    warm forall execution replays the ops its plan fixes
+    (``repro.runtime.schedule.OpTable``), and a schedule-cache hit is
+    one shared ``Count``.
+    """
 
     __slots__ = ()
 

@@ -71,7 +71,8 @@ _TRACE_FLUSH = 512
 
 
 class _Inbox:
-    """Per-(source, tag) FIFO buffers over the pairwise pipes."""
+    """Per-(source, tag) FIFO buffers over the pairwise pipes.  Every
+    buffered channel is non-empty."""
 
     def __init__(self, conns: List[Optional[Any]]):
         self.conns = list(conns)
@@ -170,27 +171,34 @@ class _Inbox:
         """Pop the matching frame with the earliest local arrival, or None.
 
         Returns ``(arrival_idx, src, frame)``.  Exact ``(source, tag)``
-        receives take the channel head (send-order FIFO); wildcard
-        receives compare candidates by local arrival index — the relaxed
-        ordering real hardware provides.
+        receives take the head of their own channel (send-order FIFO);
+        wildcard receives compare the heads of the buffered channels by
+        local arrival index — the relaxed ordering real hardware
+        provides.  A channel is dropped once empty, so a receive costs
+        what is buffered, not every tag the job has used.
         """
-        best_key = None
-        best_chan = None
-        for (src, t), q in self.buffered.items():
-            if not q:
-                continue
-            if source != ANY_SOURCE and src != source:
-                continue
-            if tag != ANY_TAG and t != tag:
-                continue
-            idx = q[0][0]
-            if best_key is None or idx < best_key:
-                best_key = idx
-                best_chan = (src, t)
-        if best_chan is None:
-            return None
-        idx, frame = self.buffered[best_chan].popleft()
-        return idx, best_chan[0], frame
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            chan = (source, tag)
+            if chan not in self.buffered:
+                return None
+        else:
+            chan = None
+            best_key = None
+            for (src, t), q in self.buffered.items():
+                if source != ANY_SOURCE and src != source:
+                    continue
+                if tag != ANY_TAG and t != tag:
+                    continue
+                if best_key is None or q[0][0] < best_key:
+                    best_key = q[0][0]
+                    chan = (src, t)
+            if chan is None:
+                return None
+        q = self.buffered[chan]
+        idx, frame = q.popleft()
+        if not q:
+            del self.buffered[chan]
+        return idx, chan[0], frame
 
     def reset(self) -> int:
         """Discard every buffered frame (job boundary); returns the number

@@ -102,6 +102,12 @@ class ScheduleCache:
                 self._reported[name] = value
         return out
 
+    def hit_reported(self) -> None:
+        """The caller reported the memory hit its last :meth:`lookup`
+        counted: a hit moves no other counter, so that one hit is what
+        :meth:`take_counts` would have returned."""
+        self._reported["schedule_cache_hits"] = self.hits
+
     def lookup(self, forall: Forall, env: Dict[str, LocalArray]) -> Optional[CommSchedule]:
         """Return a valid cached schedule, or None (miss / stale / disabled).
 

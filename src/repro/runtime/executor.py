@@ -28,10 +28,20 @@ gather → kernel → commit.  Virtual time is charged from the plan's
 reference counts using the machine cost model, so the simulated cost
 profile still matches the paper's per-element C implementation,
 searches included.
+
+A warm execution replays its plan.  Every op whose fields the plan fixes
+— the charges, the counters, each send's wire size — is built once per
+plan and key into an :class:`~repro.runtime.schedule.OpTable` and
+yielded again, the same instances, by every later execution; only
+``Send`` and ``Recv`` (payload and tag), the payload copies and the
+allreduce are built per execution.  The workspaces stay with the rank
+context that runs the loop, so an execution copies in only its local
+rows.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -50,6 +60,7 @@ from repro.runtime.schedule import (
     ExecPlan,
     Index,
     Message,
+    OpTable,
 )
 
 PHASE = "executor"
@@ -279,6 +290,124 @@ def _workspace(data: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
+def _workspaces(label: str, plan: ExecPlan, env: Dict[str, LocalArray],
+                schedule: CommSchedule, held: dict) -> Dict[str, np.ndarray]:
+    """This execution's workspaces, by array, with the current local rows.
+
+    ``held`` keeps them between executions, per forall label: the plan
+    they were made for and ``{array: workspace}``.  A plan's first
+    execution allocates them; later ones copy in only the local rows —
+    the receives overwrite the whole buffer (``compile_plan`` checks
+    that each peer's blocks are contiguous, and together they tile it)
+    and nothing writes the zero row.  A shape or dtype that no longer
+    matches re-allocates."""
+    entry = held.get(label)
+    if entry is None or entry[0] is not plan:
+        entry = held[label] = (plan, {})
+    kept = entry[1]
+    for name in plan.workspaces:
+        data = env[name].data
+        n_rows = data.shape[0]
+        pad = schedule.arrays[name].buffer_len + 1
+        ws = kept.get(name)
+        if (ws is None or ws.dtype != data.dtype or ws.shape[0] != n_rows + pad
+                or ws.shape[1:] != data.shape[1:]):
+            kept[name] = _workspace(data, pad)
+        else:
+            ws[:n_rows] = data
+    return kept
+
+
+def _rows(idx: Index) -> int:
+    """How many rows a send index selects."""
+    return idx.stop - idx.start if isinstance(idx, slice) else int(idx.size)
+
+
+def _op_table(m, combine: bool, forall: Forall, env: Dict[str, LocalArray],
+              schedule: CommSchedule, plan: ExecPlan) -> OpTable:
+    """Build every op of an execution that ``plan`` fixes under the key
+    ``run_executor`` files it by (see ``OpTable``), valued exactly as
+    an execution computes them."""
+    label = forall.label
+    batch = plan.batch
+
+    def charge(seconds: float) -> Compute:
+        return Compute(seconds, phase=PHASE, label=label)
+
+    # Every reference in the nonlocal loop pays the locality test; remote
+    # ones additionally pay the O(log r) search — unless the schedule
+    # enumerates every element (Saltz-style), where a remote access is two
+    # plain references (table probe + buffer load).  Charged from the
+    # plan's reference counts: the host did those searches at compile time.
+    if schedule.translation_kind == "enumerated":
+        per_remote = 2.0 * m.ref_local
+    else:
+        per_remote = m.search_cost(max(plan.max_ranges, 1))
+
+    def cost(c: Charges) -> float:
+        return (
+            c.iters * m.iter_base
+            + c.n_local * m.ref_local
+            + c.n_remote * per_remote
+            + c.n_indirect * forall.flops_per_ref * m.flop
+            + c.iters * forall.flops_per_iter * m.flop
+        )
+
+    sends = []
+    n_sent = 0
+    for q, tag_offset, items in plan.sends[combine]:
+        n_elems = sum(_rows(idx) for idx in items.values())
+        nbytes = None
+        if combine:
+            # Wire size: the data plus a small symbol field per array (the
+            # paper's in-message array identifier), not Python dict overhead.
+            # An array's dtype and row shape are fixed with its schedule
+            # (the disk tier's key hashes both).
+            nbytes = sum(
+                _rows(idx) * env[name].data.itemsize
+                * math.prod(env[name].data.shape[1:])
+                for name, idx in items.items()) + 8 * len(items)
+        sends.append((q, tag_offset, tuple(items.items()),
+                      charge(m.copy_elem * n_elems), nbytes))
+        n_sent += n_elems
+    recvs = []
+    n_recv = 0
+    for q, tag_offset, expected in plan.recvs[combine]:
+        total = sum(count for _start, count in expected.values())
+        recvs.append((q, tag_offset, expected, charge(m.copy_elem * total)))
+        n_recv += total
+    # A contiguous read of an array this forall does not write is a
+    # read-only view; any other operand is a copy.
+    written = forall.arrays_written()
+    reads = [(read.array, read.operand_name(), pos, counts, live,
+              isinstance(pos, slice) and read.array not in written,
+              read.array in plan.workspaces)
+             for read, (pos, counts, live) in zip(forall.reads, batch.gathers)]
+    after_kernel = ()
+    if batch.nonlocal_.iters:
+        after_kernel = (charge(cost(batch.nonlocal_)),
+                        Count("executor_remote_refs", batch.nonlocal_.n_remote))
+    after_commit = (Count("executor_iters", schedule.num_exec()),
+                    Count("executor_local_refs", batch.local.n_local))
+    if batch.iters.size and forall.writes:
+        n_written = batch.iters.size * len(forall.writes)
+        after_commit = (charge(m.ref_local * n_written),) + after_commit
+    # One flop per contribution folded locally.
+    n_contrib = schedule.num_exec() * len(forall.reductions)
+    return OpTable(
+        sends=sends,
+        sent=Count("executor_elems_sent", n_sent) if sends else None,
+        local=charge(cost(batch.local)) if batch.local.iters else None,
+        recvs=recvs,
+        received=Count("executor_elems_recv", n_recv) if recvs else None,
+        reads=reads,
+        after_kernel=after_kernel,
+        written=tuple(dict.fromkeys(written)),
+        after_commit=after_commit,
+        fold=charge(m.flop * n_contrib) if n_contrib else None,
+    )
+
+
 def _apply_kernel(
     forall: Forall,
     iters: np.ndarray,
@@ -318,6 +447,8 @@ def run_executor(
     schedule: CommSchedule,
     tag_base: int,
     combine_messages: bool = True,
+    *,
+    workspaces: dict,
 ):
     """Generator: execute one forall under ``schedule``.
 
@@ -330,145 +461,111 @@ def run_executor(
     allowed us to combine messages between the same two processors" with
     "a symbol field identifying the array" — here the payload is keyed by
     array name).  Disable for the message-combining ablation.
+
+    ``workspaces`` is the rank context's store of workspaces, kept
+    between executions (``KaliRank.workspaces``).
     """
     m = rank.machine
     plan = schedule.plan
     if plan is None:
         plan = schedule.plan = compile_plan(forall, env, schedule)
     combine = bool(combine_messages)
+    key = (m, combine, schedule.translation_kind, forall.replay_key)
+    table = plan.tables.get(key)
+    if table is None:
+        table = plan.tables[key] = _op_table(m, combine, forall, env,
+                                             schedule, plan)
+    label = forall.label
+    tag = _EXEC_TAG_BASE + tag_base
 
     # --- 1. send out-blocks (old values: nothing written yet) -------------
     # Copies, never views, even of one contiguous range: on the simulator
     # the receiver gets the payload object itself, and this rank commits
     # its writes below.  Each counter is yielded once per phase, summed
     # over its messages.
-    sends = plan.sends[combine]
-    n_sent = 0
-    for q, tag_offset, items in sends:
-        bundle = {name: _copy(env[name].data, idx) for name, idx in items.items()}
-        n_elems = sum(chunk.shape[0] for chunk in bundle.values())
+    for q, tag_offset, items, copy_charge, nbytes in table.sends:
         if combine:
-            # Wire size: the data plus a small symbol field per array (the
-            # paper's in-message array identifier), not Python dict overhead.
-            payload = bundle
-            nbytes = sum(v.nbytes for v in bundle.values()) + 8 * len(bundle)
+            payload = {name: _copy(env[name].data, idx) for name, idx in items}
         else:
-            (payload,) = bundle.values()
-            nbytes = None
-        yield Compute(m.copy_elem * n_elems, phase=PHASE, label=forall.label)
-        yield Send(dest=q, payload=payload, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
-                   nbytes=nbytes, phase=PHASE, label=forall.label)
-        n_sent += n_elems
-    if sends:
-        yield Count("executor_elems_sent", n_sent)
+            ((name, idx),) = items
+            payload = _copy(env[name].data, idx)
+        yield copy_charge
+        yield Send(dest=q, payload=payload, tag=tag + tag_offset,
+                   nbytes=nbytes, phase=PHASE, label=label)
+    if table.sent:
+        yield table.sent
 
     # --- 2. local iterations: charged here, overlapping message transit;
     # the host computes every row once, after the receive (step 4) ------
     batch = plan.batch
-    workspaces = {name: _workspace(env[name].data,
-                                   schedule.arrays[name].buffer_len + 1)
-                  for name in plan.workspaces}
-
-    # Every reference in the nonlocal loop pays the locality test; remote
-    # ones additionally pay the O(log r) search — unless the schedule
-    # enumerates every element (Saltz-style), where a remote access is two
-    # plain references (table probe + buffer load).  Charged from the
-    # plan's reference counts: the host did those searches at compile time.
-    if schedule.translation_kind == "enumerated":
-        per_remote = 2.0 * m.ref_local
-    else:
-        per_remote = m.search_cost(max(plan.max_ranges, 1))
-
-    def cost(c: Charges) -> float:
-        return (
-            c.iters * m.iter_base
-            + c.n_local * m.ref_local
-            + c.n_remote * per_remote
-            + c.n_indirect * forall.flops_per_ref * m.flop
-            + c.iters * forall.flops_per_iter * m.flop
-        )
-
-    if batch.local.iters:
-        yield Compute(cost(batch.local), phase=PHASE, label=forall.label)
+    spaces = _workspaces(label, plan, env, schedule, workspaces)
+    if table.local:
+        yield table.local
 
     # --- 3. receive in-blocks ------------------------------------------------
-    recvs = plan.recvs[combine]
-    n_recv = 0
-    for q, tag_offset, expected in recvs:
-        msg = yield Recv(source=q, tag=_EXEC_TAG_BASE + tag_base + tag_offset,
-                         phase=PHASE, label=forall.label)
+    for q, tag_offset, expected, copy_charge in table.recvs:
+        msg = yield Recv(source=q, tag=tag + tag_offset, phase=PHASE,
+                         label=label)
         # (per-array messages carry the one chunk bare)
         bundle = msg.payload if combine else dict.fromkeys(expected, msg.payload)
         if bundle.keys() != expected.keys():
             raise InspectorError(
-                f"{forall.label}: message from {q} is missing arrays "
+                f"{label}: message from {q} is missing arrays "
                 f"{sorted(expected.keys() - bundle.keys())} and carries "
                 f"unscheduled arrays {sorted(bundle.keys() - expected.keys())}"
             )
-        total = 0
         for name, (start, count) in expected.items():
             data = bundle[name]
             if data.shape[0] != count:
                 raise InspectorError(
-                    f"{forall.label}: message from {q} for {name} carried "
+                    f"{label}: message from {q} for {name} carried "
                     f"{data.shape[0]} elements, schedule expects {count}"
                 )
-            workspaces[name][start : start + count] = data
-            total += count
-        yield Compute(m.copy_elem * total, phase=PHASE, label=forall.label)
-        n_recv += total
-    if recvs:
-        yield Count("executor_elems_recv", n_recv)
+            spaces[name][start : start + count] = data
+        yield copy_charge
+    if table.received:
+        yield table.received
 
     # --- 4. every row of exec(p): one gather per read, one kernel call ------
     # Nothing is committed before step 5, so no read of this execution
-    # sees a write of it.  A contiguous read of an array this forall does
-    # not write is a read-only view; any other operand is a copy.
+    # sees a write of it.
     partials: Dict[str, float] = {
         spec.name: spec.identity for spec in forall.reductions
     }
-    written = forall.arrays_written()
     if batch.iters.size:
         operands: Dict[str, object] = {}
-        for read, (pos, counts, live) in zip(forall.reads, batch.gathers):
-            source = workspaces.get(read.array)
-            if source is None:
-                source = env[read.array].data
-            if isinstance(pos, slice) and read.array not in written:
+        for array, name, pos, counts, live, view, through in table.reads:
+            source = spaces[array] if through else env[array].data
+            if view:
                 values = source[pos]
                 values.flags.writeable = False
             else:
                 values = _copy(source, pos)
-            operands[read.operand_name()] = (
+            operands[name] = (
                 values if counts is None else IndirectOperand(values, counts, live)
             )
         outputs, contribs = _apply_kernel(forall, batch.iters, operands)
         for spec in forall.reductions:
             partials[spec.name] = _fold(forall, spec, contribs[spec.name], batch)
-    if batch.nonlocal_.iters:
-        yield Compute(cost(batch.nonlocal_), phase=PHASE, label=forall.label)
-        yield Count("executor_remote_refs", batch.nonlocal_.n_remote)
+    for op in table.after_kernel:
+        yield op
 
     # --- 5. commit writes (copy-out) ---------------------------------------------
     if batch.iters.size and forall.writes:
         for w, target in zip(forall.writes, batch.targets):
             env[w.array].data[target] = outputs[w.array]
         # Bump versions so schedules depending on written arrays re-inspect.
-        for name in set(written):
+        for name in table.written:
             env[name].version += 1
-        n_written = batch.iters.size * len(forall.writes)
-        yield Compute(m.ref_local * n_written, phase=PHASE, label=forall.label)
-    yield Count("executor_iters", schedule.num_exec())
-    yield Count("executor_local_refs", batch.local.n_local)
+    for op in table.after_commit:
+        yield op
 
     # --- 6. global reductions (recursive doubling, charged like any
     # other executor communication) -----------------------------------------
     if not forall.reductions:
         return None
-    # One flop per contribution folded locally.
-    n_contrib = schedule.num_exec() * len(forall.reductions)
-    if n_contrib:
-        yield Compute(m.flop * n_contrib, phase=PHASE, label=forall.label)
+    if table.fold:
+        yield table.fold
     results: Dict[str, float] = {}
     for r_idx, spec in enumerate(forall.reductions):
         reduced = yield from allreduce(

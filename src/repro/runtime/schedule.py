@@ -188,6 +188,42 @@ Message = Tuple[int, int, Dict[str, Any]]
 
 
 @dataclass
+class OpTable:
+    """Every op one execution of an :class:`ExecPlan` yields whose fields
+    the plan fixes, built by ``repro.runtime.executor`` on the first
+    execution under its key (see ``ExecPlan.tables``) and yielded again,
+    the same instances, by every later one.  Only ``Send`` / ``Recv``
+    (they carry a payload and a tag), the payload copies and the
+    allreduce are built per execution.
+
+    ``sends`` holds per message in wire order ``(peer, tag offset,
+    ((array, send index), ...), copy Compute, wire size or None)`` and
+    ``recvs`` ``(peer, tag offset, {array: (start, count)}, copy
+    Compute)``; ``sent`` / ``local`` / ``received`` / ``fold`` are one op
+    each (None where an execution yields none), and ``after_kernel`` /
+    ``after_commit`` the ops that follow the kernel call and the commit.
+    ``reads`` is each read's gather recipe ``(array, operand name,
+    gather index, live counts, live mask, view?, through a workspace?)``
+    and ``written`` the distinct arrays whose versions a commit bumps.
+
+    Ops, index arrays of the plan, ints and strings only: like the plan,
+    a table outlives the env and the forall it was built with.
+    """
+
+    sends: List[Tuple[int, int, Tuple[Tuple[str, Index], ...], Any, Optional[int]]]
+    sent: Any
+    local: Any
+    recvs: List[Tuple[int, int, Dict[str, Tuple[int, int]], Any]]
+    received: Any
+    reads: List[Tuple[str, str, Index, Optional[np.ndarray], Optional[np.ndarray],
+                      bool, bool]]
+    after_kernel: Tuple[Any, ...]
+    written: Tuple[str, ...]
+    after_commit: Tuple[Any, ...]
+    fold: Any
+
+
+@dataclass
 class ExecPlan:
     """A :class:`CommSchedule` flattened for execution (built once by
     ``repro.runtime.executor.compile_plan``, memoised on the schedule).
@@ -201,10 +237,19 @@ class ExecPlan:
     row]* workspace — those that receive data or whose gathers address
     the zero row; every other read takes straight from its local rows.
 
-    Index arrays, counts and names only: a plan outlives the env and the
-    ``Forall`` object it was compiled with (pool workers get a fresh env
-    per job, callers may rebuild a forall around another kernel), so it
-    must never hold array data, a ``LocalArray``, the forall or its kernel.
+    ``tables`` holds one :class:`OpTable` per key: the machine model,
+    ``combine_messages``, the schedule's translation kind and the
+    forall's ``replay_key``.  One plan serves several keys: the disk
+    tier's load memo hands one schedule to every context of a worker
+    that uses its directory, and a caller may rebuild a forall around
+    the same label with other cost hints.
+
+    Index arrays, counts, names and op tables only: a plan outlives the
+    env and the ``Forall`` object it was compiled with (pool workers get
+    a fresh env per job, callers may rebuild a forall around another
+    kernel), so it must never hold array data, a ``LocalArray``, the
+    forall or its kernel — nor a workspace, which belongs to the rank
+    context that executes it (``KaliRank.workspaces``).
     """
 
     sends: Tuple[List[Message], List[Message]]
@@ -214,6 +259,8 @@ class ExecPlan:
     max_ranges: int
     #: arrays gathered through a workspace, in schedule order
     workspaces: Tuple[str, ...]
+    #: replayed ops per key — see :class:`OpTable`
+    tables: Dict[tuple, OpTable] = field(default_factory=dict)
 
 
 @dataclass

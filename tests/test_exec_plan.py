@@ -657,6 +657,143 @@ def test_one_count_per_counter_per_execution(monkeypatch):
                               "executor_local_refs"}
 
 
+# --- a warm execution replays its plan's op table ---------------------------
+
+
+def _comparable(value):
+    """A payload or field as plain data: arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {k: _comparable(v) for k, v in value.items()}
+    return value
+
+
+def _op_row(op):
+    return (type(op).__name__,
+            {f.name: _comparable(getattr(op, f.name))
+             for f in dataclasses.fields(op)})
+
+
+def _cg_executions(monkeypatch, rebuild):
+    """Every executor op of a CG solve (its ``cg-dot-*`` loops reduce),
+    as ``(label, rank, [op])`` per execution; with ``rebuild`` every
+    execution first drops its plan's op tables."""
+    executions = _recording_executor(monkeypatch)
+    if rebuild:
+        recording = context.run_executor
+
+        def rebuilding(rank, forall, env, schedule, tag_base, **kwargs):
+            if schedule.plan is not None:
+                schedule.plan.tables.clear()
+            return recording(rank, forall, env, schedule, tag_base, **kwargs)
+
+        monkeypatch.setattr(context, "run_executor", rebuilding)
+    mesh = five_point_grid(6, 6)
+    b = np.random.default_rng(4).random(mesh.n)
+    res = CGSolver(mesh, 4, machine=NCUBE7).solve(b, tol=1e-10)
+    monkeypatch.undo()
+    return executions, res
+
+
+def test_replayed_ops_are_the_ops_a_rebuilt_table_yields(monkeypatch):
+    replayed, res = _cg_executions(monkeypatch, rebuild=False)
+    rebuilt, ref = _cg_executions(monkeypatch, rebuild=True)
+    assert res.iterations == ref.iterations > 3
+    assert res.solution.tobytes() == ref.solution.tobytes()
+    assert len(replayed) == len(rebuilt)
+    for (label, rank, ops), (label_b, rank_b, ops_b) in zip(replayed, rebuilt):
+        assert (label, rank) == (label_b, rank_b)
+        assert [_op_row(op) for op in ops] == [_op_row(op) for op in ops_b]
+    # the replayed run really yielded the same instances again: the local
+    # loop's charge and every executor counter (the allreduce is built
+    # each time)
+    dots = [ops for label, rank, ops in replayed
+            if label == "cg-dot-pq" and rank == 1]
+    assert len(dots) > 3
+    first, last = dots[1], dots[-1]
+    assert type(first[0]).__name__ == "Compute" and first[0] is last[0]
+    counts = [(a, b) for a, b in zip(first, last)
+              if isinstance(a, Count) and a.name.startswith("executor_")]
+    assert counts and all(a is b for a, b in counts)
+    assert not any(a is b for a, b in zip(first, last) if isinstance(a, Send))
+
+
+def _clocks(cache_dir, machine, flops_per_ref=None):
+    """Hex rank clocks of 2 Jacobi sweeps, the relax loop optionally
+    rebuilt around the same label with other cost hints."""
+    mesh = five_point_grid(8, 8)
+    prog = build_jacobi(mesh, 4, machine=machine, dist=Cyclic(),
+                        initial=np.random.default_rng(8).random(mesh.n),
+                        schedule_cache_dir=str(cache_dir))
+    relax = prog.relax_loop
+    if flops_per_ref is not None:
+        relax = dataclasses.replace(relax, flops_per_ref=flops_per_ref)
+
+    def program(kr):
+        for _ in range(2):
+            yield from kr.forall(prog.copy_loop)
+            yield from kr.forall(relax)
+
+    res = prog.ctx.run(program)
+    return [float(c).hex() for c in res.engine.clocks]
+
+
+def test_one_shared_plan_keeps_a_table_per_key(tmp_path, compiled):
+    """The disk tier's memo hands one relax plan to every context using
+    the directory; another ``flops_per_ref`` or machine model gets its
+    own charges, the same as a context that loaded its own copy."""
+    import shutil
+
+    shared = tmp_path / "shared"
+    _clocks(shared, NCUBE7)                      # cold: inspect, store
+    variants = [(NCUBE7, 7.0), (IDEAL, None), (NCUBE7, None)]
+    copies = []
+    for k, _variant in enumerate(variants):
+        copies.append(tmp_path / f"copy{k}")
+        shutil.copytree(shared, copies[-1])
+    got = [_clocks(shared, machine, fpr) for machine, fpr in variants]
+    relax = [plan for label, _r, _s, plan in compiled if label == "jacobi-relax"]
+    assert len(relax) == 4                       # the cold run's, one per rank
+    # the cold run's key (replayed by the last variant) and two more
+    assert [len(plan.tables) for plan in relax] == [3] * 4
+    want = [_clocks(copy, machine, fpr)
+            for copy, (machine, fpr) in zip(copies, variants)]
+    assert got == want
+    assert len({tuple(c) for c in got}) == 3
+
+
+def _table_ops(table):
+    ops = [charge for *_, charge, _nbytes in table.sends]
+    ops += [charge for *_, charge in table.recvs]
+    ops += [table.sent, table.local, table.received, table.fold,
+            *table.after_kernel, *table.after_commit]
+    return [op for op in ops if op is not None]
+
+
+def test_table_ops_are_read_only_under_faults_and_trace(monkeypatch):
+    """A straggler's engine scales a replayed ``Compute`` without
+    touching it, and a traced run only reads the ops."""
+    from repro.faults import FaultPlan
+
+    built, original = [], executor._op_table
+
+    def op_table_spy(*args):
+        table = original(*args)
+        built.append((table, [_op_row(op) for op in _table_ops(table)]))
+        return table
+
+    monkeypatch.setattr(executor, "_op_table", op_table_spy)
+    mesh, rcb = _rcb_grid(12, 12, 4)
+    prog = build_jacobi(mesh, 4, dist=rcb, trace=True,
+                        faults=FaultPlan(stragglers={1: 3.0}))
+    res = prog.run(4)
+    assert res.trace
+    assert len(built) == 2 * 4                   # two loops, four ranks
+    for table, rows in built:
+        assert [_op_row(op) for op in _table_ops(table)] == rows
+
+
 def _plan_arrays(plan):
     """Every array a plan holds (a ``slice`` index is immutable anyway)."""
     batch = plan.batch
@@ -816,10 +953,15 @@ def test_contribution_must_be_one_value_per_iteration(monkeypatch):
 
 
 def _workspace_calls(monkeypatch):
-    """Names of the arrays ``_workspace`` is called for, matched by data
-    identity against the envs ``compile_plan`` saw."""
-    names, calls = {}, []
-    original_compile, original_workspace = executor.compile_plan, executor._workspace
+    """Names of the arrays ``_workspace`` allocates for, matched by data
+    identity against the envs ``compile_plan`` saw, and one entry per
+    execution that gathers through a workspace.  Every execution's
+    workspaces are checked to hold that execution's local rows and a zero
+    last row before the receives land."""
+    names, calls, executions = {}, [], []
+    original_compile = executor.compile_plan
+    original_workspace = executor._workspace
+    original_workspaces = executor._workspaces
 
     def compile_spy(forall, env, schedule):
         names.update({id(arr.data): name for name, arr in env.items()})
@@ -829,17 +971,28 @@ def _workspace_calls(monkeypatch):
         calls.append(names[id(data)])
         return original_workspace(data, pad)
 
+    def workspaces_spy(label, plan, env, schedule, held):
+        spaces = original_workspaces(label, plan, env, schedule, held)
+        for name in plan.workspaces:
+            data = env[name].data
+            np.testing.assert_array_equal(spaces[name][:data.shape[0]], data)
+            assert not spaces[name][-1].any()
+            executions.append(name)
+        return spaces
+
     monkeypatch.setattr(executor, "compile_plan", compile_spy)
     monkeypatch.setattr(executor, "_workspace", workspace_spy)
-    return calls
+    monkeypatch.setattr(executor, "_workspaces", workspaces_spy)
+    return calls, executions
 
 
 @pytest.mark.parametrize("layout", ["block", "rcb"])
 def test_workspaces_only_where_data_lands(monkeypatch, compiled, layout):
     """Only ``old_a`` (received, and read through dead slots) gets a
     workspace; ``coef``, ``a`` and the copy loop's reads ``take`` from
-    local rows."""
-    calls = _workspace_calls(monkeypatch)
+    local rows.  The rank context allocates it once per plan, and every
+    sweep copies in the local rows the copy loop just wrote."""
+    calls, executions = _workspace_calls(monkeypatch)
     sweeps, p = 3, 4
     mesh, rcb = _rcb_grid(12, 12, p)
     init = np.random.default_rng(5).random(mesh.n)
@@ -857,15 +1010,18 @@ def test_workspaces_only_where_data_lands(monkeypatch, compiled, layout):
         receives = schedule.arrays["old_a"].buffer_len > 0
         assert plan.workspaces == (("old_a",) if dead or receives else ())
         landing += bool(dead or receives)
-    assert landing and calls == ["old_a"] * (sweeps * landing)
+    assert landing and calls == ["old_a"] * landing
+    assert executions == ["old_a"] * (sweeps * landing)
 
 
 @pytest.mark.parametrize("case", ["in-block", "dead-slot", "crossing"])
 def test_indirect_read_workspace_follows_the_data(monkeypatch, case):
     """Two permutations inside each block: no receive buffer and no dead
     slot, so no workspace.  A dead slot on rank 1 needs the zero row, a
-    reference across blocks the receive buffer — each only on that rank."""
-    calls = _workspace_calls(monkeypatch)
+    reference across blocks the receive buffer — each only on that rank,
+    allocated once, and the second execution reads the local rows as
+    they are then."""
+    calls, executions = _workspace_calls(monkeypatch)
     n, p = 16, 4
     reversed_blocks = np.arange(n).reshape(p, -1)[:, ::-1].ravel()
     table = np.stack([reversed_blocks, np.arange(n)], axis=1)
@@ -890,13 +1046,15 @@ def test_indirect_read_workspace_follows_the_data(monkeypatch, case):
 
     def program(kr):
         yield from kr.forall(loop)
+        kr.local("x").data *= 2.0           # x is no schedule dependency
         yield from kr.forall(loop)
 
     ctx.run(program)
     live = np.arange(2)[None, :] < count[:, None]
     np.testing.assert_array_equal(ctx.arrays["y"].data,
-                                  np.where(live, x[table], 0.0).sum(axis=1))
-    assert calls == ([] if case == "in-block" else ["x", "x"])
+                                  np.where(live, 2.0 * x[table], 0.0).sum(axis=1))
+    assert calls == ([] if case == "in-block" else ["x"])
+    assert executions == ([] if case == "in-block" else ["x", "x"])
 
 
 @pytest.mark.parametrize("count", ["count", None])

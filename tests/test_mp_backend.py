@@ -46,6 +46,7 @@ from repro.machine.cost import IDEAL, NCUBE7
 from repro.machine.engine import Engine
 from repro.machine.mp import MpEngine
 from repro.machine.mp.transport import SenderThread
+from repro.machine.mp.worker import _Inbox
 from repro.machine.topology import FullyConnected
 from repro.meshes.regular import five_point_grid, reference_sweep
 from repro.serve.pool import RankPool
@@ -176,6 +177,40 @@ class TestOpProtocol:
 
         res = mp_engine(3).run(prog, args=[10, 20, 30])
         assert res.values == [20, 40, 60]
+
+
+class TestInbox:
+    """Receive matching on the rank side's buffered channels, one per
+    (source, tag), driven directly with hand-made frames."""
+
+    @staticmethod
+    def _inbox(frames):
+        inbox = _Inbox([None, None, None])
+        for src, tag, payload in frames:
+            inbox._take(src, (tag, 0, 0, 0.0, payload), 0.0)
+        return inbox
+
+    def test_exact_receives_pop_fifo_and_leave_no_channel(self):
+        frames = [(1, tag, (tag, k)) for tag in range(40) for k in range(3)]
+        inbox = self._inbox(frames)
+        for tag in reversed(range(40)):
+            for k in range(3):
+                _idx, src, frame = inbox.pop_match(1, tag)
+                assert (src, frame[4]) == (1, (tag, k))
+            assert inbox.pop_match(1, tag) is None
+        assert inbox.buffered == {}
+
+    def test_wildcard_takes_the_earliest_local_arrival(self):
+        inbox = self._inbox([(2, 7, "a"), (1, 5, "b"), (2, 7, "c"),
+                             (1, 9, "d"), (2, 5, "e")])
+        got = [inbox.pop_match(ANY_SOURCE, 5)[2][4],
+               inbox.pop_match(1, ANY_TAG)[2][4],
+               inbox.pop_match(ANY_SOURCE, ANY_TAG)[2][4],
+               inbox.pop_match(ANY_SOURCE, ANY_TAG)[2][4]]
+        assert got == ["b", "d", "a", "c"]
+        assert inbox.pop_match(1, ANY_TAG) is None
+        assert inbox.pop_match(ANY_SOURCE, ANY_TAG)[2][4] == "e"
+        assert inbox.buffered == {}
 
 
 class _SlowConn:

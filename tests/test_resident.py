@@ -296,3 +296,50 @@ class TestPiecesThatStayHome:
         assert all("old_a" in o.env for o in res.outcomes)
         assert np.signbit(ctx.arrays["old_a"].data).all()
 
+
+
+# --- the content digest ---------------------------------------------------
+
+
+def _contents(kind):
+    """(global shape, distribution, dtype, values) of one array kind."""
+    from repro.distributions import Block, Replicated
+
+    rng = np.random.default_rng(11)
+    if kind == "2-d":
+        return (6, 3), [Block(), Replicated()], np.float64, rng.random((6, 3))
+    if kind == "1-d":
+        return 7, [Block()], np.int64, np.arange(7) * 3 - 5
+    if kind == "empty":
+        return (4, 0), [Block(), Replicated()], np.float64, np.zeros((4, 0))
+    if kind == "strided":          # set from a non-contiguous source
+        return (5, 2), [Block(), Replicated()], np.float64, rng.random((5, 6))[:, ::3]
+    return 9, [Block()], np.bool_, rng.random(9) < 0.5
+
+
+@pytest.mark.parametrize("kind", ["2-d", "1-d", "empty", "strided", "bool"])
+def test_content_fingerprint_is_the_sha256_of_the_bytes(kind):
+    """``content_fingerprint`` hashes the array's buffer in place, and
+    the digest is that of its ``tobytes()``: the disk-cache keys and
+    resident digests recorded before stay valid."""
+    import hashlib
+
+    from repro.arrays.darray import DistributedArray
+    from repro.distributions.procs import ProcessorArray
+
+    shape, dist, dtype, values = _contents(kind)
+    darr = DistributedArray("a", shape, dist, ProcessorArray(P), dtype=dtype)
+    darr.set(values)
+    expected = hashlib.sha256(np.asarray(values, dtype=dtype).tobytes())
+    assert darr.content_fingerprint() == expected.hexdigest()
+
+
+@pytest.mark.parametrize("arr", [np.full((), 2.5),
+                                 np.arange(12.0).reshape(3, 4)[:, 1::2]],
+                         ids=["0-d", "strided"])
+def test_a_contiguous_buffer_hashes_as_its_bytes(arr):
+    """What ``content_fingerprint`` relies on, down to a 0-d array."""
+    import hashlib
+
+    assert (hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
+            == hashlib.sha256(arr.tobytes()).hexdigest())

@@ -19,7 +19,8 @@ invalidates saved schedules.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Union
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +29,32 @@ from repro.distributions.base import DimDistribution
 from repro.distributions.multidim import ArrayDistribution
 from repro.distributions.procs import ProcessorArray
 from repro.errors import DistributionError
+
+#: SHA-256 digests of frozen source arrays, by ``id``: ``(weakref,
+#: digest)``, dropped when the array dies (see ``_source_digest``)
+_SOURCE_DIGESTS: Dict[int, Tuple[weakref.ref, str]] = {}
+
+
+def _adoptable(values: np.ndarray) -> bool:
+    """Whether a :meth:`DistributedArray.set` source can lend its digest:
+    frozen, owning its memory (no writable base or sibling view can
+    change it), and C-contiguous (its buffer is the bytes that are
+    hashed).  Such an array is taken to stay as it is — ``MeshArrays``
+    freezes its arrays on that promise."""
+    flags = values.flags
+    return not flags.writeable and flags.owndata and flags.c_contiguous
+
+
+def _source_digest(src: np.ndarray) -> str:
+    """The SHA-256 of a frozen source's bytes, hashed once per process."""
+    key = id(src)
+    entry = _SOURCE_DIGESTS.get(key)
+    if entry is not None and entry[0]() is src:
+        return entry[1]
+    digest = hashlib.sha256(np.ascontiguousarray(src)).hexdigest()
+    forget = weakref.ref(src, lambda _ref: _SOURCE_DIGESTS.pop(key, None))
+    _SOURCE_DIGESTS[key] = (forget, digest)
+    return digest
 
 
 class DistributedArray:
@@ -47,6 +74,10 @@ class DistributedArray:
     dtype:
         NumPy dtype (default ``float64``).
     """
+
+    #: (version, weakref) of the frozen array :meth:`set` last copied
+    #: in (see :meth:`content_fingerprint`); never pickled
+    _source: Optional[tuple] = None
 
     def __init__(
         self,
@@ -86,6 +117,8 @@ class DistributedArray:
             )
         self._data[...] = values
         self._version += 1
+        if _adoptable(values):
+            self._source = (self._version, weakref.ref(values))
 
     def __getitem__(self, key):
         return self._data[key]
@@ -106,15 +139,33 @@ class DistributedArray:
         Content-addressed schedule keys thereby hash what schedules
         depend on — the whole array, identically on every rank — rather
         than the rank's local piece.
+
+        Contents last :meth:`set` from a frozen, self-owning, C-contiguous
+        array (``MeshArrays``' arrays, say) take that array's digest from
+        a per-process memo, so a driver that builds many contexts over one
+        mesh hashes it once.
         """
         if self._fingerprint is None or self._fingerprint[0] != self._version:
-            # hashlib reads a C-contiguous buffer in place: the digest
-            # of ``tobytes()`` without the copy.
-            digest = hashlib.sha256(
-                np.ascontiguousarray(self._data)
-            ).hexdigest()
+            source = self._source
+            src = (source[1]() if source is not None
+                   and source[0] == self._version else None)
+            if src is not None and not src.flags.writeable:
+                digest = _source_digest(src)
+            else:
+                # hashlib reads a C-contiguous buffer in place: the
+                # digest of ``tobytes()`` without the copy.
+                digest = hashlib.sha256(
+                    np.ascontiguousarray(self._data)
+                ).hexdigest()
             self._fingerprint = (self._version, digest)
         return self._fingerprint[1]
+
+    def __getstate__(self):
+        """A weak reference does not pickle (pool shipping pickles the
+        array), and the digest it leads to travels as ``_fingerprint``."""
+        state = dict(self.__dict__)
+        state.pop("_source", None)
+        return state
 
     def __resident__(self):
         """Pool shipping protocol (:mod:`repro.serve.shipping`): the

@@ -41,7 +41,7 @@ from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.launch import check_backend, default_topology, launch
 from repro.machine.stats import RunResult
 from repro.machine.topology import Topology
-from repro.runtime.cache import ScheduleCache
+from repro.runtime.cache import CLOSED_FORM, ScheduleCache
 from repro.runtime.executor import run_executor
 from repro.runtime.inspector import run_inspector
 from repro.runtime.redistribute import redistribute as _redistribute
@@ -80,7 +80,8 @@ class KaliRank:
 
             # Shared per (dir, rank) within the process: a pool worker
             # builds a KaliRank per job, and the shared store's memo is
-            # what makes repeat disk hits cost two stats, not a load.
+            # what makes a repeat disk hit cost stat + utime + stat, not
+            # a load.
             disk = shared_disk_cache(schedule_cache_dir, rank.id)
         self.cache = ScheduleCache(enabled=cache_enabled, disk=disk,
                                    translation=translation)
@@ -91,7 +92,7 @@ class KaliRank:
         self.strategies_used: Dict[str, str] = {}
         #: the executor's workspaces, kept between executions: per forall
         #: label, the plan they serve and ``{array: workspace}`` (not on
-        #: the plan, which the disk tier's memo shares across contexts)
+        #: the plan, which the process's memos share across contexts)
         self.workspaces: Dict[str, Any] = {}
 
     # --- identity ---------------------------------------------------------
@@ -119,8 +120,10 @@ class KaliRank:
         First execution analyses the loop — symbolically when possible,
         otherwise with the run-time inspector — and caches the schedule;
         subsequent executions reuse it while the indirection data is
-        unchanged.  Returns ``{name: value}`` for the loop's reductions
-        (None when it has none).
+        unchanged.  A closed-form schedule comes from the process's
+        ``CLOSED_FORM`` memo, so a later context (a pool worker's next
+        job) reuses its plan too.  Returns ``{name: value}`` for the
+        loop's reductions (None when it has none).
         """
         cache = self.cache
         hits = cache.hits
@@ -135,11 +138,13 @@ class KaliRank:
         if schedule is None:
             strategy = self.force_strategy or choose_strategy(loop, self.env)
             if strategy is Strategy.COMPILE_TIME:
-                schedule = build_closed_form_schedule(self.rank, loop, self.env)
+                schedule = CLOSED_FORM.schedule(self.rank, loop, self.env,
+                                                self.translation,
+                                                build_closed_form_schedule)
             else:
                 schedule = yield from run_inspector(self.rank, loop, self.env)
-            if self.translation == "enumerated":
-                schedule.enumerate_translations()
+                if self.translation == "enumerated":
+                    schedule.enumerate_translations()
             self.cache.store_through(loop, schedule, self.env)
             for cname, amount in self.cache.take_counts().items():
                 yield ApiCount(cname, amount)

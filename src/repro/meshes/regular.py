@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshArrays:
     """The Figure 4 mesh representation.
 
@@ -22,6 +22,12 @@ class MeshArrays:
             columns ``0..count[i]-1`` (dead slots hold 0).
     count : (n,) int64 — live neighbour count per node.
     coef  : (n, width) float64 — relaxation coefficients per edge.
+
+    Immutable: construction marks the three arrays read-only, so every
+    context built from one mesh sees the same contents, and a driver
+    hashes them once per process (``DistributedArray.content_fingerprint``
+    adopts a frozen source's digest).  To edit a mesh, edit copies and
+    build a new one with ``dataclasses.replace``.
     """
 
     n: int
@@ -29,6 +35,10 @@ class MeshArrays:
     adj: np.ndarray
     count: np.ndarray
     coef: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.adj, self.count, self.coef):
+            arr.flags.writeable = False
 
     def total_references(self) -> int:
         """Total ``old_a[adj[i,j]]`` references in one sweep."""

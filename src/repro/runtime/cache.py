@@ -19,20 +19,30 @@ per *job*.  An optional second tier — a
 :class:`~repro.serve.diskcache.DiskScheduleCache` — persists inspected
 schedules on disk under a content-addressed key (hash of the forall spec,
 distributions, and the indirection arrays' bytes).  A memory miss falls
-through to disk; a disk hit is re-stamped with the current version
-counters and promoted into memory, so the fast path stays fast.  Stores
+through to disk; a disk hit is promoted into memory as a copy stamped
+with the current version counters, so the fast path stays fast.  Stores
 write through.  Only loops that need the inspector use the disk tier:
-closed-form schedules cost nothing to rebuild, so a closed-form forall
-neither probes for nor writes a file.
+a closed-form forall neither probes for nor writes a file.
+
+Closed-form schedules have a tier of their own instead, per process:
+:class:`ClosedFormMemo` (``CLOSED_FORM``).  A memory miss on a
+closed-form loop asks it, not the builder, so a warm pool worker's next
+job reuses the schedule, its compiled plan and its op tables rather than
+rebuilding all three.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import dataclasses
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, Optional
 
 from repro.analysis.planner import Strategy, choose_strategy
 from repro.arrays.localview import LocalArray
 from repro.core.forall import Forall
+from repro.machine.api import Rank
+from repro.runtime import executor
 from repro.runtime.schedule import CommSchedule
 
 
@@ -43,6 +53,21 @@ def _content_key(forall: Forall, env: Dict[str, LocalArray],
     from repro.serve.diskcache import schedule_content_key
 
     return schedule_content_key(forall, env, translation)
+
+
+def _stamped(shared: CommSchedule, env: Dict[str, LocalArray],
+             **changes) -> CommSchedule:
+    """A caller's own copy of a schedule a memo shares: the sets, the
+    plan and its op tables are shared, the ``versions`` /
+    ``dist_versions`` stamps are ``env``'s, so no context re-stamps
+    another's."""
+    return dataclasses.replace(
+        shared, **changes,
+        versions={name: env[name].version
+                  for name in shared.versions if name in env},
+        dist_versions={name: env[name].dist_version
+                       for name in shared.dist_versions if name in env},
+    )
 
 
 class ScheduleCache:
@@ -148,26 +173,25 @@ class ScheduleCache:
                 and choose_strategy(forall, env) is not Strategy.COMPILE_TIME)
 
     def _disk_lookup(self, forall: Forall, env: Dict[str, LocalArray]) -> Optional[CommSchedule]:
-        """Disk-tier fallback: content hash, load, re-stamp, promote."""
+        """Disk-tier fallback: content hash, load, stamp, promote."""
         if not self._on_disk(forall, env):
             return None
         key = _content_key(forall, env, self.translation)
         if key is None:
             return None
-        sched = self.disk.load(key)
-        if sched is None:
+        loaded = self.disk.load(key)
+        if loaded is None:
             return None
-        sched.built_by = "disk-cache"  # provenance for strategies()/describe()
-        # The stored version stamps belong to whichever process inspected
-        # this schedule; the *content* matched, so the schedule is valid
-        # for the data now in scope — adopt the current stamps.
-        sched.versions = {
-            name: env[name].version for name in sched.versions if name in env
-        }
-        sched.dist_versions = {
-            name: env[name].dist_version
-            for name in sched.dist_versions if name in env
-        }
+        # The store's load memo hands this one object to every context of
+        # the process that shares (directory, rank): its plan is compiled
+        # once, and each context gets a copy with its own stamps.  The
+        # stored stamps belong to whichever context inspected it; the
+        # *content* matched, so the schedule is valid for the data now in
+        # scope.
+        if loaded.plan is None:
+            loaded.plan = executor.compile_plan(forall, env, loaded)
+        # built_by: provenance for strategies()/describe()
+        sched = _stamped(loaded, env, built_by="disk-cache")
         self._store[forall.label] = sched
         return sched
 
@@ -194,3 +218,66 @@ class ScheduleCache:
 
     def __len__(self) -> int:
         return len(self._store)
+
+
+#: most closed-form schedules one process keeps (see ``ClosedFormMemo``)
+CLOSED_FORM_ENTRIES = 64
+
+
+class ClosedFormMemo:
+    """Closed-form schedules of one process, compiled, in a bounded LRU.
+
+    A closed-form schedule (paper §3.1, ref. [3]) is a pure function of
+    the forall spec, the rank and the layouts, so the memo keys each
+    entry by the disk tier's content key (``schedule_content_key``),
+    which for such a loop hashes exactly those and no content tag.  An
+    entry holds the schedule with its compiled ``ExecPlan`` (compiled
+    when the entry is made) and, through the plan, its op tables.
+
+    What a caller gets is its own copy (``_stamped``), as from the disk
+    tier, so each context invalidates on its own writes and
+    redistributions.
+
+    A hit and a miss yield the same ops — building a closed-form
+    schedule sends nothing and charges nothing — so ranks that disagree
+    about a hit cannot diverge into a collective.  Inspector-built
+    schedules are collective to build and stay with the disk tier.
+    """
+
+    def __init__(self, capacity: int = CLOSED_FORM_ENTRIES):
+        self.capacity = capacity
+        self._entries: "OrderedDict[str, CommSchedule]" = OrderedDict()
+        self._lock = threading.Lock()   # serve shards run jobs in threads
+
+    def schedule(self, rank: Rank, forall: Forall, env: Dict[str, LocalArray],
+                 translation: str, build: Callable) -> CommSchedule:
+        """This rank's schedule of the closed-form ``forall``, stamped
+        for ``env``: from the memo, or made by ``build(rank, forall,
+        env)`` (``build_closed_form_schedule``), compiled and memoised."""
+        key = _content_key(forall, env, translation)
+        with self._lock:
+            shared = None if key is None else self._entries.get(key)
+            if shared is not None:
+                self._entries.move_to_end(key)
+        if shared is None:
+            shared = build(rank, forall, env)
+            if translation == "enumerated":
+                shared.enumerate_translations()
+            shared.plan = executor.compile_plan(forall, env, shared)
+            if key is not None:
+                with self._lock:
+                    self._entries[key] = shared
+                    while len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
+        return _stamped(shared, env)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: this process's closed-form memo, shared by every rank context in it
+CLOSED_FORM = ClosedFormMemo()

@@ -554,9 +554,13 @@ def run_executor(
     if batch.iters.size and forall.writes:
         for w, target in zip(forall.writes, batch.targets):
             env[w.array].data[target] = outputs[w.array]
-        # Bump versions so schedules depending on written arrays re-inspect.
+        # Bump versions so schedules depending on written arrays re-inspect,
+        # and drop the global content tag the scatter stamped: it no longer
+        # names these bytes, and the disk tier must not key on it.
         for name in table.written:
-            env[name].version += 1
+            local = env[name]
+            local.version += 1
+            local.content_tag = None
     for op in table.after_commit:
         yield op
 

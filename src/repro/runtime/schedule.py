@@ -170,8 +170,8 @@ class BatchPlan:
     ``local`` before the first receive, ``nonlocal_`` after the last.
 
     Every array here is read-only: a plan is shared by every execution
-    of its schedule (and, through the disk tier's load memo, by later
-    jobs of a pool worker), so a kernel writing into an operand it was
+    of its schedule (and, through the disk tier's load memo or the
+    closed-form memo, by later jobs of a pool worker), so a kernel writing into an operand it was
     handed must fail, not corrupt the next sweep.
     """
 
@@ -241,8 +241,9 @@ class ExecPlan:
     ``combine_messages``, the schedule's translation kind and the
     forall's ``replay_key``.  One plan serves several keys: the disk
     tier's load memo hands one schedule to every context of a worker
-    that uses its directory, and a caller may rebuild a forall around
-    the same label with other cost hints.
+    that uses its directory, ``repro.runtime.cache.CLOSED_FORM`` one
+    closed-form plan to every context of a process, and a caller may
+    rebuild a forall around the same label with other cost hints.
 
     Index arrays, counts, names and op tables only: a plan outlives the
     env and the ``Forall`` object it was compiled with (pool workers get

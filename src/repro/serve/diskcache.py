@@ -14,7 +14,8 @@ The key is the SHA-256 of a canonical encoding of exactly that:
 
 * the format tag (``repro-schedcache-v1`` — bump to invalidate the world),
 * the forall's label, index bounds, ``on`` clause, and per-read/write
-  descriptors (affine coefficients, table/count names),
+  descriptors (affine coefficients of reads and writes, table/count
+  names),
 * ``rank`` and ``nranks`` (schedules are per-rank objects),
 * the distribution spec, dtype, and global shape of every referenced
   array (``repr(ArrayDistribution)`` covers dims, parameters, and the
@@ -92,7 +93,9 @@ def _static_digest(forall: Forall) -> "hashlib._Hash":
             else:  # pragma: no cover - future read kinds
                 _hash_update_str(h, repr(read))
         for w in forall.writes:
-            _hash_update_str(h, f"write({w.array})")
+            # The write map too: a compiled plan's write targets follow
+            # it, and plans are shared by every holder of the key.
+            _hash_update_str(h, f"write({w.array},{w.fn.a},{w.fn.b})")
         try:
             forall._schedcache_static = h
         except AttributeError:  # pragma: no cover - slotted/frozen foralls
@@ -205,11 +208,12 @@ def shared_disk_cache(path, rank: int) -> DiskScheduleCache:
 
     A warm pool worker builds a fresh ``KaliRank`` per job; reusing one
     store keeps the loaded-schedule memo warm across jobs, so a repeat
-    hit costs two ``stat`` calls instead of an unpickle.  Keyed per rank
-    because the sim backend runs every rank in one process and each
-    rank's ``ScheduleCache`` drains counter *deltas* — sharing one
-    instance across ranks would bleed one rank's hits into another's
-    counters and break sim/mp differential exactness.  Callers that need
+    hit costs a ``stat``, the LRU ``utime`` and a re-``stat`` instead of
+    an unpickle.  Keyed per rank because the sim backend runs every rank
+    in one process and each rank's ``ScheduleCache`` drains counter
+    *deltas* — sharing one instance across ranks would bleed one rank's
+    hits into another's counters and break sim/mp differential
+    exactness.  Callers that need
     an unshared view (tests, ``stat`` reporting) construct
     :class:`DiskScheduleCache` directly."""
     cache_key = (os.path.abspath(str(path)), int(rank))

@@ -104,7 +104,9 @@ class UnknownJobKindError(KaliError):
 
 
 def _sha256(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    """SHA-256 of ``arr``'s bytes in C order: hashlib reads a C-contiguous
+    buffer in place, the digest of ``tobytes()`` without the copy."""
+    return hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
 
 
 def _jsonable(value):

@@ -86,18 +86,17 @@ def group_by_dest(owners, arrays: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
 
     ``owners[i]`` names the destination of element ``i``; each packet
     keeps its elements in input order (stable sort), which the owner
-    side relies on for deterministic apply order.
+    side relies on for deterministic apply order.  One sort, one gather
+    per array; a packet's arrays are slices of the gathered ones.
     """
     owners = np.asarray(owners)
     if owners.size == 0:
         return {}
     order = np.argsort(owners, kind="stable")
     sorted_owners = owners[order]
-    dests, starts = np.unique(sorted_owners, return_index=True)
-    bounds = list(starts[1:]) + [owners.size]
-    packets: Dict[int, Dict[str, Any]] = {}
-    for dest, lo, hi in zip(dests, starts, bounds):
-        idx = order[lo:hi]
-        packets[int(dest)] = {name: np.asarray(arr)[idx]
-                              for name, arr in arrays.items()}
-    return packets
+    starts = np.flatnonzero(sorted_owners[1:] != sorted_owners[:-1]) + 1
+    bounds = [0, *starts.tolist(), owners.size]
+    gathered = {name: np.asarray(arr)[order] for name, arr in arrays.items()}
+    return {int(sorted_owners[lo]): {name: arr[lo:hi]
+                                     for name, arr in gathered.items()}
+            for lo, hi in zip(bounds[:-1], bounds[1:])}

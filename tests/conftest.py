@@ -8,6 +8,7 @@ import pytest
 from repro.lang.interp import CompiledKali
 from repro.machine.cost import IDEAL, IPSC2, NCUBE7
 from repro.meshes.regular import five_point_grid
+from repro.runtime.cache import CLOSED_FORM
 from tests import kali_goldens
 
 
@@ -16,6 +17,17 @@ def _kali_goldens(monkeypatch):
     """Hold every pinned Kali run to its golden outcome (see
     ``tests/kali_goldens.py``)."""
     monkeypatch.setattr(CompiledKali, "run", kali_goldens.checked(CompiledKali.run))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_closed_form_memo():
+    """Start and leave every test with an empty process-wide closed-form
+    memo: tests that count or tamper with ``compile_plan`` calls must
+    see their own loops compiled, and a tampered schedule must not
+    reach a later test."""
+    CLOSED_FORM.clear()
+    yield
+    CLOSED_FORM.clear()
 
 
 @pytest.fixture

@@ -453,9 +453,11 @@ def _counting_compile(original):
 
 @pytest.mark.timeout(120)
 def test_pool_job_reuses_the_previous_jobs_plan(tmp_path, monkeypatch):
-    """Two Jacobi jobs on one warm 2-rank pool and one disk cache: the
-    second job's disk hit is served from the store's load memo — the very
-    schedule object the first job executed — so its plan is reused."""
+    """Two Jacobi jobs on one warm 2-rank pool and one disk cache: each
+    loop's plan is compiled once per rank process.  The second job's
+    disk hit is served from the store's load memo — the very schedule
+    object the first job executed — and its closed-form copy schedule
+    from the process's ``CLOSED_FORM`` memo, plan attached."""
     monkeypatch.setattr(executor, "compile_plan",
                         _counting_compile(executor.compile_plan))
     mesh = five_point_grid(8, 8)
@@ -481,10 +483,7 @@ def test_pool_job_reuses_the_previous_jobs_plan(tmp_path, monkeypatch):
     for labels in first.values:
         assert labels.count("jacobi-relax") == 1
     for labels in second.values:
-        # the closed-form copy schedule is rebuilt (and compiled) per job;
-        # the inspected relax schedule, and its plan, came from job 1
-        assert labels.count("jacobi-copy") == 2
-        assert labels.count("jacobi-relax") == 1
+        assert labels == ["jacobi-copy", "jacobi-relax"]
 
 
 # --- receive-side validation ----------------------------------------------

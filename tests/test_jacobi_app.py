@@ -1,5 +1,7 @@
 """Integration tests: the paper's Figure 4 Jacobi program end-to-end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,9 +232,18 @@ class TestMeshes:
 
     def test_mesh_validate_catches_bad_adj(self):
         mesh = five_point_grid(3, 3)
-        mesh.adj[0, 0] = 99
+        adj = mesh.adj.copy()
+        adj[0, 0] = 99
         with pytest.raises(AssertionError):
-            mesh.validate()
+            dataclasses.replace(mesh, adj=adj).validate()
+
+    def test_mesh_arrays_are_read_only(self):
+        mesh = five_point_grid(3, 3)
+        for name in ("adj", "count", "coef"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mesh, name)[0] = 0
+        edited = dataclasses.replace(mesh, adj=mesh.adj.copy())
+        assert not edited.adj.flags.writeable
 
 
 class TestPartitioners:

@@ -19,6 +19,7 @@ Four promises under test:
   messages — that is the whole point.)
 """
 
+import dataclasses
 import os
 import pathlib
 import pickle
@@ -36,7 +37,8 @@ from tests.differential import (
 from repro.apps.jacobi import build_jacobi
 from repro.arrays.darray import DistributedArray
 from repro.lang import compile_kali
-from repro.meshes.regular import five_point_grid
+from repro.core.forall import AffineRead, AffineWrite, Forall, OnOwner
+from repro.meshes.regular import five_point_grid, reference_sweep
 from repro.runtime.schedule import CommSchedule
 from repro.serve import diskcache
 from repro.serve.diskcache import (
@@ -377,7 +379,7 @@ class TestTwoTierIntegration:
         mesh = five_point_grid(10, 10)
         adj = mesh.adj.copy()
         adj[0], adj[1] = mesh.adj[1].copy(), mesh.adj[0].copy()
-        mesh.adj[:] = adj
+        mesh = dataclasses.replace(mesh, adj=adj)
         init = np.random.default_rng(11).random(mesh.n)
         prog = build_jacobi(mesh, 4, initial=init,
                             schedule_cache_dir=str(tmp_path))
@@ -399,6 +401,36 @@ class TestTwoTierIntegration:
         assert res.engine.counter_sum("inspector_runs") == 4
         assert res.engine.counter_sum("schedule_cache_disk_hits") == 0
         assert res.engine.counter_sum("schedule_cache_disk_misses") >= 4
+
+    def test_forall_rewriting_the_indirection_reinspects(self, tmp_path):
+        """A forall that writes ``adj`` leaves the piece's scatter-time
+        content tag naming bytes it no longer holds; the disk tier must
+        not key on it (it used to hit the old adjacency's schedule and
+        the relax sweep silently read the old neighbours)."""
+        mesh = five_point_grid(10, 10)
+        n, width = mesh.n, mesh.width
+        rewired = np.repeat(((np.arange(n) + n // 2) % n)[:, None], width,
+                            axis=1)
+        rewire = Forall(index_range=(0, n - 1), on=OnOwner("adj"),
+                        reads=[AffineRead("adj", name="adj_i")],
+                        writes=[AffineWrite("adj")],
+                        kernel=lambda iters, ops: rewired[iters],
+                        label="rewire")
+        want = reference_sweep(mesh, np.random.default_rng(11).random(n))
+        want = reference_sweep(dataclasses.replace(mesh, adj=rewired), want)
+        _build(tmp_path).run(1)                 # the disk tier knows adj
+        prog = _build(tmp_path)
+        sweep = prog.program(1)
+
+        def program(kr):
+            yield from sweep(kr)
+            yield from kr.forall(rewire)
+            yield from sweep(kr)
+
+        res = prog.ctx.run(program)
+        assert res.engine.counter_sum("schedule_cache_disk_hits") == 4
+        assert res.engine.counter_sum("inspector_runs") == 4
+        np.testing.assert_allclose(prog.solution, want, rtol=1e-12, atol=0)
 
     def test_corrupt_entry_falls_back_to_reinspection(self, tmp_path):
         cold = _build(tmp_path)

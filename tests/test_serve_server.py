@@ -9,10 +9,12 @@ failure isolation (a bad job fails *its* future, the server keeps
 serving), stat/metrics shapes, and the JSON-lines socket round trip.
 """
 
+import hashlib
 import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import KaliError
@@ -24,6 +26,7 @@ from repro.serve.server import (
     JOB_KINDS,
     JobServer,
     ServeClient,
+    _sha256,
     register_job_kind,
 )
 
@@ -335,3 +338,13 @@ class TestCli:
         ])
         capsys.readouterr()
         assert rc == 1
+
+
+@pytest.mark.parametrize("case", ["c-contiguous", "strided", "0-d", "bool"])
+def test_solution_digest_is_the_sha256_of_the_c_order_bytes(case):
+    """``_sha256`` hashes the buffer in place; the digest is the one of
+    the ``tobytes()`` copy it used to hash."""
+    grid = np.arange(24.0).reshape(4, 6)
+    arr = {"c-contiguous": grid, "strided": grid[::2, 1::3],
+           "0-d": np.array(-0.0), "bool": grid > 7.5}[case]
+    assert _sha256(arr) == hashlib.sha256(arr.tobytes()).hexdigest()

@@ -10,6 +10,8 @@ real forked processes must produce bit-identical canonical snapshots
 riding the shm data plane.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.structs import (
     DQueue,
     StructsError,
     bucket_of,
+    group_by_dest,
     grow_buckets,
     merge_results,
     mix64,
@@ -67,6 +70,31 @@ class TestHashing:
         keys = np.arange(300, dtype=np.int64)
         owners = owner_of(keys, 33, 4)
         assert np.array_equal(owners, bucket_of(keys, 33) % 4)
+
+
+class TestGroupByDest:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_packet_per_destination_in_input_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        owners = rng.integers(0, 5, size=n)
+        arrays = {"keys": rng.integers(0, 1 << 40, size=n),
+                  "vals": rng.standard_normal(n),
+                  "rows": rng.standard_normal((n, 3))}
+        packets = group_by_dest(owners, arrays)
+        assert list(packets) == sorted(set(owners.tolist()))
+        for dest, packet in packets.items():
+            assert type(dest) is int and list(packet) == list(arrays)
+            for name, arr in arrays.items():
+                np.testing.assert_array_equal(packet[name],
+                                              arr[owners == dest])
+                assert packet[name].dtype == arr.dtype
+        for a, b in itertools.combinations(packets.values(), 2):
+            assert not np.shares_memory(a["vals"], b["vals"])
+
+    def test_no_elements_no_packets(self):
+        assert group_by_dest(np.empty(0, dtype=np.int64),
+                             {"keys": np.empty(0)}) == {}
 
 
 class TestDHashSemantics:

@@ -34,6 +34,10 @@ from repro.errors import DistributionError
 #: digest)``, dropped when the array dies (see ``_source_digest``)
 _SOURCE_DIGESTS: Dict[int, Tuple[weakref.ref, str]] = {}
 
+#: SHA-256 digests of all-zero contents, by ``(dtype, shape)``: what a
+#: never-written array holds (see ``content_fingerprint``)
+_ZERO_DIGESTS: Dict[Tuple[np.dtype, tuple], str] = {}
+
 
 def _adoptable(values: np.ndarray) -> bool:
     """Whether a :meth:`DistributedArray.set` source can lend its digest:
@@ -143,20 +147,26 @@ class DistributedArray:
         Contents last :meth:`set` from a frozen, self-owning, C-contiguous
         array (``MeshArrays``' arrays, say) take that array's digest from
         a per-process memo, so a driver that builds many contexts over one
-        mesh hashes it once.
+        mesh hashes it once.  So do never-written (version 0, all-zero)
+        contents, whose digest depends only on the dtype and shape.
         """
         if self._fingerprint is None or self._fingerprint[0] != self._version:
             source = self._source
             src = (source[1]() if source is not None
                    and source[0] == self._version else None)
+            zeros = (self.dtype, self.shape)
             if src is not None and not src.flags.writeable:
                 digest = _source_digest(src)
+            elif self._version == 0 and zeros in _ZERO_DIGESTS:
+                digest = _ZERO_DIGESTS[zeros]
             else:
                 # hashlib reads a C-contiguous buffer in place: the
                 # digest of ``tobytes()`` without the copy.
                 digest = hashlib.sha256(
                     np.ascontiguousarray(self._data)
                 ).hexdigest()
+                if self._version == 0:
+                    _ZERO_DIGESTS[zeros] = digest
             self._fingerprint = (self._version, digest)
         return self._fingerprint[1]
 

@@ -41,7 +41,7 @@ from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.launch import check_backend, default_topology, launch
 from repro.machine.stats import RunResult
 from repro.machine.topology import Topology
-from repro.runtime.cache import CLOSED_FORM, ScheduleCache
+from repro.runtime.cache import ScheduleCache
 from repro.runtime.executor import run_executor
 from repro.runtime.inspector import run_inspector
 from repro.runtime.redistribute import redistribute as _redistribute
@@ -84,7 +84,8 @@ class KaliRank:
             # a load.
             disk = shared_disk_cache(schedule_cache_dir, rank.id)
         self.cache = ScheduleCache(enabled=cache_enabled, disk=disk,
-                                   translation=translation)
+                                   translation=translation,
+                                   force_strategy=force_strategy)
         self.force_strategy = force_strategy
         self.translation = translation
         self._tag_seq = 0
@@ -92,7 +93,7 @@ class KaliRank:
         self.strategies_used: Dict[str, str] = {}
         #: the executor's workspaces, kept between executions: per forall
         #: label, the plan they serve and ``{array: workspace}`` (not on
-        #: the plan, which the process's memos share across contexts)
+        #: the plan, which the cache's shared tier shares across contexts)
         self.workspaces: Dict[str, Any] = {}
 
     # --- identity ---------------------------------------------------------
@@ -120,10 +121,10 @@ class KaliRank:
         First execution analyses the loop — symbolically when possible,
         otherwise with the run-time inspector — and caches the schedule;
         subsequent executions reuse it while the indirection data is
-        unchanged.  A closed-form schedule comes from the process's
-        ``CLOSED_FORM`` memo, so a later context (a pool worker's next
-        job) reuses its plan too.  Returns ``{name: value}`` for the
-        loop's reductions (None when it has none).
+        unchanged.  A memory miss asks the cache's shared tier first, so
+        a later context (a pool worker's next job) reuses a schedule and
+        its plan too.  Returns ``{name: value}`` for the loop's
+        reductions (None when it has none).
         """
         cache = self.cache
         hits = cache.hits
@@ -138,15 +139,11 @@ class KaliRank:
         if schedule is None:
             strategy = self.force_strategy or choose_strategy(loop, self.env)
             if strategy is Strategy.COMPILE_TIME:
-                schedule = CLOSED_FORM.schedule(self.rank, loop, self.env,
-                                                self.translation,
-                                                build_closed_form_schedule)
+                schedule = build_closed_form_schedule(self.rank, loop, self.env)
             else:
                 schedule = yield from run_inspector(self.rank, loop, self.env)
-                if self.translation == "enumerated":
-                    schedule.enumerate_translations()
-            self.cache.store_through(loop, schedule, self.env)
-            for cname, amount in self.cache.take_counts().items():
+            schedule = cache.store_through(loop, schedule, self.env)
+            for cname, amount in cache.take_counts().items():
                 yield ApiCount(cname, amount)
         self.strategies_used[loop.label] = schedule.built_by
         tag_base = self._tag_seq
@@ -225,9 +222,6 @@ class _RankOutcome:
     #: the pieces that changed (:meth:`DistributedArray.piece_changed`);
     #: the rest need not come home
     env: Dict[str, LocalArray]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     strategies_used: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
@@ -236,9 +230,6 @@ class _RankOutcome:
         return cls(
             value=value,
             env=env,
-            cache_hits=kr.cache.hits,
-            cache_misses=kr.cache.misses,
-            cache_invalidations=kr.cache.invalidations,
             strategies_used=dict(kr.strategies_used),
         )
 
@@ -295,11 +286,9 @@ class KaliRunResult:
         return self.engine.trace
 
     def cache_stats(self) -> Dict[str, int]:
-        return {
-            "hits": sum(o.cache_hits for o in self.outcomes),
-            "misses": sum(o.cache_misses for o in self.outcomes),
-            "invalidations": sum(o.cache_invalidations for o in self.outcomes),
-        }
+        """Schedule-cache hits, misses and invalidations over all ranks."""
+        return {kind: self.engine.counter_sum(f"schedule_cache_{kind}")
+                for kind in ("hits", "misses", "invalidations")}
 
     def strategies(self) -> Dict[str, str]:
         return dict(self.outcomes[0].strategies_used) if self.outcomes else {}

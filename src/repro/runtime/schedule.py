@@ -170,9 +170,9 @@ class BatchPlan:
     ``local`` before the first receive, ``nonlocal_`` after the last.
 
     Every array here is read-only: a plan is shared by every execution
-    of its schedule (and, through the disk tier's load memo or the
-    closed-form memo, by later jobs of a pool worker), so a kernel writing into an operand it was
-    handed must fail, not corrupt the next sweep.
+    of its schedule (and, through the schedule cache's shared tier, by
+    later jobs of a pool worker), so a kernel writing into an operand it
+    was handed must fail, not corrupt the next sweep.
     """
 
     iters: np.ndarray
@@ -192,7 +192,9 @@ class OpTable:
     """Every op one execution of an :class:`ExecPlan` yields whose fields
     the plan fixes, built by ``repro.runtime.executor`` on the first
     execution under its key (see ``ExecPlan.tables``) and yielded again,
-    the same instances, by every later one.  Only ``Send`` / ``Recv``
+    the same instances, by every later one — in later contexts of the
+    process too, whose schedule cache hands them the same plan from its
+    shared tier.  Only ``Send`` / ``Recv``
     (they carry a payload and a tag), the payload copies and the
     allreduce are built per execution.
 
@@ -226,7 +228,9 @@ class OpTable:
 @dataclass
 class ExecPlan:
     """A :class:`CommSchedule` flattened for execution (built once by
-    ``repro.runtime.executor.compile_plan``, memoised on the schedule).
+    ``repro.runtime.executor.compile_plan``, memoised on the schedule:
+    by the schedule cache when it files the schedule, else by the
+    executor's first execution).
 
     ``sends`` / ``recvs`` are indexed by ``combine_messages`` and list the
     messages in wire order; a send item holds the local offsets (a
@@ -239,10 +243,10 @@ class ExecPlan:
 
     ``tables`` holds one :class:`OpTable` per key: the machine model,
     ``combine_messages``, the schedule's translation kind and the
-    forall's ``replay_key``.  One plan serves several keys: the disk
-    tier's load memo hands one schedule to every context of a worker
-    that uses its directory, ``repro.runtime.cache.CLOSED_FORM`` one
-    closed-form plan to every context of a process, and a caller may
+    forall's ``replay_key``.  One plan serves several keys: the schedule
+    cache's shared tier (``repro.runtime.cache``) hands one schedule to
+    every context of a process — a closed-form one from ``CLOSED_FORM``,
+    an inspected one from the disk tier's load memo — and a caller may
     rebuild a forall around the same label with other cost hints.
 
     Index arrays, counts, names and op tables only: a plan outlives the
@@ -279,8 +283,9 @@ class CommSchedule:
     * ``versions``: versions of the communication-determining arrays at
       inspection time (cache invalidation key),
     * ``plan``: the compiled :class:`ExecPlan` — derived state, set by
-      the executor on first execution and never pickled, so it lives and
-      dies with this object in whichever cache tier holds it,
+      the schedule cache when it adopts the schedule (by the executor's
+      first execution when caching is off) and never pickled, so it
+      lives and dies with this object in whichever cache tier holds it,
     * ``classification``: the inspector's
       :class:`~repro.runtime.inspector.Classification` of ``exec(p)``,
       handed to ``compile_plan``, which consumes and clears it so that

@@ -57,6 +57,7 @@ from repro.errors import KaliError, PoolCrashError
 from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.stats import RunResult
 from repro.obs.registry import MetricsRegistry, write_run_json
+from repro.runtime.cache import DISK_COUNTERS
 from repro.serve.pool import RankPool
 from repro.serve.queue import (
     DEFAULT_TENANT,
@@ -288,14 +289,6 @@ register_job_kind("kali", _run_kali)
 register_job_kind("jacobi_adaptive", _run_jacobi_adaptive)
 register_job_kind("jacobi_served", _run_jacobi_served)
 
-_DISK_COUNTERS = (
-    "schedule_cache_disk_hits",
-    "schedule_cache_disk_misses",
-    "schedule_cache_disk_stores",
-    "schedule_cache_disk_evictions",
-    "schedule_cache_disk_corrupt",
-)
-
 
 # --- one shard -------------------------------------------------------------
 
@@ -468,7 +461,7 @@ class Shard:
             summary=summary,
             inspector_runs=result.counter_sum("inspector_runs"),
         )
-        for name in _DISK_COUNTERS:
+        for name in DISK_COUNTERS:
             record[name.replace("schedule_cache_", "")] = (
                 result.counter_sum(name)
             )
@@ -987,7 +980,7 @@ class JobServer:
         if self.cache_dir is not None:
             disk["entries"] = sum(e["disk_entries"] for e in shard_entries)
             disk["bytes"] = sum(e["disk_bytes"] for e in shard_entries)
-            for name in _DISK_COUNTERS:
+            for name in DISK_COUNTERS:
                 short = name.replace("schedule_cache_", "")
                 disk[short] = sum(r.get(short, 0) for r in done)
         tune: Dict[str, Any] = {"dir": self.tune_dir}

@@ -83,7 +83,8 @@ class LRU:
     """A capped, locked least-recently-used map.
 
     ``get`` refreshes an entry; storing past ``cap`` drops the oldest.
-    Shared by the entry store's memo and the serve shards' table cache.
+    Shared by the entry store's memo, the serve shards' table cache and
+    the process's closed-form schedules (``repro.runtime.cache``).
     """
 
     def __init__(self, cap: int):
@@ -108,6 +109,10 @@ class LRU:
     def pop(self, key, default=None):
         with self._lock:
             return self._items.pop(key, default)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
 
     def __contains__(self, key) -> bool:
         return key in self._items

@@ -456,6 +456,9 @@ class TestJacobiDifferential:
             lambda prog: prog.run(sweeps=4),
         )
         assert pair.sim_result.cache_stats() == pair.mp_result.cache_stats()
+        assert pair.sim_result.cache_stats() == {
+            kind: sum(getattr(kr.cache, kind) for kr in pair.sim_result.kranks)
+            for kind in ("hits", "misses", "invalidations")}
         assert pair.sim_result.strategies() == pair.mp_result.strategies()
         assert pair.mp_result.strategies()["jacobi-relax"] == "inspector"
 

@@ -124,12 +124,19 @@ class TestJobServer:
     def test_submit_resolves_future_with_record(self, tmp_path):
         with JobServer(2, cache_dir=str(tmp_path / "cache")) as server:
             record = server.submit("jacobi", JACOBI).result(timeout=120)
+            disk = server.stat()["disk_cache"]
         assert record["ok"] is True
         assert record["kind"] == "jacobi"
         assert record["backend"] == "pool"
         assert record["inspector_runs"] == 2
         assert record["disk_stores"] == 2
         assert len(record["summary"]["solution_sha256"]) == 64
+        # the disk tier's counters, by their record and ``stat`` names
+        counters = {"disk_hits": 0, "disk_misses": 2, "disk_stores": 2,
+                    "disk_evictions": 0, "disk_corrupt": 0}
+        assert {k: record[k] for k in counters} == counters
+        assert set(disk) == {"dir", "entries", "bytes", *counters}
+        assert {k: disk[k] for k in counters} == counters
 
     def test_identical_jobs_batch_and_hit_disk(self, tmp_path):
         with JobServer(2, cache_dir=str(tmp_path / "cache")) as server:

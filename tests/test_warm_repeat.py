@@ -1,11 +1,12 @@
 """Warm repeats: analysis and hashing are paid once per process.
 
-A rank process keeps its closed-form schedules, compiled, in the
-process-wide ``CLOSED_FORM`` memo (``repro.runtime.cache``), so a warm
-pool worker's next job rebuilds no closed-form schedule, plan or op
-table.  A driver that builds many contexts over one frozen mesh hashes
-its arrays once (``DistributedArray.content_fingerprint``).  Neither may
-move a message, a byte, a counter or a virtual second.
+A rank process keeps its closed-form schedules, compiled, in
+``CLOSED_FORM``, the process-wide backing of its schedule caches' shared
+tier (``repro.runtime.cache``), so a warm pool worker's next job
+rebuilds no closed-form schedule, plan or op table.  A driver that
+builds many contexts over one frozen mesh hashes its arrays once
+(``DistributedArray.content_fingerprint``).  Neither may move a message,
+a byte, a counter or a virtual second.
 """
 
 import hashlib
@@ -28,9 +29,10 @@ from repro.distributions.procs import ProcessorArray
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.meshes.partition import coordinate_bisection
 from repro.meshes.regular import five_point_grid, reference_sweep
-from repro.runtime import executor
-from repro.runtime.cache import CLOSED_FORM, CLOSED_FORM_ENTRIES, ClosedFormMemo
+from repro.runtime import cache, executor
+from repro.runtime.cache import CLOSED_FORM, CLOSED_FORM_ENTRIES, ScheduleCache
 from repro.serve.pool import RankPool
+from repro.util.store import LRU
 from tests.differential import (
     DifferentialPair,
     assert_arrays_identical,
@@ -178,9 +180,9 @@ def test_one_rank_missing_the_memo_runs_the_same_as_all_hitting(compiled):
     all_hit = _jacobi(4, trace=True)
     hit_res = all_hit.run(3)
     assert [c for c in compiled if c[0] == "jacobi-copy"] == []
-    for key, schedule in list(CLOSED_FORM._entries.items()):
+    for key, schedule in list(CLOSED_FORM._items.items()):
         if schedule.rank == 1:
-            del CLOSED_FORM._entries[key]
+            CLOSED_FORM.pop(key)
     one_miss = _jacobi(4, trace=True)
     miss_res = one_miss.run(3)
     assert [c for c in compiled if c[0] == "jacobi-copy"] == [("jacobi-copy", 1)]
@@ -290,32 +292,48 @@ def _shift(k, n=12, label=None):
                   label=label or f"shift-{k}")
 
 
-def test_the_memo_is_a_bounded_lru():
+@pytest.fixture
+def small_memo(monkeypatch):
+    """A 3-entry ``CLOSED_FORM`` in place of the process's."""
+    memo = LRU(3)
+    monkeypatch.setattr(cache, "CLOSED_FORM", memo)
+    return memo
+
+
+def _plan_via_cache(kr, loop):
+    """``loop``'s schedule on ``kr``'s rank through a fresh memory tier,
+    as ``KaliRank.forall`` gets it: the shared tier or a build."""
+    sc = ScheduleCache()
+    got = sc.lookup(loop, kr.env)
+    if got is None:
+        got = sc.store_through(
+            loop, build_closed_form_schedule(kr.rank, loop, kr.env), kr.env)
+    return got
+
+
+def test_the_memo_is_a_bounded_lru(small_memo):
     _ctx, kranks = _shift_context()
     kr = kranks[0]
-    memo = ClosedFormMemo(capacity=3)
     loops = [_shift(k) for k in range(5)]
 
     def plan(k):
-        return memo.schedule(kr.rank, loops[k], kr.env, "ranges",
-                             build_closed_form_schedule).plan
+        return _plan_via_cache(kr, loops[k]).plan
 
     first = [plan(k) for k in range(3)]
-    assert len(memo) == 3
+    assert len(small_memo) == 3
     assert plan(0) is first[0]          # a hit, and now the newest
     plan(3)                             # evicts loop 1, the oldest
-    assert len(memo) == 3
+    assert len(small_memo) == 3
     assert plan(0) is first[0] and plan(2) is first[2]
     assert plan(1) is not first[1]      # rebuilt
-    assert len(memo) == 3
-    assert CLOSED_FORM.capacity == CLOSED_FORM_ENTRIES
+    assert len(small_memo) == 3
+    assert CLOSED_FORM.cap == CLOSED_FORM_ENTRIES
 
 
 @pytest.mark.timeout(60)
-def test_threads_sharing_a_small_memo_get_their_own_stamped_copies():
+def test_threads_sharing_a_small_memo_get_their_own_stamped_copies(small_memo):
     """Serve shards run jobs on threads that share the process's memo."""
     _ctx, kranks = _shift_context()
-    memo = ClosedFormMemo(capacity=3)
     loops = [_shift(k) for k in range(5)]
     problems = []
 
@@ -324,8 +342,7 @@ def test_threads_sharing_a_small_memo_get_their_own_stamped_copies():
         for _ in range(40):
             kr = kranks[int(rng.integers(2))]
             loop = loops[int(rng.integers(len(loops)))]
-            got = memo.schedule(kr.rank, loop, kr.env, "ranges",
-                                build_closed_form_schedule)
+            got = _plan_via_cache(kr, loop)
             if (got.label, got.rank) != (loop.label, kr.id) or got.plan is None \
                     or got.dist_versions != {"A": 0, "C": 0}:
                 problems.append((loop.label, kr.id, got))
@@ -343,7 +360,7 @@ def test_threads_sharing_a_small_memo_get_their_own_stamped_copies():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert problems == []
-    assert len(memo) == 3
+    assert len(small_memo) == 3
 
 
 def test_a_run_with_more_closed_form_loops_than_entries_stays_bounded():
@@ -398,6 +415,7 @@ def sha_calls(monkeypatch):
         return hashlib.sha256(data)
 
     monkeypatch.setattr(darray, "hashlib", types.SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(darray, "_ZERO_DIGESTS", {})
     return calls
 
 
@@ -464,6 +482,24 @@ def test_only_a_frozen_self_owning_same_dtype_source_lends_its_digest(
     assert sha_calls == [arr.data.nbytes]
 
 
+def test_a_never_written_array_is_hashed_once_per_dtype_and_shape(sha_calls):
+    def zeros(dtype=np.float64):
+        return DistributedArray("z", 10, [Block()], ProcessorArray(2),
+                                dtype=dtype)
+
+    first, second = zeros(), zeros()
+    want = hashlib.sha256(np.zeros(10).tobytes()).hexdigest()
+    assert [first.content_fingerprint(), second.content_fingerprint()] == [
+        want, want]
+    assert sha_calls == [80]
+    assert zeros(np.int32).content_fingerprint() == hashlib.sha256(
+        np.zeros(10, np.int32).tobytes()).hexdigest()
+    assert sha_calls == [80, 40]
+    first[0] = 0.0                      # written, if with a zero: hashed
+    assert first.content_fingerprint() == want
+    assert sha_calls == [80, 40, 80]
+
+
 def test_a_sim_run_without_a_disk_tier_hashes_nothing(sha_calls):
     _jacobi(2).run(2)
     assert sha_calls == []
@@ -471,15 +507,15 @@ def test_a_sim_run_without_a_disk_tier_hashes_nothing(sha_calls):
 
 def test_repeat_contexts_over_one_mesh_hash_only_what_changed(sha_calls, tmp_path):
     """A disk tier needs every array's digest.  ``adj``, ``count`` and
-    ``coef`` come from the frozen mesh: hashed by the first context
-    only.  ``a`` (a writable initial vector) and ``old_a`` are hashed by
-    each."""
+    ``coef`` come from the frozen mesh, and ``old_a`` is never written
+    (all zeros): each hashed by the first context only.  ``a`` (a
+    writable initial vector) is hashed by each."""
     mesh = five_point_grid(8, 8)        # not yet hashed in this process
     for _ in range(2):
         build_jacobi(mesh, 2, initial=INIT,
                      schedule_cache_dir=str(tmp_path)).run(1)
     assert sorted(sha_calls) == sorted(
-        [INIT.nbytes] * 4 + [mesh.count.nbytes, mesh.adj.nbytes,
+        [INIT.nbytes] * 3 + [mesh.count.nbytes, mesh.adj.nbytes,
                              mesh.coef.nbytes])
 
 

@@ -83,6 +83,12 @@ class DistributedArray:
     #: in (see :meth:`content_fingerprint`); never pickled
     _source: Optional[tuple] = None
 
+    #: ``(dist, {rank: piece index})``: :meth:`_piece_index` under the
+    #: distribution it was computed for, dropped once ``dist`` is another
+    #: (:meth:`gather_from` adopting a new layout, a learned layout
+    #: applied before scatter); never pickled
+    _pieces: Optional[tuple] = None
+
     def __init__(
         self,
         name: str,
@@ -175,6 +181,7 @@ class DistributedArray:
         array), and the digest it leads to travels as ``_fingerprint``."""
         state = dict(self.__dict__)
         state.pop("_source", None)
+        state.pop("_pieces", None)
         return state
 
     def __resident__(self):
@@ -185,14 +192,24 @@ class DistributedArray:
 
     def _piece_index(self, rank: int):
         """Index of ``rank``'s piece in the global array: basic slices
-        when every axis is one contiguous run, an open mesh otherwise."""
-        dist = self.dist
-        coords = dist.procs.coords_of(rank)
-        axes = [dim.local_indices(0 if pdim is None else coords[pdim])
-                for dim, pdim in zip(dist.dims, dist.proc_dim_of)]
-        if all(a.size and a[-1] - a[0] + 1 == a.size for a in axes):
-            return tuple(slice(int(a[0]), int(a[-1]) + 1) for a in axes)
-        return np.ix_(*axes)
+        when every axis is one contiguous run, an open mesh otherwise.
+        A function of (``dist``, rank) alone, so computed once per pair."""
+        memo = self._pieces
+        if memo is None or memo[0] is not self.dist:
+            memo = self._pieces = (self.dist, {})
+        pieces = memo[1]
+        index = pieces.get(rank)
+        if index is None:
+            dist = self.dist
+            coords = dist.procs.coords_of(rank)
+            axes = [dim.local_indices(0 if pdim is None else coords[pdim])
+                    for dim, pdim in zip(dist.dims, dist.proc_dim_of)]
+            if all(a.size and a[-1] - a[0] + 1 == a.size for a in axes):
+                index = tuple(slice(int(a[0]), int(a[-1]) + 1) for a in axes)
+            else:
+                index = np.ix_(*axes)
+            pieces[rank] = index
+        return index
 
     def scatter(self, rank: int) -> LocalArray:
         """Cut the local piece for ``rank`` (a copy — ranks own their

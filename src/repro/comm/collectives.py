@@ -14,7 +14,7 @@ and accepts a ``tag`` so concurrent collectives cannot interfere.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional
 
 from repro.machine.api import Compute, Count, Rank, Recv, Send
 
@@ -221,13 +221,15 @@ def alltoall(
     payloads: List[Any],
     tag: int = 0,
     phase: str = "alltoall",
+    sizes: Optional[List[int]] = None,
 ):
     """Personalised all-to-all: ``payloads[q]`` goes to rank ``q``.
 
     Returns a list where slot ``q`` holds what rank ``q`` sent here.  Uses
     a pairwise-exchange schedule (P-1 rounds) that avoids hot spots; for
     hypercube-style combining semantics use
-    :func:`repro.comm.crystal.crystal_route` instead.
+    :func:`repro.comm.crystal.crystal_route` instead.  ``sizes[q]``, when
+    given, is the wire size of ``payloads[q]``.
     """
     size, me = rank.size, rank.id
     if len(payloads) != size:
@@ -240,7 +242,8 @@ def alltoall(
     for round_ in range(1, size):
         dest = (me + round_) % size
         src = (me - round_) % size
-        yield Send(dest=dest, payload=payloads[dest], tag=t, phase=phase)
+        yield Send(dest=dest, payload=payloads[dest], tag=t, phase=phase,
+                   nbytes=None if sizes is None else sizes[dest])
         msg = yield Recv(source=src, tag=t, phase=phase)
         result[src] = msg.payload
     return result

@@ -20,7 +20,7 @@ U-shaped inspector-time curve in its Figure 7).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CommunicationError
 from repro.machine.api import Compute, Count, Rank, Recv, Send, payload_nbytes
@@ -35,6 +35,7 @@ def crystal_route(
     tag: int = 0,
     phase: str = "crystal",
     charge_combine: bool = True,
+    sizes: Optional[Dict[int, int]] = None,
 ):
     """Route ``outgoing[dest] -> payload`` packets to their destinations.
 
@@ -46,7 +47,9 @@ def crystal_route(
     ``charge_combine`` controls whether the per-stage software combine cost
     (``machine.combine_stage + combine_byte * bytes``) is charged — the
     paper's inspector accounting includes it; synthetic tests may disable
-    it to check pure routing behaviour.
+    it to check pure routing behaviour.  ``sizes[dest]``, when given, is
+    the wire size of ``outgoing[dest]`` (a caller that knows it in closed
+    form); otherwise each packet is sized by ``payload_nbytes``.
     """
     size, me = rank.size, rank.id
     if not is_power_of_two(size):
@@ -69,7 +72,9 @@ def crystal_route(
         if dest == me:
             delivered[me] = payload  # local packets deliver at no cost
         else:
-            pending.append((dest, me, payload, payload_nbytes(payload)))
+            nbytes = (payload_nbytes(payload) if sizes is None
+                      else sizes[dest])
+            pending.append((dest, me, payload, nbytes))
 
     for d in range(dim):
         bit = 1 << d

@@ -19,7 +19,7 @@ array is created.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +86,17 @@ class DimDistribution:
     def to_local(self, index: IndexLike) -> IndexLike:
         """Storage offset of ``index`` on its owner."""
         raise NotImplementedError
+
+    def locate(self, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner(index), to_local(index))`` of an index array from one
+        bounds check and one pass — what the inspector records for every
+        reference it classifies."""
+        self._require_bound()
+        return self._locate(self._check_index(index))
+
+    def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Subclass hook: owners and offsets of bounds-checked indices."""
+        return np.asarray(self.owner(arr)), np.asarray(self.to_local(arr))
 
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         """Global index of local ``offset`` on processor ``proc``."""

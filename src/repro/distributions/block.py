@@ -45,6 +45,11 @@ class Block(DimDistribution):
         loc = arr % self.block_size
         return loc if isinstance(index, np.ndarray) else int(loc)
 
+    def _locate(self, arr: np.ndarray):
+        size = self.block_size
+        owners = arr // size
+        return owners, arr - owners * size
+
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()
         base = proc * self.block_size

@@ -48,6 +48,13 @@ class BlockCyclic(DimDistribution):
         loc = local_block * self.block_size + arr % self.block_size
         return loc if isinstance(index, np.ndarray) else int(loc)
 
+    def _locate(self, arr: np.ndarray):
+        size = self.block_size
+        block = arr // size
+        local_block = block // self.nprocs
+        # offset: local_block * size + (arr - block * size)
+        return block - local_block * self.nprocs, arr - (block - local_block) * size
+
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()
         off = np.asarray(offset)

@@ -66,6 +66,9 @@ class Custom(DimDistribution):
         out = self._offsets[self._check_index(index)]
         return out if out.ndim else int(out)
 
+    def _locate(self, arr: np.ndarray):
+        return self._map[arr], self._offsets[arr]
+
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()
         mine = self._locals[proc]

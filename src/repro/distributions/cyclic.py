@@ -37,6 +37,10 @@ class Cyclic(DimDistribution):
         loc = arr // self.nprocs
         return loc if isinstance(index, np.ndarray) else int(loc)
 
+    def _locate(self, arr: np.ndarray):
+        offsets = arr // self.nprocs
+        return arr - offsets * self.nprocs, offsets
+
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()
         out = np.asarray(offset) * self.nprocs + proc

@@ -39,6 +39,9 @@ class Replicated(DimDistribution):
         arr = self._check_index(index)
         return arr if isinstance(index, np.ndarray) else int(arr)
 
+    def _locate(self, arr: np.ndarray):
+        return np.zeros_like(arr), arr
+
     def to_global(self, proc: int, offset: IndexLike) -> IndexLike:
         self._require_bound()
         out = np.asarray(offset)

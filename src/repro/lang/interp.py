@@ -47,6 +47,7 @@ from repro.lang.lower import ArrayInfo, fingerprint_names, lower_forall, rank_fo
 from repro.lang.parser import parse
 from repro.lang.sema import SymbolTable, analyze
 from repro.machine.cost import MachineModel, NCUBE7
+from repro.util.store import LRU
 
 
 @dataclass
@@ -60,7 +61,10 @@ class KaliLangResult:
 
 
 class CompiledKali:
-    """A parsed, semantically checked Kali program, ready to run."""
+    """A parsed, semantically checked Kali program, ready to run.
+
+    Read-only once built: ``run`` keeps its per-run state elsewhere, so
+    one instance serves every run (``compile_kali`` shares it)."""
 
     def __init__(self, source: str):
         self.source = source
@@ -475,6 +479,23 @@ def _format_value(v) -> str:
     return str(v)
 
 
+#: most compiled programs one process keeps (see ``compile_kali``)
+COMPILED_ENTRIES = 32
+
+#: this process's compiled programs by source text, shared by every
+#: caller (serve shards compile in threads: the LRU is locked)
+_COMPILED = LRU(COMPILED_ENTRIES)
+
+
 def compile_kali(source: str) -> CompiledKali:
-    """Parse and semantically check Kali source; returns a runnable program."""
-    return CompiledKali(source)
+    """Parse and semantically check Kali source; returns a runnable program.
+
+    A source compiles once per process: the program is kept, by source
+    text, in a bounded LRU and handed to every later caller — a
+    ``CompiledKali`` is not changed by running it (``run`` only reads
+    the AST and the symbol table).  A source that fails to compile is
+    not kept, so it raises on every call."""
+    compiled = _COMPILED.get(source)
+    if compiled is None:
+        compiled = _COMPILED[source] = CompiledKali(source)
+    return compiled

@@ -105,6 +105,9 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        #: ``(forall, env, tier, key)`` of the last memory miss, which
+        #: :meth:`store_through` reuses for the schedule built after it
+        self._missed: Optional[tuple] = None
         # The disk tier may be a process-shared instance carrying
         # counters from earlier runs (see ``shared_disk_cache``);
         # baseline them so take_counts() reports this run's deltas.
@@ -175,6 +178,7 @@ class ScheduleCache:
         else:
             self.misses += 1
         tier, key = self._shared(forall, env)
+        self._missed = (forall, env, tier, key)
         if key is None:
             return None
         if tier is CLOSED_FORM:
@@ -223,7 +227,11 @@ class ScheduleCache:
         if not self.enabled:
             return schedule
         sched = self._adopt(forall, env, schedule)
-        tier, key = self._shared(forall, env)
+        missed, self._missed = self._missed, None
+        if missed is not None and missed[0] is forall and missed[1] is env:
+            tier, key = missed[2:]      # the miss this schedule answers
+        else:
+            tier, key = self._shared(forall, env)
         if key is not None:
             if tier is CLOSED_FORM:
                 tier[key] = schedule

@@ -73,20 +73,21 @@ def _positions(arr: LocalArray, asched: ArraySchedule, ref: RefClass):
     """Workspace positions of the references ``ref`` classifies (dead
     slots → the zero row) plus the local / remote live-reference counts.
 
-    The owners come with ``ref``; remote rows go through the translation
-    table here, once: a miss raises at compile time, and the virtual
-    clock still charges the per-reference O(log r) search on every
-    execution."""
+    The owners and home offsets come with ``ref`` (a local reference's
+    home offset is its local row); remote ones go through the
+    translation table here, once: a miss raises at compile time, and the
+    virtual clock still charges the per-reference O(log r) search on
+    every execution."""
     n_rows = arr.data.shape[0]
-    dim0 = arr.dist.dims[0]
-    elems, remote = ref.elems, ref.remote
+    offsets, remote = ref.offsets, ref.remote
     local = ~remote if ref.live is None else ref.live & ~remote
-    pos = np.full(elems.shape, n_rows + asched.buffer_len, dtype=np.int64)
-    pos[local] = dim0.to_local(elems[local])
-    if remote.any():
-        offs = np.asarray(dim0.to_local(elems[remote]))
-        pos[remote] = n_rows + asched.translation.lookup(ref.owners[remote], offs)
-    return pos, int(local.sum()), int(remote.sum())
+    pos = np.where(local, offsets, n_rows + asched.buffer_len).astype(
+        np.int64, copy=False)
+    n_remote = int(np.count_nonzero(remote))
+    if n_remote:
+        pos[remote] = n_rows + asched.translation.lookup(ref.owners[remote],
+                                                         offsets[remote])
+    return pos, int(np.count_nonzero(local)), n_remote
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -202,34 +203,80 @@ def _messages(per_array: Dict[str, Dict[int, object]], combine: bool) -> List[Me
             for a_idx, a in enumerate(order) for q in sorted(per_array[a])]
 
 
+def _send_indices(label: str, asched: ArraySchedule) -> Dict[int, Index]:
+    """Every peer's send index of one array from its out records
+    (sorted by peer, then low): one walk over the records finds where
+    each peer's run starts and whether its blocks abut, and one
+    vectorised range expansion gives the offsets of all records back to
+    back.  A peer's index is a ``slice`` when its offsets are one
+    ascending run (as ``_index`` decides)."""
+    recs = asched.out_records
+    if not recs:
+        return {}
+    peers: List[int] = []
+    cuts: List[int] = []          # where each peer's offsets start
+    abut: List[bool] = []         # does each peer's run have no gap?
+    shifts: List[int] = []        # per record: low - (its first position)
+    counts: List[int] = []
+    total = 0
+    prev = None
+    for r in recs:
+        if prev is None or r.to_proc != prev.to_proc:
+            if prev is not None and r.to_proc < prev.to_proc:
+                raise InspectorError(f"{label}: out records of "
+                                     f"{asched.array} are not sorted by peer")
+            peers.append(r.to_proc)
+            cuts.append(total)
+            abut.append(True)
+        elif r.low != prev.high + 1:
+            abut[-1] = False
+        shifts.append(r.low - total)
+        counts.append(r.count)
+        total += r.count
+        prev = r
+    cuts.append(total)
+    offsets = np.arange(total, dtype=np.int64) + np.repeat(
+        np.array(shifts, dtype=np.int64), counts)
+    return {q: (slice(int(offsets[a]), int(offsets[b - 1]) + 1) if whole
+                else _frozen(offsets[a:b]))
+            for q, a, b, whole in zip(peers, cuts, cuts[1:], abut)}
+
+
+def _receive_slices(label: str, asched: ArraySchedule,
+                    n_rows: int) -> Dict[int, Tuple[int, int]]:
+    """Every peer's ``(start, count)`` workspace slice of one array: its
+    in records must tile one contiguous run of the receive buffer."""
+    runs: Dict[int, List[int]] = {}
+    for r in asched.in_records:
+        run = runs.get(r.from_proc)
+        if run is None:
+            runs[r.from_proc] = [r.buffer_start, r.count]
+        elif run[0] + run[1] == r.buffer_start:
+            run[1] += r.count
+        else:
+            raise InspectorError(
+                f"{label}: blocks of {asched.array} from {r.from_proc} are "
+                "not contiguous in the receive buffer"
+            )
+    return {q: (n_rows + start, count) for q, (start, count) in runs.items()}
+
+
 def compile_plan(forall: Forall, env: Dict[str, LocalArray],
                  schedule: CommSchedule) -> ExecPlan:
     """Flatten ``schedule`` into the indices an execution needs.
 
     All of the executor's index arithmetic lives here (and in the
-    helpers above): local-offset lookups, translation-table searches and
-    range-record walks happen once per schedule, not once per sweep.
-    The stale-schedule check runs here too, before any message is sent.
+    helpers above): translation-table searches and range-record walks
+    happen once per schedule, not once per sweep, and each reference's
+    home offset comes from the classification.  The stale-schedule
+    check runs here too, before any message is sent.
     """
     send_idx: Dict[str, Dict[int, Index]] = {}
     recv_at: Dict[str, Dict[int, Tuple[int, int]]] = {}
     for name, asched in schedule.arrays.items():
-        n_rows = env[name].data.shape[0]
-        send_idx[name] = {
-            q: _index(np.concatenate([np.arange(r.low, r.high + 1)
-                                      for r in asched.ranges_for_peer_out(q)]))
-            for q in asched.peers_out()
-        }
-        recv_at[name] = {}
-        for q in asched.peers_in():
-            recs = asched.ranges_for_peer_in(q)
-            count = sum(r.count for r in recs)
-            if recs[-1].buffer_start + recs[-1].count - recs[0].buffer_start != count:
-                raise InspectorError(
-                    f"{forall.label}: blocks of {name} from {q} are not "
-                    "contiguous in the receive buffer"
-                )
-            recv_at[name][q] = (n_rows + recs[0].buffer_start, count)
+        send_idx[name] = _send_indices(forall.label, asched)
+        recv_at[name] = _receive_slices(forall.label, asched,
+                                        env[name].data.shape[0])
     batch = _compile_batch(forall, env, schedule)
     # A workspace only where data lands past the local rows: a receive
     # buffer, or a gather that addresses the zero row.

@@ -40,13 +40,18 @@ from repro.core.forall import (
     OnOwner,
     OnProcessor,
 )
-from repro.errors import InspectorError
+from repro.errors import DistributionError, InspectorError
 from repro.machine.api import Compute, Count, Rank
-from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce_ranges
+from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce
 from repro.util.gray import is_power_of_two
-from repro.util.sections import unique_ints
 
 PHASE = "inspector"
+
+#: wire size of one ``(array name, low, high)`` request record: what
+#: ``payload_nbytes`` charges a short string (64) and two ints (8 each)
+REQUEST_BYTES = 80
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def _affine_preimage_of_indices(indices: np.ndarray, fn: Affine) -> np.ndarray:
@@ -127,15 +132,16 @@ def _require_1d_proc_grid(local: LocalArray) -> None:
 class RefClass(NamedTuple):
     """One read's references from a batch of iterations, classified.
 
-    ``elems`` are the global rows referenced (per iteration, and for an
-    indirect read per slot, dead slots clamped to row 0), ``owners``
-    their home processors and ``remote`` the live references homed
-    elsewhere.  An indirect read also carries ``live``, the mask
-    ``arange(width) < counts``, and ``counts``, the live width per
-    iteration; both are None for an affine read."""
+    Per reference (per iteration, and for an indirect read per slot, dead
+    slots clamped to row 0): ``owners``, the home processors of the
+    global rows referenced, ``offsets``, their storage offsets there,
+    and ``remote``, the live references homed elsewhere.  An indirect
+    read also carries ``live``, the mask ``arange(width) < counts``, and
+    ``counts``, the live width per iteration; both are None for an
+    affine read."""
 
-    elems: np.ndarray
     owners: np.ndarray
+    offsets: np.ndarray
     remote: np.ndarray
     live: Optional[np.ndarray]
     counts: Optional[np.ndarray]
@@ -151,6 +157,15 @@ class Classification(NamedTuple):
     any_remote: np.ndarray
 
 
+def _owned_rows(local: LocalArray, iters: np.ndarray, misaligned: str) -> np.ndarray:
+    """The local rows of global rows ``iters`` of ``local``, located in
+    one pass; raises ``misaligned`` unless this rank owns all of them."""
+    owners, rows = local.dist.dims[0].locate(iters)
+    if not np.all(owners == _dim0_proc_coord(local)):
+        raise InspectorError(misaligned)
+    return rows
+
+
 def _indirect_elems(read: IndirectRead, iters: np.ndarray,
                     env: Dict[str, LocalArray]):
     """``(elems, live, counts)`` of ``read`` over ``iters``:
@@ -161,20 +176,18 @@ def _indirect_elems(read: IndirectRead, iters: np.ndarray,
         raise InspectorError(
             f"indirect read target {read.array!r} must be one-dimensional"
         )
-    if not np.all(table.owns(iters)):
-        raise InspectorError(
-            f"indirection table {read.table!r} is not aligned with the on "
-            "clause: some executed rows are remote"
-        )
-    rows = table.get_rows(iters) + read.offset
+    rows = table.data[_owned_rows(
+        table, iters,
+        f"indirection table {read.table!r} is not aligned with the on "
+        "clause: some executed rows are remote")] + read.offset
     if rows.ndim == 1:
         rows = rows[:, None]
     width = rows.shape[1]
     if read.count is not None:
         count = env[read.count]
-        if not np.all(count.owns(iters)):
-            raise InspectorError(f"count array {read.count!r} is not aligned")
-        counts = count.get_rows(iters).astype(np.int64)
+        counts = count.data[_owned_rows(
+            count, iters, f"count array {read.count!r} is not aligned"
+        )].astype(np.int64)
     else:
         counts = np.full(iters.shape, width, dtype=np.int64)
     live = np.arange(width)[None, :] < counts[:, None]
@@ -184,12 +197,15 @@ def _indirect_elems(read: IndirectRead, iters: np.ndarray,
 
 def classify(forall: Forall, env: Dict[str, LocalArray],
              iters: np.ndarray) -> Classification:
-    """The owner of every reference the iterations ``iters`` make.
+    """The owner and home offset of every reference the iterations
+    ``iters`` make, each located once (one bounds check, one pass).
 
     One function, two callers: the inspector classifies ``exec(p)`` and
     leaves the result on its schedule, where ``compile_plan`` takes it;
     ``compile_plan`` calls this itself only for a schedule that arrives
     without one (loaded from the disk tier, or built in closed form).
+    Either way the plan reads the offsets from here, and the inspector's
+    nonlocal set is the (owner, offset) pairs of the remote references.
     """
     refs: List[Optional[RefClass]] = []
     any_remote = np.zeros(iters.shape, dtype=bool)
@@ -204,25 +220,33 @@ def classify(forall: Forall, env: Dict[str, LocalArray],
             elems, live, counts = _indirect_elems(read, iters, env)
         else:
             raise InspectorError(f"unknown read descriptor {read!r}")
-        owners = np.asarray(arr.dist.dims[0].owner(elems))
+        try:
+            owners, offsets = arr.dist.dims[0].locate(elems)
+        except DistributionError:
+            _range_error(forall, read, arr, elems, live)
+            raise
         remote = owners != _dim0_proc_coord(arr)
         if live is None:
             any_remote |= remote
         else:
             remote &= live
             any_remote |= remote.any(axis=1)
-        refs.append(RefClass(elems, owners, remote, live, counts))
+        refs.append(RefClass(owners, offsets, remote, live, counts))
     return Classification(refs, any_remote)
 
 
-def _check_range(forall: Forall, read, arr: LocalArray, ref: RefClass) -> None:
-    elems = ref.elems if ref.live is None else ref.elems[ref.live]
+def _range_error(forall: Forall, read, arr: LocalArray, elems: np.ndarray,
+                 live: Optional[np.ndarray]) -> None:
+    """Raise the forall-level error if live references of ``read`` lie
+    outside the array (dead indirection slots are clamped to row 0)."""
+    if live is not None:
+        elems = elems[live]
     if not elems.size:
         return
     lo_e, hi_e = int(elems.min()), int(elems.max())
     if lo_e >= 0 and hi_e < arr.dist.shape[0]:
         return
-    if ref.live is None:
+    if live is None:
         raise InspectorError(
             f"{forall.label}: reference {read.operand_name()} "
             f"subscript out of range [{lo_e}, {hi_e}]"
@@ -247,15 +271,15 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
     exec_iters = compute_exec(forall, rank, env)
     classification = classify(forall, env, exec_iters)
 
-    total_checks = 0
-    # per-array: list of global element indices found nonlocal
-    nonlocal_elems: Dict[str, List[np.ndarray]] = {}
+    total_checks = total_nonlocal = 0
+    # per array: the (owner, offset) pairs of its remote references
+    nonlocal_refs: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
     for read, ref in zip(forall.reads, classification.refs):
-        pieces = nonlocal_elems.setdefault(read.array, [])
         if ref is None:
             continue
-        _check_range(forall, read, env[read.array], ref)
-        pieces.append(ref.elems[ref.remote])
+        pair = (ref.owners[ref.remote], ref.offsets[ref.remote])
+        nonlocal_refs.setdefault(read.array, []).append(pair)
+        total_nonlocal += pair[0].size
         total_checks += int(exec_iters.size if ref.live is None else ref.live.sum())
 
     # Verify the owner-computes discipline for writes (once, at inspection);
@@ -285,10 +309,6 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
     # Charge the classification sweep (Figure 6's first loop) plus the
     # sorted-array insertions for elements found nonlocal (§3.3 notes the
     # O(r) insertion cost of the range-array representation).
-    total_nonlocal = sum(
-        int(sum(piece.size for piece in pieces))
-        for pieces in nonlocal_elems.values()
-    )
     yield Compute(
         rank.machine.inspect_ref * total_checks
         + rank.machine.insert_elem * total_nonlocal,
@@ -298,7 +318,8 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
     yield Count("inspector_checks", total_checks)
     yield Count("inspector_nonlocal", total_nonlocal)
 
-    # Build per-array in-sets as (home proc -> home local offsets).
+    # Build per-array in-sets: one (owner, offset)-sorted array per array,
+    # whose breaks are every peer's coalesced ranges at once.
     schedule = CommSchedule(
         label=forall.label,
         rank=rank.id,
@@ -308,37 +329,33 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
     )
     request_payload: Dict[int, List[Tuple[str, int, int]]] = {}
     for name in sorted({r.array for r in forall.reads}):
-        arr = env[name]
-        me_coord = _dim0_proc_coord(arr)
-        pieces = nonlocal_elems.get(name, [])
-        elems = (
-            unique_ints(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
-        )
-        asched = ArraySchedule(array=name)
-        if elems.size:
-            dim0 = arr.dist.dims[0]
-            owners = np.asarray(dim0.owner(elems))
-            offsets = np.asarray(dim0.to_local(elems))
-            peer_offsets = {
-                int(q): offsets[owners == q] for q in unique_ints(owners)
-            }
-            # Owners are processor coords along proc dim 0 == ranks (1-d grid).
-            asched.in_records = coalesce_ranges(peer_offsets, rank.id, incoming=True)
-        asched.finalize()
-        schedule.arrays[name] = asched
+        pairs = nonlocal_refs.get(name)
+        owners = offsets = _NONE
+        if pairs:
+            owners = np.concatenate([owner for owner, _ in pairs])
+            offsets = np.concatenate([offset for _, offset in pairs])
+        # Owners are processor coords along proc dim 0 == ranks (1-d grid).
+        runs = coalesce(owners, offsets)
+        asched = schedule.arrays[name] = ArraySchedule(array=name)
+        asched.receive(runs, rank.id)
         for rec in asched.in_records:
             request_payload.setdefault(rec.from_proc, []).append(
                 (name, rec.low, rec.high)
             )
 
-    # Global transpose: ship each in-range request to its home processor.
+    # Global transpose: ship each in-range request to its home processor,
+    # sized in closed form (what ``payload_nbytes`` gives the list).
+    sizes = {q: REQUEST_BYTES * len(reqs) for q, reqs in request_payload.items()}
     if is_power_of_two(rank.size):
         replies = yield from crystal_route(
-            rank, request_payload, phase=PHASE, charge_combine=True
+            rank, request_payload, phase=PHASE, charge_combine=True,
+            sizes=sizes,
         )
     else:
         outbound = [request_payload.get(q, None) for q in range(rank.size)]
-        gathered = yield from alltoall(rank, outbound, phase=PHASE)
+        gathered = yield from alltoall(
+            rank, outbound, phase=PHASE,
+            sizes=[sizes.get(q, 0) for q in range(rank.size)])
         replies = {q: req for q, req in enumerate(gathered) if req}
 
     # out(p,q) = requests received from q, sorted by (q, low) per Figure 5.

@@ -27,7 +27,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import InspectorError
-from repro.runtime.translation import EnumeratedTable, TranslationTable
+from repro.runtime.translation import (
+    EnumeratedTable,
+    TranslationTable,
+    check_key_width,
+    range_keys,
+    split_keys,
+)
 from repro.util.sections import unique_ints
 
 
@@ -56,6 +62,35 @@ class RangeRecord:
         return self.high - self.low + 1
 
 
+#: the coalesced runs of a set of (peer, offset) pairs: per run its
+#: peer, low and high offsets (int64 arrays), ordered by (peer, low)
+Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
+_NO_RUNS: Runs = (_NONE, _NONE, _NONE)
+
+
+def coalesce(peers: np.ndarray, offsets: np.ndarray) -> Runs:
+    """Every peer's sorted, coalesced ranges in one pass.
+
+    ``(peers[k], offsets[k])`` names one element exchanged with peer
+    ``peers[k]`` by its offset on the home processor; pairs may repeat.
+    The pairs are deduplicated and sorted by (peer, offset) — the
+    paper's primary/secondary sort keys — as one key array, and a run
+    ends wherever the next key is not one more: another peer, or a gap.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if not offsets.size:
+        return _NO_RUNS
+    check_key_width(offsets)
+    keys = unique_ints(range_keys(np.asarray(peers, dtype=np.int64), offsets))
+    ends = np.flatnonzero(np.diff(keys) != 1)
+    run_peers, lows = split_keys(keys[np.concatenate(([0], ends + 1))])
+    highs = split_keys(keys[np.append(ends, keys.size - 1)])[1]
+    return run_peers, lows, highs
+
+
 def coalesce_ranges(
     peer_offsets: Dict[int, np.ndarray],
     me: int,
@@ -65,28 +100,36 @@ def coalesce_ranges(
 
     ``peer_offsets[q]`` holds the (home-processor-local) offsets of the
     elements exchanged with peer ``q``.  Offsets are deduplicated and
-    sorted, adjacent offsets merge into one record.  Records are ordered
-    by (peer, low) — the paper's primary/secondary sort keys — and
-    ``buffer_start`` is assigned cumulatively for incoming records.
+    sorted, adjacent offsets merge into one record (:func:`coalesce`).
+    Records are ordered by (peer, low) and ``buffer_start`` is assigned
+    cumulatively for incoming records.
     """
+    chunks = [np.asarray(offs, dtype=np.int64).ravel()
+              for offs in peer_offsets.values()]
+    peers = np.repeat(np.fromiter(peer_offsets, dtype=np.int64,
+                                  count=len(peer_offsets)),
+                      [c.size for c in chunks])
+    offsets = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+    runs = coalesce(peers, offsets)
+    if incoming:
+        return in_records(runs, me)[0]
+    return [RangeRecord(from_proc=me, to_proc=q, low=low, high=high)
+            for q, low, high in zip(*(a.tolist() for a in runs))]
+
+
+def in_records(runs: Runs, me: int) -> Tuple[List[RangeRecord], List[int], int]:
+    """The records of incoming ``runs``, their buffer starts and the
+    buffer length: each run lands after the one before it, in (peer,
+    low) order."""
     records: List[RangeRecord] = []
+    starts: List[int] = []
     buf = 0
-    for q in sorted(peer_offsets):
-        offs = unique_ints(peer_offsets[q])
-        if offs.size == 0:
-            continue
-        breaks = np.nonzero(np.diff(offs) > 1)[0]
-        lows = offs[np.concatenate(([0], breaks + 1))].tolist()
-        highs = offs[np.concatenate((breaks, [offs.size - 1]))].tolist()
-        for low, high in zip(lows, highs):
-            if incoming:
-                rec = RangeRecord(from_proc=q, to_proc=me, low=low, high=high,
-                                  buffer_start=buf)
-                buf += high - low + 1
-            else:
-                rec = RangeRecord(from_proc=me, to_proc=q, low=low, high=high)
-            records.append(rec)
-    return records
+    for q, low, high in zip(*(a.tolist() for a in runs)):
+        records.append(RangeRecord(from_proc=q, to_proc=me, low=low,
+                                   high=high, buffer_start=buf))
+        starts.append(buf)
+        buf += high - low + 1
+    return records, starts, buf
 
 
 @dataclass
@@ -110,6 +153,14 @@ class ArraySchedule:
         """Build the translation table from the (already sorted) in records."""
         self.buffer_len = sum(r.count for r in self.in_records)
         self.translation = TranslationTable.from_records(self.in_records)
+
+    def receive(self, runs: Runs, me: int) -> None:
+        """Set the in records from :func:`coalesce`'d ``runs`` and build
+        the buffer length and translation table from the same arrays."""
+        self.in_records, starts, self.buffer_len = in_records(runs, me)
+        peers, lows, highs = runs
+        self.translation = TranslationTable(
+            range_keys(peers, lows), highs, np.array(starts, dtype=np.int64))
 
     def to_enumerated(self) -> None:
         """Swap the sorted-range table for a full enumeration (Saltz, §5)."""

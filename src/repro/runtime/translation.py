@@ -29,8 +29,22 @@ _KEY_SHIFT = 40
 _KEY_LIMIT = 1 << _KEY_SHIFT
 
 
-def _keys(procs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def range_keys(procs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """One sortable int64 per (proc, offset) pair: ordering the keys
+    orders the pairs by proc, then offset, and two pairs are adjacent
+    offsets of one proc exactly when their keys differ by one."""
     return (procs.astype(np.int64) << _KEY_SHIFT) | offsets.astype(np.int64)
+
+
+def split_keys(keys: np.ndarray):
+    """``(procs, offsets)`` of :func:`range_keys` keys."""
+    return keys >> _KEY_SHIFT, keys & (_KEY_LIMIT - 1)
+
+
+def check_key_width(offsets: np.ndarray) -> None:
+    """Raise unless every offset fits a :func:`range_keys` key."""
+    if offsets.size and int(offsets.max()) >= _KEY_LIMIT:
+        raise InspectorError("offset exceeds translation key width")
 
 
 class TranslationTable:
@@ -59,9 +73,7 @@ class TranslationTable:
             raise InspectorError("in records are not sorted by (proc, low)")
         highs = np.array([r.high for r in in_records], dtype=np.int64)
         starts = np.array([r.buffer_start for r in in_records], dtype=np.int64)
-        for r in in_records:
-            if r.low >= _KEY_LIMIT or r.high >= _KEY_LIMIT:
-                raise InspectorError("offset exceeds translation key width")
+        check_key_width(highs)      # a record's low never exceeds its high
         return cls(lows, highs, starts)
 
     def lookup(self, procs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -76,7 +88,7 @@ class TranslationTable:
             if procs.size:
                 raise InspectorError("lookup on empty translation table")
             return np.empty(0, dtype=np.int64)
-        keys = _keys(procs, offsets)
+        keys = range_keys(procs, offsets)
         idx = np.searchsorted(self.range_keys_low, keys, side="right") - 1
         if (idx < 0).any():
             raise InspectorError("translation miss: element below every range")
@@ -97,7 +109,7 @@ class TranslationTable:
         offsets = np.asarray(offsets, dtype=np.int64)
         if self.num_ranges == 0:
             return np.zeros(procs.shape, dtype=bool)
-        keys = _keys(procs, offsets)
+        keys = range_keys(procs, offsets)
         idx = np.searchsorted(self.range_keys_low, keys, side="right") - 1
         idx_ok = idx >= 0
         idx = np.maximum(idx, 0)
@@ -126,7 +138,7 @@ class EnumeratedTable:
     __slots__ = ("_map", "num_entries")
 
     def __init__(self, procs: np.ndarray, offsets: np.ndarray, slots: np.ndarray):
-        keys = _keys(np.asarray(procs, np.int64), np.asarray(offsets, np.int64))
+        keys = range_keys(np.asarray(procs, np.int64), np.asarray(offsets, np.int64))
         self._map = dict(zip(keys.tolist(), np.asarray(slots, np.int64).tolist()))
         self.num_entries = len(self._map)
 
@@ -144,7 +156,7 @@ class EnumeratedTable:
                    np.array(slots, np.int64))
 
     def lookup(self, procs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        keys = _keys(np.asarray(procs, np.int64), np.asarray(offsets, np.int64))
+        keys = range_keys(np.asarray(procs, np.int64), np.asarray(offsets, np.int64))
         try:
             return np.fromiter(
                 (self._map[k] for k in keys.tolist()), dtype=np.int64, count=keys.size

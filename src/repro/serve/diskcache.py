@@ -48,7 +48,10 @@ import hashlib
 import os
 import pickle
 import struct
+import weakref
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.arrays.localview import LocalArray
 from repro.core.forall import (
@@ -59,7 +62,7 @@ from repro.core.forall import (
     OnProcessor,
 )
 from repro.runtime.schedule import CommSchedule
-from repro.util.store import EntryStore, _hash_update_str
+from repro.util.store import EntryStore, _hash_update_str, _length_prefixed
 
 SCHEDCACHE_FORMAT = "repro-schedcache-v1"
 
@@ -116,6 +119,40 @@ def _on_token(forall: Forall) -> str:
     return repr(on)  # pragma: no cover - future on-clauses
 
 
+#: the key bytes of each live ``ArrayDistribution`` (see ``_layout_bytes``)
+_LAYOUT_BYTES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+#: the key bytes of each dtype (see ``_dtype_bytes``)
+_DTYPE_BYTES: Dict[np.dtype, bytes] = {}
+
+
+def _layout_bytes(dist) -> bytes:
+    """What an array's layout contributes to the key: its ``repr`` and
+    every placement parameter.  ``repr()`` names the pattern but not every
+    parameter — a Custom owner map in particular.  Two custom layouts of
+    the same extent must never share a key (a redistributed array would
+    hit the old layout's schedule), so the params are hashed directly.
+    A distribution is not changed once built, so its bytes are computed
+    once per object (a new owner map is a new object)."""
+    out = _LAYOUT_BYTES.get(dist)
+    if out is None:
+        parts = [_length_prefixed(repr(dist))]
+        for dim in dist.dims:
+            for param in dim._layout_params():
+                parts.append(param if isinstance(param, bytes)
+                             else str(param).encode())
+        out = _LAYOUT_BYTES[dist] = b"".join(parts)
+    return out
+
+
+def _dtype_bytes(dtype: np.dtype) -> bytes:
+    """What an array's dtype contributes to the key, once per dtype."""
+    out = _DTYPE_BYTES.get(dtype)
+    if out is None:
+        out = _DTYPE_BYTES[dtype] = _length_prefixed(str(dtype))
+    return out
+
+
 def schedule_content_key(
     forall: Forall,
     env: Dict[str, LocalArray],
@@ -150,16 +187,8 @@ def schedule_content_key(
     _hash_update_str(h, translation)
     for name, local in locals_:
         _hash_update_str(h, f"array({name})")
-        _hash_update_str(h, repr(local.dist))
-        # repr() names the pattern but not every placement parameter — a
-        # Custom owner map in particular.  Two custom layouts of the same
-        # extent must never share a key (a redistributed array would hit
-        # the old layout's schedule), so hash the layout params directly.
-        for dim in local.dist.dims:
-            for param in dim._layout_params():
-                h.update(param if isinstance(param, bytes)
-                         else str(param).encode())
-        _hash_update_str(h, str(local.data.dtype))
+        h.update(_layout_bytes(local.dist))
+        h.update(_dtype_bytes(local.data.dtype))
         if name in comm_deps:
             # Global fingerprint, not local bytes: schedules are
             # collective, and every rank must reach the same hit/miss

@@ -70,13 +70,17 @@ Stamp = Tuple[int, int, int]
 _UNSET = object()
 
 
-def _hash_update_str(h, s: str) -> None:
-    """Feed ``s`` to hash ``h`` length-prefixed, so adjacent fields never
-    run together.  Both stores' content keys are built from these bytes;
+def _length_prefixed(s: str) -> bytes:
+    """``s`` encoded behind its length, so adjacent fields never run
+    together.  Both stores' content keys are built from these bytes;
     changing them orphans every stored entry."""
     b = s.encode()
-    h.update(struct.pack("<q", len(b)))
-    h.update(b)
+    return struct.pack("<q", len(b)) + b
+
+
+def _hash_update_str(h, s: str) -> None:
+    """Feed ``s`` to hash ``h`` length-prefixed (:func:`_length_prefixed`)."""
+    h.update(_length_prefixed(s))
 
 
 class LRU:

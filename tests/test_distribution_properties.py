@@ -29,6 +29,7 @@ from repro.distributions import (
     Cyclic,
     Replicated,
 )
+from repro.errors import DistributionError
 
 extents = st.integers(1, 120)
 procs = st.integers(1, 9)
@@ -59,11 +60,18 @@ def bound_dists(draw):
 @given(dist=bound_dists())
 def test_global_local_round_trip_bijection(dist):
     """to_global(owner(i), to_local(i)) == i for every global index, and
-    the inverse trip from every (proc, offset) pair."""
+    the inverse trip from every (proc, offset) pair; ``locate`` gives
+    both halves at once and bounds-checks like them."""
     n, p = dist.extent, dist.nprocs
     idx = np.arange(n, dtype=np.int64)
     owners = np.asarray(dist.owner(idx))
     offsets = np.asarray(dist.to_local(idx))
+    located = dist.locate(idx[::-1].reshape(1, -1))
+    assert np.array_equal(located[0], owners[::-1].reshape(1, -1))
+    assert np.array_equal(located[1], offsets[::-1].reshape(1, -1))
+    for bad in (-1, n):
+        with pytest.raises(DistributionError):
+            dist.locate(np.array([0, bad]))
     assert ((owners >= 0) & (owners < p)).all()
     assert (offsets >= 0).all()
     for i in range(n):

@@ -37,7 +37,15 @@ from tests.differential import (
 from repro.apps.jacobi import build_jacobi
 from repro.arrays.darray import DistributedArray
 from repro.lang import compile_kali
-from repro.core.forall import AffineRead, AffineWrite, Forall, OnOwner
+from repro.core.forall import (
+    AffineRead,
+    AffineWrite,
+    Forall,
+    IndirectRead,
+    OnOwner,
+)
+from repro.distributions import Block, BlockCyclic, Custom, Cyclic, Replicated
+from repro.distributions.procs import ProcessorArray
 from repro.meshes.regular import five_point_grid, reference_sweep
 from repro.runtime.schedule import CommSchedule
 from repro.serve import diskcache
@@ -138,6 +146,111 @@ class TestContentKey:
         prog, env = _jacobi_env()
         del env["adj"]
         assert schedule_content_key(prog.relax_loop, env) is None
+
+
+#: layouts of the pinned keys: (dist of "x", extra trailing dims of "x")
+KEY_LAYOUTS = {
+    "block": ([Block()], ()),
+    "cyclic": ([Cyclic()], ()),
+    "block_cyclic3": ([BlockCyclic(3)], ()),
+    "custom": ([Custom(np.arange(24) * 7 % 4)], ()),
+    "block_star": ([Block(), Replicated()], (2,)),
+}
+
+
+def _layout_key(layout, rank, translation="ranges", owner_map=None):
+    """The content key of a forall reading ``x`` (laid out ``layout``)
+    through an indirection table, on ``rank`` of 4."""
+    procs = ProcessorArray(4)
+    dists, trailing = KEY_LAYOUTS[layout]
+    if owner_map is not None:
+        dists = [Custom(owner_map)]
+    x = DistributedArray("x", (24,) + trailing, dists, procs)
+    y = DistributedArray("y", 24, [Block()], procs)
+    adj = DistributedArray("adj", (24, 2), [Block(), Replicated()], procs,
+                           dtype=np.int64)
+    adj.set(np.arange(48).reshape(24, 2) % 24)
+    loop = Forall(
+        index_range=(0, 23), on=OnOwner("y"),
+        reads=[IndirectRead("x", "adj", name="nb"),
+               AffineRead("x", name="xi")],
+        writes=[AffineWrite("y")],
+        kernel=lambda iters, ops: ops["xi"], label=f"key-{layout}")
+    env = {arr.name: _scatter(arr, rank) for arr in (x, y, adj)}
+    return schedule_content_key(loop, env, translation)
+
+
+#: recorded before the key's per-layout and per-dtype bytes were
+#: memoised: stored entries must keep hitting
+PINNED_KEYS = {
+    'block': [
+        "a5cec81febc62a102e0a407dba5f75f8fdfd2206ba062fd936bdce02c37127cc",
+        "b604f07543e418e90d6facd1d84a153b7380772e084e060941f8ba84ce72afe0",
+        "910ef8d559112ec70d5dbe091c0341130f9f1e88859d2fb4e7cd8fe95adc5bc1",
+        "329e89ee4f2131ec1ced6e7aa6939292a54db8d3bbd87d26df6e3e3225b02623",
+    ],
+    'block_cyclic3': [
+        "0ba2bc8e505675a6079486311d8fb93dec61dbb46b84fa65bf4aeaa04622ee15",
+        "8521d14250e25da8eda767980f6184942a194dcefd71984dca06c6c07811d14c",
+        "f90507c1f6d863f03f2a3cc7f834251022099a050add21c33e5cfe74e260d940",
+        "965f47a28edb9c3f694139dc18b083a8e7269f138b65eee5903ecc6bf74e59ca",
+    ],
+    'block_star': [
+        "b942721d9c83c8c2687829c999f972c94a14020c25bca585400da826942185c9",
+        "45cb25e19a7eda9b4bedaeecb883925d9ae38481423e35d318a71715bf34a03c",
+        "c164d74a52c08053e85c4ab995c1bde4d68a68c3a8e8adcedeb3fb9fc3f427f7",
+        "bdb1f3cdb7d175427b1284d3e191a7114de13f05d527899e2ecb130d7773593e",
+    ],
+    'custom': [
+        "c9d529dd586f346ce93bea95365afcb86a813c9b38f4fd7196ac701993f0feee",
+        "1ed245db33785ec3d3b84a75f2717ef9712990dc4591aeac4de1a0287da56703",
+        "7aa4783d58cb848a35a43254d0adecc76ca85e05c0c44ea4d913f9e71b04d59e",
+        "ded79925f78756b82dc7aa466c2955a77d8df6b4eee57ee9beeea6f350c65062",
+    ],
+    'cyclic': [
+        "9219e63c47593d73af23419dc8176984b7cb8072272a1d1ac4a8e44d62c5ad4a",
+        "f6e7d51efa3c5bcfce128feb559e670cb0454d239c5fc41d4198b07dec527c1e",
+        "cf5466cc5b6b931da07b09c83346442c024801e9a71c6d21800352cf6275e6f1",
+        "490e96a4639bb6f00a690b2dd3c5d5924da60aa858129822efddac4f7ddb1ad9",
+    ],
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("layout", sorted(KEY_LAYOUTS))
+    def test_layout_keys_are_unchanged(self, layout):
+        got = [_layout_key(layout, rank, translation)
+               for rank in (0, 3) for translation in ("ranges", "enumerated")]
+        assert got == PINNED_KEYS[layout]
+        # asked again, from the memoised bytes
+        assert _layout_key(layout, 0) == got[0]
+
+    def test_a_changed_owner_map_changes_the_key(self):
+        owners = np.arange(24) * 7 % 4
+        base = _layout_key("custom", 0, owner_map=owners)
+        assert _layout_key("custom", 0, owner_map=owners.copy()) == base
+        moved = owners.copy()
+        moved[[0, 1]] = moved[[1, 0]]
+        assert _layout_key("custom", 0, owner_map=moved) != base
+
+    def test_a_fresh_build_reuses_its_lookups_key(self, tmp_path,
+                                                  monkeypatch):
+        """One key per memory miss: ``store_through`` files the schedule
+        under the key ``lookup`` computed for the same miss."""
+        calls = []
+        key = diskcache.schedule_content_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].label)
+            return key(*args, **kwargs)
+
+        monkeypatch.setattr(diskcache, "schedule_content_key", counting)
+        mesh = five_point_grid(8, 8)
+        prog = build_jacobi(mesh, 2, schedule_cache_dir=str(tmp_path),
+                            initial=np.random.default_rng(3).random(mesh.n))
+        prog.run(2)
+        # two ranks x two loops, each missed once (and stored once)
+        assert len(calls) == 4
 
 
 def _dummy_schedule(label="x", payload_bytes=0):

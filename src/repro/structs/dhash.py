@@ -62,6 +62,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -74,7 +75,14 @@ from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.launch import check_backend, default_topology, launch
 from repro.machine.stats import RankStats, RunResult
 from repro.machine.topology import Topology
-from repro.structs.exchange import combining_route, element_route, group_by_dest
+from repro.structs.exchange import (
+    FIELD_NBYTES,
+    combining_route,
+    element_items,
+    element_route,
+    group_by_dest,
+    scatter_packets,
+)
 from repro.structs.hashing import (
     bucket_dist,
     bucket_of,
@@ -103,49 +111,73 @@ def _expand(lo: np.ndarray, lens: np.ndarray):
     Yields ``(i0, i1, begin, ends, idx)``: runs ``i0:i1`` occupy
     ``idx[begin[k]:ends[k]]``.
     """
-    cum = np.cumsum(lens)
+    cum = lens.cumsum()
     i0, n = 0, len(lens)
     while i0 < n:
         base = int(cum[i0 - 1]) if i0 else 0
-        i1 = max(i0 + 1, int(np.searchsorted(cum, base + _PAIR_BUDGET,
-                                             side="right")))
+        i1 = max(i0 + 1, int(cum.searchsorted(base + _PAIR_BUDGET,
+                                              side="right")))
         part = lens[i0:i1]
         ends = cum[i0:i1] - base
         begin = ends - part
-        idx = np.arange(ends[-1]) + np.repeat(lo[i0:i1] - begin, part)
+        idx = (lo[i0:i1] - begin).repeat(part)
+        idx += np.arange(len(idx))
         yield i0, i1, begin, ends, idx
         i0 = i1
 
 
-def _group_sort(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable sort by label: ``(order, start)``, ``start[k]`` being the
-    sorted position where the group of sorted element ``k`` begins — so
-    ``k - start[k]`` counts the earlier elements with the same label."""
-    order = np.argsort(labels, kind="stable")
-    ordered = labels[order]
-    head = np.ones(len(labels), dtype=bool)
-    head[1:] = ordered[1:] != ordered[:-1]
-    start = np.maximum.accumulate(np.where(head, np.arange(len(labels)), 0))
-    return order, start
+def _group_sort(labels: np.ndarray, nlabels: int,
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable counting sort by label: ``(order, sorted labels, offsets)``.
+
+    ``offsets`` (one per label from ``0`` to at least ``nlabels``, plus
+    one) is where each label's group begins in sorted order, so sorted
+    element ``k`` has ``k - offsets[label]`` earlier elements with the
+    same label.  The argsort runs on the narrowest dtype that holds the
+    labels (NumPy's radix sort, up to 16 bits)."""
+    counts = np.bincount(labels, minlength=nlabels)
+    order = labels.astype(np.min_scalar_type(len(counts) - 1)).argsort(
+        kind="stable")
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    counts.cumsum(out=offsets[1:])
+    return order, labels[order], offsets
 
 
-def _occurrences(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per element: how many earlier elements carry the same key, and the
-    index of that key's first element."""
-    order, start = _group_sort(keys)
-    occ = np.empty(len(keys), dtype=np.int64)
-    first = np.empty(len(keys), dtype=np.int64)
-    occ[order] = np.arange(len(keys)) - start
-    first[order] = order[start]
-    return occ, first
+def _repeats(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elements whose key an earlier element of the batch carries:
+    ``(rep, first, occ)`` — their indices, the index of their key's first
+    element, and how many earlier elements carry that key.  One sort of
+    the keys; the rest is proportional to the repeats."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    again = (ordered[1:] == ordered[:-1]).nonzero()[0] + 1
+    # A run of repeats at sorted positions a..b repeats position a - 1.
+    run = np.ones(len(again), dtype=bool)
+    run[1:] = again[1:] != again[:-1] + 1
+    head = np.maximum.accumulate(np.where(run, again - 1, 0))
+    return order[again], order[head], again - head
 
 
 def _offsets(lbuckets: np.ndarray, nb: int) -> np.ndarray:
     """How far each of ``nb + 1`` chain offsets moves when one entry per
     element of ``lbuckets`` joins (or leaves) the table."""
     shift = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lbuckets, minlength=nb), out=shift[1:])
+    np.bincount(lbuckets, minlength=nb).cumsum(out=shift[1:])
     return shift
+
+
+def _spliced(old: np.ndarray, keep: np.ndarray, at: np.ndarray,
+             new: np.ndarray) -> np.ndarray:
+    """``old`` grown by ``new`` at slots ``at`` of the result; ``keep``
+    marks every other slot, which takes ``old`` in order."""
+    grown = np.empty(len(keep), dtype=old.dtype)
+    grown[keep] = old
+    grown[at] = new
+    return grown
+
+
+#: The sentinel chain position of an element that deletes nothing.
+_NOWHERE = np.iinfo(np.int64).max
 
 
 class LocalStore:
@@ -165,8 +197,9 @@ class LocalStore:
     then the in-batch order (element ``i`` sees the effects of every
     ``j < i``) resolved in closed form.  The price of contiguous runs is
     that a batch which creates or deletes entries copies the rank's
-    arrays once (``np.insert`` / ``np.delete``, memcpy speed); value
-    updates and lookups touch nothing else.
+    arrays once: one mask, shared by ``keys`` and ``vals``, places the
+    new entries (their slots ascend, bucket-major) or drops the deleted
+    ones.  Value updates and lookups touch nothing else.
     """
 
     __slots__ = ("starts", "keys", "vals")
@@ -208,14 +241,15 @@ class LocalStore:
 
         # Flat scan of the pre-batch chains: each element against every
         # slot of its chain; a chain holds a key once, so hits are unique.
-        lo = self.starts[np.minimum(lb, nb)]
-        len0 = self.starts[np.minimum(lb + 1, nb)] - lo
+        lbc = np.minimum(lb, nb)
+        lo = self.starts[lbc]
+        len0 = self.starts[np.minimum(lbc + 1, nb)] - lo
         pos = np.full(n, -1, dtype=np.int64)     # 0-based chain position
         slot = np.zeros(n, dtype=np.int64)       # index into keys / vals
         for i0, i1, begin, ends, idx in _expand(lo, len0):
-            hit = np.flatnonzero(
-                self.keys[idx] == np.repeat(keys[i0:i1], len0[i0:i1]))
-            elem = np.searchsorted(ends, hit, side="right")
+            hit = (self.keys[idx]
+                   == keys[i0:i1].repeat(len0[i0:i1])).nonzero()[0]
+            elem = ends.searchsorted(hit, side="right")
             pos[i0 + elem] = hit - begin[elem]
             slot[i0 + elem] = idx[hit]
         present = pos >= 0
@@ -224,45 +258,55 @@ class LocalStore:
             result = np.zeros(n, dtype=np.float64)
             result[present] = self.vals[slot[present]]
             return present, result, np.where(present, pos + 1, len0)
-        occ, first = _occurrences(keys)
+        rep, first, occ = _repeats(keys)
         if op == "delete":
-            return self._delete(lb, len0, pos, slot, present & (occ == 0))
+            gone = present.copy()                # first occurrences only
+            gone[rep] = False
+            return self._delete(lb, len0, pos, slot, gone)
 
         # insert / add.  A miss on a key's first occurrence creates the
         # entry at the chain tail, behind the creations earlier in the
         # batch; every later occurrence of that key hits it there.
         vals = np.asarray(vals, dtype=np.float64)
-        missing = ~present
-        creator = missing & (occ == 0)
-        born = np.flatnonzero(creator)
+        creator = ~present
+        creator[rep] = False
+        born = creator.nonzero()[0]
         if born.size:
-            order, start = _group_sort(lb[born])
+            order, lbb, shift = _group_sort(lb[born], nb)
             born = born[order]                   # bucket-major, batch order
-            pos[born] = len0[born] + np.arange(born.size) - start
-            pos[missing] = pos[first[missing]]
-            at = self.starts[lb[born] + 1]
-            self.keys = np.insert(self.keys, at, keys[born])
-            self.vals = np.insert(self.vals, at, vals[born])
-            self.starts = self.starts + _offsets(lb[born], nb)
+            k = np.arange(born.size)
+            pos[born] = len0[born] - shift[lbb] + k
+            # Born k lands behind the k born before it: its slots ascend.
+            at = self.starts[lbb + 1] + k
+            keep = np.ones(self.count + born.size, dtype=bool)
+            keep[at] = False
+            self.keys = _spliced(self.keys, keep, at, keys[born])
+            self.vals = _spliced(self.vals, keep, at, vals[born])
+            self.starts = self.starts + shift
+        pos[rep] = pos[first]
         found = ~creator
         result = vals.copy()                     # a creation assigns: -0.0
-        # Values land in occurrence rounds — one round unless the batch
-        # repeats a key — so a key's updates keep their sequential order.
-        hits = np.flatnonzero(found)
-        rounds = np.bincount(occ[hits])
-        if len(rounds) > 1:
-            hits = hits[np.argsort(occ[hits], kind="stable")]
-        target = self.starts[lb] + pos
-        done = 0
-        for size in rounds.tolist():
-            sel = hits[done:done + size]
-            done += size
-            cell = target[sel]
-            if op == "add":
-                self.vals[cell] += vals[sel]
-            else:
-                self.vals[cell] = vals[sel]
-            result[sel] = self.vals[cell]
+        hits = found.nonzero()[0]
+        if hits.size:
+            # Values land in occurrence rounds — one round unless the
+            # batch repeats a key — so a key's updates keep their
+            # sequential order.
+            rounds = np.zeros(n, dtype=np.int64)
+            rounds[rep] = occ
+            sizes = np.bincount(rounds[hits])
+            if len(sizes) > 1:
+                hits = hits[rounds[hits].argsort(kind="stable")]
+            target = self.starts[lb] + pos
+            done = 0
+            for size in sizes.tolist():
+                sel = hits[done:done + size]
+                done += size
+                cell = target[sel]
+                if op == "add":
+                    self.vals[cell] += vals[sel]
+                else:
+                    self.vals[cell] = vals[sel]
+                result[sel] = self.vals[cell]
         return found, result, pos + found
 
     def _delete(self, lb, len0, pos, slot, gone):
@@ -274,19 +318,24 @@ class LocalStore:
         result = np.zeros(n, dtype=np.float64)
         scanned = np.where(gone, pos + 1, len0)
         if gone.any():
-            order, start = _group_sort(lb)
-            s_gone, s_pos = gone[order], pos[order]
-            limit = np.where(s_gone, s_pos, np.iinfo(np.int64).max)
+            order, lbs, offsets = _group_sort(lb, 0)
+            start = offsets[lbs]
+            # Sorted element j shortens sorted k > j of its chain when
+            # limit[j] < limit[k]: j deletes (limit = its position) and
+            # either k misses (limit = _NOWHERE) or k's hit lies behind.
+            limit = np.where(gone, pos, _NOWHERE)[order]
             earlier = np.arange(n) - start
             for i0, i1, begin, ends, idx in _expand(start, earlier):
                 ahead = np.zeros(len(idx) + 1, dtype=np.int64)
-                np.cumsum(s_gone[idx] & (s_pos[idx] < np.repeat(
-                    limit[i0:i1], earlier[i0:i1])), out=ahead[1:])
+                (limit[idx] < limit[i0:i1].repeat(earlier[i0:i1])).cumsum(
+                    out=ahead[1:])
                 scanned[order[i0:i1]] -= ahead[ends] - ahead[begin]
             dead = slot[gone]
             result[gone] = self.vals[dead]
-            self.keys = np.delete(self.keys, dead)
-            self.vals = np.delete(self.vals, dead)
+            keep = np.ones(self.count, dtype=bool)
+            keep[dead] = False
+            self.keys = self.keys[keep]
+            self.vals = self.vals[keep]
             self.starts = self.starts - _offsets(lb[gone], len(self.starts) - 1)
         return gone, result, scanned
 
@@ -348,11 +397,13 @@ def _apply_packets(rank: Rank, op: str, store: LocalStore, nbuckets: int,
                    delivered: Dict[int, Dict[str, np.ndarray]], phase: str):
     """Owner side: apply arriving packets in (source, packet) order — one
     ``store.apply`` over their concatenation, charged per source — and
-    build reply packets addressed back to each source."""
+    build reply packets addressed back to each source.  Returns
+    ``(replies, sizes)``, each reply sized where it is built."""
     m = rank.machine
     replies: Dict[int, Dict[str, np.ndarray]] = {}
+    sizes: Dict[int, int] = {}
     if not delivered:
-        return replies
+        return replies, sizes
     sources = sorted(delivered)
     packets = [delivered[src] for src in sources]
     keys = np.concatenate([p["keys"] for p in packets])
@@ -361,36 +412,21 @@ def _apply_packets(rank: Rank, op: str, store: LocalStore, nbuckets: int,
     dist = bucket_dist(nbuckets, rank.size)
     lbuckets = np.asarray(dist.to_local(bucket_of(keys, nbuckets)))
     found, result, scanned = store.apply(op, lbuckets, keys, vals)
-    lo = 0
-    for src, packet in zip(sources, packets):
-        hi = lo + len(packet["keys"])
-        scans = int(scanned[lo:hi].sum())
+    # Every delivered packet holds at least one element, so each source's
+    # scans total in one reduceat over the packets' offsets.
+    lens = [len(p["keys"]) for p in packets]
+    bounds = [0, *itertools.accumulate(lens)]
+    totals = np.add.reduceat(scanned, bounds[:-1]).tolist()
+    head = FIELD_NBYTES * 3
+    row = packets[0]["pos"].itemsize + found.itemsize + result.itemsize
+    for src, packet, lo, hi, scans in zip(sources, packets, bounds,
+                                          bounds[1:], totals):
         yield Count("structs_chain_scans", scans)
         yield Compute(m.copy_elem * (hi - lo) + m.flop * scans, phase=phase)
         replies[src] = {"pos": packet["pos"], "found": found[lo:hi],
                         "result": result[lo:hi]}
-        lo = hi
-    return replies
-
-
-def _merge_replies(spec: _OpSpec, delivered: Dict[int, Dict[str, np.ndarray]],
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Requester side: fold reply packets back into slice order."""
-    found = np.zeros(len(spec.keys), dtype=bool)
-    result = np.zeros(len(spec.keys), dtype=np.float64)
-    base = int(spec.pos[0]) if len(spec.pos) else 0
-    for src in sorted(delivered):
-        packet = delivered[src]
-        local = np.asarray(packet["pos"], dtype=np.int64) - base
-        found[local] = packet["found"]
-        result[local] = packet["result"]
-    return found, result
-
-
-def _elements(owners, arrays: Dict[str, np.ndarray]) -> List[Tuple[int, Dict]]:
-    """One ``(dest, one-element packet)`` per element, in input order."""
-    return [(int(dest), {name: arr[i:i + 1] for name, arr in arrays.items()})
-            for i, dest in enumerate(owners)]
+        sizes[src] = head + row * (hi - lo)
+    return replies, sizes
 
 
 def owner_round_trip(rank: Rank, owners: np.ndarray,
@@ -402,10 +438,10 @@ def owner_round_trip(rank: Rank, owners: np.ndarray,
 
     Element ``i`` of the parallel arrays in ``request`` goes to rank
     ``owners[i]``; each owner runs ``apply({source: packet})``, a
-    generator returning ``{source: reply packet}``, and the replies go
-    back.  Returns ``{owner: reply packet}`` — or, with ``apply`` None,
-    the one-way trip's ``{source: packet}`` as delivered.  A packet
-    keeps its elements in input order.
+    generator returning ``({source: reply packet}, {source: its wire
+    size})``, and the replies go back.  Returns ``{owner: reply
+    packet}`` — or, with ``apply`` None, the one-way trip's ``{source:
+    packet}`` as delivered.  A packet keeps its elements in input order.
 
     ``combine=True`` sends one packet per destination, each hop one
     combining exchange.  ``combine=False`` is the naive baseline the G1
@@ -416,22 +452,24 @@ def owner_round_trip(rank: Rank, owners: np.ndarray,
     """
     yield Compute(rank.machine.copy_elem * len(owners), phase=phase)
     if combine:
-        delivered = yield from combining_route(
-            rank, group_by_dest(owners, request), tag=tag, phase=phase)
+        packets, sizes = group_by_dest(owners, request)
+        delivered = yield from combining_route(rank, packets, sizes, tag=tag,
+                                               phase=phase)
     else:
         delivered = yield from element_route(
-            rank, _elements(owners, request), rounds, tag=tag + 16,
+            rank, element_items(owners, request), rounds, tag=tag + 16,
             phase=phase)
     if apply is None:
         return delivered
-    replies = yield from apply(delivered)
+    replies, sizes = yield from apply(delivered)
     if combine:
-        returned = yield from combining_route(rank, replies, tag=tag + 4,
-                                              phase=phase)
+        returned = yield from combining_route(rank, replies, sizes,
+                                              tag=tag + 4, phase=phase)
         return returned
-    items: List[Tuple[int, Dict]] = []
+    items: List[Tuple[int, Dict, int]] = []
     for src, packet in sorted(replies.items()):
-        items += _elements([src] * len(next(iter(packet.values()))), packet)
+        items += element_items([src] * len(next(iter(packet.values()))),
+                               packet)
     # A hot owner may hold more replies than its request slice was long,
     # so the lock-step bound is the global max reply count.
     reply_rounds = yield from allreduce(rank, len(items), op=max,
@@ -550,7 +588,10 @@ def _dhash_op_program(rank: Rank):
         lambda delivered: _apply_packets(rank, spec.op, store, nbuckets,
                                          delivered, phase),
         spec.combine, spec.rounds, phase)
-    found, result = _merge_replies(spec, returned)
+    found = np.zeros(len(spec.keys), dtype=bool)
+    result = np.zeros(len(spec.keys), dtype=np.float64)
+    scatter_packets(returned, "pos", int(spec.pos[0]) if len(spec.pos) else 0,
+                    {"found": found, "result": result})
 
     info: Dict[str, Any] = {}
     if spec.op in ("insert", "add"):
@@ -688,9 +729,15 @@ class DHash(_StructBase):
         return self._op("delete", keys, None, combine)
 
     def _op(self, op: str, keys, values, combine: bool) -> BatchResult:
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        keys = np.asarray(keys)
         if keys.ndim != 1:
             raise StructsError(f"{op}_many needs a 1-d key batch")
+        # A cast would truncate 1.5 to key 1; an empty list (NumPy types
+        # it float64) is the one non-integer batch that is harmless.
+        if keys.size and keys.dtype.kind not in "iu":
+            raise StructsError(
+                f"{op}_many needs integer keys, got dtype {keys.dtype}")
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         vals = None
         if values is not None:
             vals = np.ascontiguousarray(values, dtype=np.float64)

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.machine.api import Compute, Count, Rank
 from repro.structs.dhash import StructsError, _StructBase, owner_round_trip
+from repro.structs.exchange import packet_nbytes, scatter_packets
 
 
 @dataclass
@@ -84,6 +85,7 @@ def _dqueue_op_program(rank: Rank):
     def pop(delivered):
         """Owner side: pop the requested tickets off this segment."""
         replies: Dict[int, Dict[str, np.ndarray]] = {}
+        sizes: Dict[int, int] = {}
         popped = 0
         for src in sorted(delivered):
             tickets = delivered[src]["tickets"]
@@ -96,18 +98,17 @@ def _dqueue_op_program(rank: Rank):
                         f"rank {rank.id}: pop of absent ticket {int(t)}")
             popped += len(tickets)
             replies[src] = {"tickets": tickets, "vals": out}
+            sizes[src] = packet_nbytes(replies[src])
         yield Count("structs_popped", popped)
         yield Compute(m.copy_elem * popped, phase=phase)
-        return replies
+        return replies, sizes
 
     returned = yield from owner_round_trip(
         rank, owners, {"tickets": spec.tickets}, pop, phase=phase)
     result = np.zeros(len(spec.tickets), dtype=np.float64)
-    base = int(spec.tickets[0]) if len(spec.tickets) else 0
-    for src in sorted(returned):
-        packet = returned[src]
-        local = np.asarray(packet["tickets"], dtype=np.int64) - base
-        result[local] = packet["vals"]
+    scatter_packets(returned, "tickets",
+                    int(spec.tickets[0]) if len(spec.tickets) else 0,
+                    {"vals": result})
     return _QOutcome(segment=segment, tickets=spec.tickets, result=result)
 
 

@@ -20,6 +20,7 @@ from tests.differential import (
     assert_arrays_identical,
     assert_counters_identical,
 )
+from repro.machine.api import payload_nbytes
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.structs import (
     DHash,
@@ -81,8 +82,10 @@ class TestGroupByDest:
         arrays = {"keys": rng.integers(0, 1 << 40, size=n),
                   "vals": rng.standard_normal(n),
                   "rows": rng.standard_normal((n, 3))}
-        packets = group_by_dest(owners, arrays)
+        packets, sizes = group_by_dest(owners, arrays)
         assert list(packets) == sorted(set(owners.tolist()))
+        assert sizes == {dest: payload_nbytes(packet)
+                         for dest, packet in packets.items()}
         for dest, packet in packets.items():
             assert type(dest) is int and list(packet) == list(arrays)
             for name, arr in arrays.items():
@@ -94,7 +97,7 @@ class TestGroupByDest:
 
     def test_no_elements_no_packets(self):
         assert group_by_dest(np.empty(0, dtype=np.int64),
-                             {"keys": np.empty(0)}) == {}
+                             {"keys": np.empty(0)}) == ({}, {})
 
 
 class TestDHashSemantics:

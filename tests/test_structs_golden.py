@@ -5,8 +5,9 @@ sim↔mp differentials compare two backends of the same code; neither
 notices when a change to the routing moves virtual time on *both*.
 This file runs the DHash op sequence of ``test_local_store._pinned_ops``
 in the combining and the naive (``combine=False``) mode, and the DQueue
-sequence of ``test_structs._drive_dqueue``, at P=4 (crystal router) and
-P=3 (pairwise ``alltoall``), and holds each merged run to a golden
+sequence of ``test_structs._drive_dqueue``, at P=4 (crystal router),
+P=3 (pairwise ``alltoall``) and P=8 (three crystal stages, the
+benchmark's world size), and holds each merged run to a golden
 recorded before the structures shared one owner round trip: per rank,
 the hex clock, the message and byte totals, and a digest of the
 counters and hex phase times; per scenario, digests of every op's
@@ -75,6 +76,9 @@ SCENARIOS = {
     "dhash-combine-p3": lambda: _dhash_run(3, True),
     "dhash-naive-p3": lambda: _dhash_run(3, False),
     "dqueue-p3": lambda: _dqueue_run(3),
+    "dhash-combine-p8": lambda: _dhash_run(8, True),
+    "dhash-naive-p8": lambda: _dhash_run(8, False),
+    "dqueue-p8": lambda: _dqueue_run(8),
 }
 
 
@@ -167,6 +171,53 @@ GOLDEN = {
         "ops": "62d00df263fa5a92",
         "replies": "adf01e3a4097090c",
         "snapshot": "095114fd7365bc18",
+    },
+    # The P=8 rows were recorded at the tree that still sized every packet
+    # by walking it with ``payload_nbytes``.
+    "dhash-combine-p8": {
+        "ranks": [
+            ('0x1.a661fef89903ap-4', 48, 48, 19219, 18839, 'd04a05a6c9a14b82'),
+            ('0x1.b842d20ca7ae6p-4', 48, 48, 20084, 19889, '6383a9a6fadfe48d'),
+            ('0x1.a2bc580a8310ep-4', 48, 48, 19614, 18814, 'd0f2aac951549e43'),
+            ('0x1.b170bb53fe84fp-4', 48, 48, 21231, 20467, '7dc20e420b99ed55'),
+            ('0x1.a5cf3201dacbcp-4', 48, 48, 15350, 15090, 'e8fa7e38b1705c45'),
+            ('0x1.b818e0a195e78p-4', 48, 48, 14342, 15053, 'cd3819e6b515fa39'),
+            ('0x1.a1f51d4deea0ap-4', 48, 48, 12088, 12659, '89c48ed7468879e4'),
+            ('0x1.b0f825402b697p-4', 48, 48, 11970, 13087, '684f30efac6f322d'),
+        ],
+        "ops": "ec88413ff03ed97e",
+        "replies": "5499270c0df62194",
+        "snapshot": "47c4996f8fb83da4",
+    },
+    "dhash-naive-p8": {
+        "ranks": [
+            ('0x1.f1162fed2d94ap-2', 495, 495, 36723, 35383, '793ea4537190c721'),
+            ('0x1.f43a3c3bf0704p-2', 495, 495, 33892, 33697, 'ec15ea7c2380c50a'),
+            ('0x1.f185c17580b4fp-2', 495, 495, 38382, 36366, '883414e28274ff5e'),
+            ('0x1.f533f42352ea9p-2', 495, 495, 37691, 36223, 'e89d9904b44aac73'),
+            ('0x1.f0ec3e821bcddp-2', 495, 495, 23990, 24690, 'f48bd431ae011a18'),
+            ('0x1.f42fbfe12bfebp-2', 495, 495, 21238, 22525, 'adbebbc4a7808ecc'),
+            ('0x1.f14eb498f9600p-2', 495, 495, 19696, 21163, '03216fce3ba7ad02'),
+            ('0x1.f515ce9e5e23cp-2', 495, 495, 19030, 20595, '5742bf70e09387a3'),
+        ],
+        "ops": "fc4a3e11001c36a5",
+        "replies": "5499270c0df62194",
+        "snapshot": "47c4996f8fb83da4",
+    },
+    "dqueue-p8": {
+        "ranks": [
+            ('0x1.ca6bc97cb6340p-6', 18, 18, 6420, 6492, '253ed2b2168a3cdb'),
+            ('0x1.d11962a79504ep-6', 18, 18, 6636, 6636, '943eec1e28ac129f'),
+            ('0x1.ca4a3b8d74c82p-6', 18, 18, 6636, 6564, 'cd05034241171cf7'),
+            ('0x1.c3cef74978192p-6', 18, 18, 6396, 6396, '065c80c01a65b68b'),
+            ('0x1.ca0b516cda1dfp-6', 18, 18, 5784, 5784, '7e830976102fab6f'),
+            ('0x1.d0e2dc02cab5ap-6', 18, 18, 5772, 5772, '6007d4a68a25d1fb'),
+            ('0x1.ca13b4e8aa78ep-6', 18, 18, 6168, 6168, '41194f248c540f7b'),
+            ('0x1.c39870a4adc9ep-6', 18, 18, 5772, 5772, 'a165cbcf54ee1eb9'),
+        ],
+        "ops": "521c365404e14b4d",
+        "replies": "adf01e3a4097090c",
+        "snapshot": "f3a3fb0d027a6d97",
     },
 }
 
